@@ -8,8 +8,9 @@
 //
 //   * compile binds the plan's leaf modules (the module graph must outlive
 //     the backend) and pre-computes every weight-derived panel;
-//   * run() executes the plan into a slot arena and returns a reference to
-//     the output buffer; steady state (repeated shapes, no weight mutation)
+//   * run() walks the plan through exec::PlanRunner (runner.hpp), the one
+//     step interpreter, which calls the backend's per-op kernels and writes
+//     a slot arena; it returns a reference to the output buffer; steady state (repeated shapes, no weight mutation)
 //     performs no heap allocation and takes no lock.
 //
 // ## The run() output contract (read before keeping the reference)

@@ -11,7 +11,6 @@
 
 namespace pdnn::exec {
 
-using tensor::Shape;
 using tensor::Tensor;
 
 // Bit-exactness contract: every kernel below evaluates the same floating-
@@ -20,6 +19,47 @@ using tensor::Tensor;
 // gemm_blocked calls matmul/matmul_acc make, the bias adds and BN/ReLU
 // expressions are copied verbatim. Parallel axes are independent output
 // slices, so thread count never changes a bit (same policy as src/nn).
+
+namespace {
+
+/// The backward dX staging shared by the GEMM and scatter grad steps:
+/// `compute(dx)` writes into a zeroed target — `gout` itself, or, when the
+/// step accumulates, `scratch` (zeroed like eager's fresh tensor) which is
+/// then added into `gout` element by element.
+template <class F>
+void stage_dx(Tensor& scratch, Tensor& gout, bool acc, F&& compute) {
+  if (acc) scratch.resize(gout.shape());
+  Tensor& target = acc ? scratch : gout;
+  target.fill(0.0f);
+  compute(target);
+  if (acc) {
+    float* d = gout.data();
+    const float* v = scratch.data();
+    for (std::size_t i = 0; i < gout.numel(); ++i) d[i] += v[i];
+  }
+}
+
+/// The training-mode zero-clamp of `value(i)` into `out`, recording the mask
+/// backward reads; each element is read before it is written, so `out` may
+/// alias the input.
+template <class F>
+void masked_relu(std::vector<std::uint8_t>& mask, Tensor& out, F&& value) {
+  const std::size_t numel = out.numel();
+  mask.assign(numel, 0);
+  float* dst = out.data();
+#pragma omp parallel for schedule(static) if (numel > 16384)
+  for (std::size_t i = 0; i < numel; ++i) {
+    const float v = value(i);
+    if (v > 0.0f) {
+      mask[i] = 1;
+      dst[i] = v;
+    } else {
+      dst[i] = 0.0f;
+    }
+  }
+}
+
+}  // namespace
 
 FloatBackend FloatBackend::compile(nn::Module& net, nn::PrecisionPolicy* policy,
                                    PlanOptions opts) {
@@ -34,28 +74,27 @@ FloatBackend FloatBackend::compile(nn::Module& net, nn::PrecisionPolicy* policy,
   }
   FloatBackend b;
   b.opts_ = opts;
-  b.plan_ = GraphBuilder::lower(net, opts);
+  b.runner_ = PlanRunner(GraphBuilder::lower(net, opts));
   b.net_ = &net;
   b.policy_ = policy;
-  b.state_.resize(b.plan_.steps.size());
-  b.arena_.configure(b.plan_.num_buffers);
+  b.state_.resize(b.plan().steps.size());
   b.refresh();
   return b;
 }
 
 std::unique_ptr<Backend> FloatBackend::clone() const {
-  if (plan_.training()) return std::make_unique<FloatBackend>(compile_training(*net_));
+  if (plan().training()) return std::make_unique<FloatBackend>(compile_training(*net_));
   return std::make_unique<FloatBackend>(compile(*net_, policy_, opts_));
 }
 
 FloatBackend FloatBackend::compile_training(nn::Module& net) {
   FloatBackend b;
   b.opts_ = PlanOptions::none();
-  b.plan_ = GraphBuilder::lower_training(net);
+  b.runner_ = PlanRunner(GraphBuilder::lower_training(net));
   b.net_ = &net;
-  b.state_.resize(b.plan_.steps.size());
-  b.tstate_.resize(b.plan_.steps.size());
-  b.arena_.configure(b.plan_.num_buffers);
+  const std::vector<Step>& steps = b.plan().steps;
+  b.state_.resize(steps.size());
+  b.tstate_.resize(steps.size());
   // Backend-owned gradient accumulators in net.params() order — the order
   // every clone agrees on, so a data-parallel trainer can reduce across
   // backends index by index.
@@ -69,8 +108,8 @@ FloatBackend FloatBackend::compile_training(nn::Module& net) {
     throw std::logic_error(
         "FloatBackend::compile_training: step parameter missing from net.params()");
   };
-  for (std::size_t i = 0; i < b.plan_.steps.size(); ++i) {
-    const Step& s = b.plan_.steps[i];
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    const Step& s = steps[i];
     TrainState& ts = b.tstate_[i];
     switch (s.op) {
       case OpKind::kLinear:
@@ -95,7 +134,7 @@ FloatBackend FloatBackend::compile_training(nn::Module& net) {
 }
 
 void FloatBackend::require_training(const char* who) const {
-  if (!plan_.training()) {
+  if (!plan().training()) {
     throw std::logic_error(std::string("FloatBackend::") + who +
                            ": backend was not compiled with compile_training()");
   }
@@ -117,12 +156,17 @@ void FloatBackend::commit_bn_stats() {
 void FloatBackend::refresh() {
   const bool quant = quantizing();
   // An activate()/deactivate() flip between runs — or an explicit
-  // invalidate() — rebuilds every cached panel regardless of versions.
+  // invalidate() — rebuilds every cached panel regardless of versions,
+  // the backward W^T panels included (whichever of run() and
+  // train_forward() refreshes first consumes the flag).
   const bool force = quant != panels_quantized_ || force_refresh_;
   panels_quantized_ = quant;
   force_refresh_ = false;
-  for (std::size_t i = 0; i < plan_.steps.size(); ++i) {
-    const Step& s = plan_.steps[i];
+  if (force) {
+    for (TrainState& ts : tstate_) ts.wt_bound = false;
+  }
+  for (std::size_t i = 0; i < plan().steps.size(); ++i) {
+    const Step& s = plan().steps[i];
     StepState& st = state_[i];
     switch (s.op) {
       case OpKind::kLinear: {
@@ -217,29 +261,12 @@ void FloatBackend::fold_conv_bn(const Step& s, StepState& st) {
   }
 }
 
-const Tensor& FloatBackend::slot_tensor(int slot, const Tensor& x) const {
-  if (slot == plan_.input_slot) return x;
-  return arena_.at(static_cast<std::size_t>(plan_.slots[static_cast<std::size_t>(slot)].buffer));
-}
-
-Tensor& FloatBackend::bind_slot(int slot, const tensor::Shape& shape) {
-  return arena_.bind(static_cast<std::size_t>(plan_.slots[static_cast<std::size_t>(slot)].buffer),
-                     shape);
-}
-
 const Tensor& FloatBackend::run_impl(const Tensor& x) {
   refresh();
   const bool quant = quantizing();
-  for (std::size_t i = 0; i < plan_.steps.size(); ++i) {
-    const Step& s = plan_.steps[i];
+  return runner_.forward(x, "FloatBackend", [&](std::size_t i, const Step& s, const Tensor& in,
+                                                 const Tensor* skip, Tensor& out) {
     StepState& st = state_[i];
-    const Tensor& in = slot_tensor(s.in0, x);
-    const Tensor* skip = s.in1 >= 0 ? &slot_tensor(s.in1, x) : nullptr;
-    const Shape skip_shape = skip != nullptr ? skip->shape() : Shape{};
-    const Shape out_shape =
-        infer_out_shape(s, in.shape(), skip != nullptr ? &skip_shape : nullptr, "FloatBackend");
-    Tensor& out = arena_.bind(
-        static_cast<std::size_t>(plan_.slots[static_cast<std::size_t>(s.out)].buffer), out_shape);
     switch (s.op) {
       case OpKind::kLinear: exec_linear(s, st, in, out); break;
       case OpKind::kConv2d: exec_conv(s, st, in, out); break;
@@ -249,22 +276,13 @@ const Tensor& FloatBackend::run_impl(const Tensor& x) {
       case OpKind::kGlobalAvgPool: exec_gap(in, out); break;
       case OpKind::kResidualJoin: exec_join(in, *skip, out); break;
     }
-    if (quant) {
-      // The eager forward's A_p = P(A) hook sites: conv/linear/bn outputs and
-      // the post-join activation; ReLU and pooling apply no hook.
-      switch (s.op) {
-        case OpKind::kLinear: policy_->quantize_activation(out, s.name, nn::LayerClass::kLinear); break;
-        case OpKind::kConv2d: policy_->quantize_activation(out, s.name, nn::LayerClass::kConv); break;
-        case OpKind::kBatchNorm: policy_->quantize_activation(out, s.name, nn::LayerClass::kBn); break;
-        case OpKind::kResidualJoin:
-          policy_->quantize_activation(out, s.name, nn::LayerClass::kConv);
-          break;
-        default: break;
-      }
-    }
-  }
-  return arena_.at(static_cast<std::size_t>(
-      plan_.slots[static_cast<std::size_t>(plan_.output_slot)].buffer));
+    // The eager forward's A_p = P(A) hook sites: conv/linear/bn outputs and
+    // the post-join activation (step.cls is each one's layer class, the conv
+    // family for the join); ReLU and pooling apply no hook.
+    const bool hooked = s.op == OpKind::kLinear || s.op == OpKind::kConv2d ||
+                        s.op == OpKind::kBatchNorm || s.op == OpKind::kResidualJoin;
+    if (quant && hooked) policy_->quantize_activation(out, s.name, s.cls);
+  });
 }
 
 void FloatBackend::exec_linear(const Step& s, StepState& st, const Tensor& in, Tensor& out) {
@@ -386,37 +404,25 @@ void FloatBackend::exec_join(const Tensor& main, const Tensor& skip, Tensor& out
 const Tensor& FloatBackend::train_forward(const Tensor& x) {
   require_training("train_forward");
   bump_generation();
-  const bool force = force_refresh_;
   refresh();
-  if (force) {
-    for (TrainState& ts : tstate_) ts.wt_bound = false;
-  }
-  for (std::size_t i = 0; i < plan_.steps.size(); ++i) {
-    const Step& s = plan_.steps[i];
+  const Tensor& out = runner_.forward(x, "FloatBackend", [&](std::size_t i, const Step& s,
+                                                             const Tensor& in, const Tensor* skip,
+                                                             Tensor& out) {
     StepState& st = state_[i];
     TrainState& ts = tstate_[i];
-    const Tensor& in = slot_tensor(s.in0, x);
-    const Tensor* skip = s.in1 >= 0 ? &slot_tensor(s.in1, x) : nullptr;
-    const Shape skip_shape = skip != nullptr ? skip->shape() : Shape{};
-    const Shape out_shape =
-        infer_out_shape(s, in.shape(), skip != nullptr ? &skip_shape : nullptr, "FloatBackend");
     ts.in_shape = in.shape();
-    Tensor& out = bind_slot(s.out, out_shape);
     switch (s.op) {
       case OpKind::kLinear: exec_linear(s, st, in, out); break;
       case OpKind::kConv2d: exec_conv(s, st, in, out); break;
-      case OpKind::kBatchNorm: {
-        Tensor& xhat = bind_slot(s.save, in.shape());
-        exec_bn_train(s, ts, in, out, xhat);
+      case OpKind::kBatchNorm:
+        exec_bn_train(s, ts, in, out, runner_.bind(s.save, in.shape()));
         break;
-      }
       case OpKind::kRelu: exec_relu_train(ts, in, out); break;
       case OpKind::kMaxPool2x2: exec_maxpool_train(ts, in, out); break;
       case OpKind::kGlobalAvgPool: exec_gap(in, out); break;
       case OpKind::kResidualJoin: exec_join_train(ts, in, *skip, out); break;
     }
-  }
-  const Tensor& out = slot_tensor(plan_.output_slot, x);
+  });
   train_out_shape_ = out.shape();
   train_input_ = &x;
   forward_done_ = true;
@@ -469,22 +475,18 @@ void FloatBackend::exec_bn_train(const Step& s, TrainState& ts, const Tensor& in
 }
 
 void FloatBackend::exec_relu_train(TrainState& ts, const Tensor& in, Tensor& out) {
-  // nn::ReLU::forward(training=true): zero-clamp recording the mask. May run
-  // in place (the value is read before either write).
-  const std::size_t numel = out.numel();
-  ts.mask.assign(numel, 0);
+  // nn::ReLU::forward(training=true): zero-clamp recording the mask.
   const float* src = in.data();
-  float* dst = out.data();
-#pragma omp parallel for schedule(static) if (numel > 16384)
-  for (std::size_t i = 0; i < numel; ++i) {
-    const float v = src[i];
-    if (v > 0.0f) {
-      ts.mask[i] = 1;
-      dst[i] = v;
-    } else {
-      dst[i] = 0.0f;
-    }
-  }
+  masked_relu(ts.mask, out, [src](std::size_t i) { return src[i]; });
+}
+
+void FloatBackend::exec_join_train(TrainState& ts, const Tensor& main, const Tensor& skip,
+                                   Tensor& out) {
+  // ResidualBlock's h += skip then masked ReLU: the fused t = m + s is the
+  // exact value the separate sweeps would clamp and mask.
+  const float* ma = main.data();
+  const float* sk = skip.data();
+  masked_relu(ts.mask, out, [ma, sk](std::size_t i) { return ma[i] + sk[i]; });
 }
 
 void FloatBackend::exec_maxpool_train(TrainState& ts, const Tensor& in, Tensor& out) {
@@ -519,27 +521,6 @@ void FloatBackend::exec_maxpool_train(TrainState& ts, const Tensor& in, Tensor& 
   }
 }
 
-void FloatBackend::exec_join_train(TrainState& ts, const Tensor& main, const Tensor& skip,
-                                   Tensor& out) {
-  // ResidualBlock's h += skip then masked ReLU: the fused t = m + s is the
-  // exact value the separate sweeps would clamp and mask.
-  const std::size_t numel = out.numel();
-  ts.mask.assign(numel, 0);
-  const float* ma = main.data();
-  const float* sk = skip.data();
-  float* dst = out.data();
-#pragma omp parallel for schedule(static) if (numel > 16384)
-  for (std::size_t i = 0; i < numel; ++i) {
-    const float t = ma[i] + sk[i];
-    if (t > 0.0f) {
-      ts.mask[i] = 1;
-      dst[i] = t;
-    } else {
-      dst[i] = 0.0f;
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Training backward
 // ---------------------------------------------------------------------------
@@ -561,39 +542,34 @@ const Tensor& FloatBackend::run_backward(const Tensor& grad_out) {
                                 train_out_shape_.to_string());
   }
   bump_generation();
-  for (const GradStep& g : plan_.grad_steps) {
-    const Step& s = plan_.steps[static_cast<std::size_t>(g.fwd_step)];
+  // Slot lookups: the caller-owned grad_out for the last step's gin, the
+  // caller's forward input for a first-layer GEMM's saved activation.
+  const Tensor& x = *train_input_;
+  for (const GradStep& g : plan().grad_steps) {
+    const Step& s = plan().steps[static_cast<std::size_t>(g.fwd_step)];
     TrainState& ts = tstate_[static_cast<std::size_t>(g.fwd_step)];
-    const Tensor& e = g.gin == plan_.grad_output_slot
-                          ? grad_out
-                          : arena_.at(static_cast<std::size_t>(
-                                plan_.slots[static_cast<std::size_t>(g.gin)].buffer));
-    Tensor& gout0 = bind_slot(g.gout0, ts.in_shape);
+    const Tensor& e = runner_.slot(g.gin, grad_out);
+    Tensor& gout0 = runner_.bind(g.gout0, ts.in_shape);
     switch (s.op) {
       case OpKind::kLinear:
-        exec_linear_grad(s, ts, e, slot_tensor(s.in0, *train_input_), gout0, g.acc0);
+        exec_linear_grad(s, ts, e, runner_.slot(s.in0, x), gout0, g.acc0);
         break;
       case OpKind::kConv2d:
-        exec_conv_grad(s, ts, e, slot_tensor(s.in0, *train_input_), gout0, g.acc0);
+        exec_conv_grad(s, ts, e, runner_.slot(s.in0, x), gout0, g.acc0);
         break;
-      case OpKind::kBatchNorm: {
-        const Tensor& xhat = arena_.at(
-            static_cast<std::size_t>(plan_.slots[static_cast<std::size_t>(s.save)].buffer));
-        exec_bn_grad(s, ts, e, xhat, gout0, g.acc0);
-        break;
-      }
+      case OpKind::kBatchNorm: exec_bn_grad(s, ts, e, runner_.slot(s.save, x), gout0, g.acc0); break;
       case OpKind::kRelu: exec_relu_grad(ts, e, gout0, g.acc0); break;
-      case OpKind::kMaxPool2x2: exec_maxpool_grad(ts, e, gout0, g.acc0, ts.dx_scratch); break;
+      case OpKind::kMaxPool2x2: exec_maxpool_grad(ts, e, gout0, g.acc0); break;
       case OpKind::kGlobalAvgPool: exec_gap_grad(ts, e, gout0, g.acc0); break;
-      case OpKind::kResidualJoin: {
-        Tensor& gout1 = bind_slot(g.gout1, ts.in_shape);
-        exec_join_grad(ts, e, gout0, g.acc0, gout1, g.acc1);
+      case OpKind::kResidualJoin:
+        // ResidualBlock::backward's masked g, routed to both branches: the
+        // main branch's bn2 and the skip operand receive the identical value.
+        exec_relu_grad(ts, e, gout0, g.acc0);
+        exec_relu_grad(ts, e, runner_.bind(g.gout1, ts.in_shape), g.acc1);
         break;
-      }
     }
   }
-  return arena_.at(static_cast<std::size_t>(
-      plan_.slots[static_cast<std::size_t>(plan_.grad_input_slot)].buffer));
+  return runner_.slot(plan().grad_input_slot, x);
 }
 
 void FloatBackend::exec_linear_grad(const Step& s, TrainState& ts, const Tensor& e,
@@ -615,16 +591,10 @@ void FloatBackend::exec_linear_grad(const Step& s, TrainState& ts, const Tensor&
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < s.out_c; ++j) gb[j] += e.data()[i * s.out_c + j];
   }
-  if (acc) ts.dx_scratch.resize(gout.shape());
-  Tensor& target = acc ? ts.dx_scratch : gout;
-  target.fill(0.0f);
-  tensor::gemm_blocked(n, s.in_c, s.out_c, e.data(), s.out_c, s.linear->weight().value.data(),
-                       s.in_c, target.data(), s.in_c);
-  if (acc) {
-    float* d = gout.data();
-    const float* v = ts.dx_scratch.data();
-    for (std::size_t i = 0; i < gout.numel(); ++i) d[i] += v[i];
-  }
+  stage_dx(ts.dx_scratch, gout, acc, [&](Tensor& dx) {
+    tensor::gemm_blocked(n, s.in_c, s.out_c, e.data(), s.out_c, s.linear->weight().value.data(),
+                         s.in_c, dx.data(), s.in_c);
+  });
 }
 
 void FloatBackend::exec_conv_grad(const Step& s, TrainState& ts, const Tensor& e, const Tensor& in,
@@ -661,29 +631,23 @@ void FloatBackend::exec_conv_grad(const Step& s, TrainState& ts, const Tensor& e
   ts.cols.resize({patch, pixels});
   ts.cols_t.resize({pixels, patch});
   ts.grad_cols.resize({patch, pixels});
-  if (acc) ts.dx_scratch.resize(gout.shape());
-  Tensor& target = acc ? ts.dx_scratch : gout;
-  target.fill(0.0f);
   float* gw = grads_[static_cast<std::size_t>(ts.wgrad)].data();  // [out_c, patch] layout
   const std::size_t in_stride = s.in_c * geom.in_h * geom.in_w;
   const std::size_t out_stride = s.out_c * pixels;
-  for (std::size_t nidx = 0; nidx < batch; ++nidx) {
-    const float* go = e.data() + nidx * out_stride;
-    // dW += dY * cols^T; the serial batch loop keeps accumulation order fixed.
-    tensor::im2col(in.data() + nidx * in_stride, geom, ts.cols.data());
-    tensor::transpose_into(ts.cols.data(), patch, pixels, ts.cols_t.data());
-    tensor::gemm_blocked(s.out_c, patch, pixels, go, pixels, ts.cols_t.data(), patch, gw, patch);
-    // dX = col2im(W^T * dY)
-    ts.grad_cols.fill(0.0f);
-    tensor::gemm_blocked(patch, pixels, s.out_c, ts.w2d_t.data(), s.out_c, go, pixels,
-                         ts.grad_cols.data(), pixels);
-    tensor::col2im(ts.grad_cols.data(), geom, target.data() + nidx * in_stride);
-  }
-  if (acc) {
-    float* d = gout.data();
-    const float* v = ts.dx_scratch.data();
-    for (std::size_t i = 0; i < gout.numel(); ++i) d[i] += v[i];
-  }
+  stage_dx(ts.dx_scratch, gout, acc, [&](Tensor& dx) {
+    for (std::size_t nidx = 0; nidx < batch; ++nidx) {
+      const float* go = e.data() + nidx * out_stride;
+      // dW += dY * cols^T; the serial batch loop keeps accumulation order fixed.
+      tensor::im2col(in.data() + nidx * in_stride, geom, ts.cols.data());
+      tensor::transpose_into(ts.cols.data(), patch, pixels, ts.cols_t.data());
+      tensor::gemm_blocked(s.out_c, patch, pixels, go, pixels, ts.cols_t.data(), patch, gw, patch);
+      // dX = col2im(W^T * dY)
+      ts.grad_cols.fill(0.0f);
+      tensor::gemm_blocked(patch, pixels, s.out_c, ts.w2d_t.data(), s.out_c, go, pixels,
+                           ts.grad_cols.data(), pixels);
+      tensor::col2im(ts.grad_cols.data(), geom, dx.data() + nidx * in_stride);
+    }
+  });
 }
 
 void FloatBackend::exec_bn_grad(const Step& s, TrainState& ts, const Tensor& e, const Tensor& xhat,
@@ -726,7 +690,8 @@ void FloatBackend::exec_bn_grad(const Step& s, TrainState& ts, const Tensor& e, 
 }
 
 void FloatBackend::exec_relu_grad(const TrainState& ts, const Tensor& e, Tensor& gout, bool acc) {
-  // nn::ReLU::backward: pass where the mask fired, zero elsewhere.
+  // nn::ReLU::backward (and the join's trailing ReLU): pass where the mask
+  // fired, zero elsewhere.
   const std::size_t numel = e.numel();
   const float* g = e.data();
   float* dst = gout.data();
@@ -737,18 +702,11 @@ void FloatBackend::exec_relu_grad(const TrainState& ts, const Tensor& e, Tensor&
   }
 }
 
-void FloatBackend::exec_maxpool_grad(TrainState& ts, const Tensor& e, Tensor& gout, bool acc,
-                                     Tensor& scratch) {
+void FloatBackend::exec_maxpool_grad(TrainState& ts, const Tensor& e, Tensor& gout, bool acc) {
   // tensor::maxpool2x2_backward: zero, then the serial winner scatter.
-  if (acc) scratch.resize(gout.shape());
-  Tensor& target = acc ? scratch : gout;
-  target.fill(0.0f);
-  for (std::size_t i = 0; i < e.numel(); ++i) target[ts.argmax[i]] += e[i];
-  if (acc) {
-    float* d = gout.data();
-    const float* v = scratch.data();
-    for (std::size_t i = 0; i < gout.numel(); ++i) d[i] += v[i];
-  }
+  stage_dx(ts.dx_scratch, gout, acc, [&](Tensor& dx) {
+    for (std::size_t i = 0; i < e.numel(); ++i) dx[ts.argmax[i]] += e[i];
+  });
 }
 
 void FloatBackend::exec_gap_grad(const TrainState& ts, const Tensor& e, Tensor& gout, bool acc) {
@@ -762,22 +720,6 @@ void FloatBackend::exec_gap_grad(const TrainState& ts, const Tensor& e, Tensor& 
       float* dst = gout.data() + (ni * c + ci) * plane;
       for (std::size_t i = 0; i < plane; ++i) dst[i] = acc ? dst[i] + g : g;
     }
-  }
-}
-
-void FloatBackend::exec_join_grad(const TrainState& ts, const Tensor& e, Tensor& gout0, bool acc0,
-                                  Tensor& gout1, bool acc1) {
-  // ResidualBlock::backward's masked g, routed to both branches: the main
-  // branch's bn2 and the skip operand receive the identical masked value.
-  const std::size_t numel = e.numel();
-  const float* g = e.data();
-  float* d0 = gout0.data();
-  float* d1 = gout1.data();
-#pragma omp parallel for schedule(static) if (numel > 16384)
-  for (std::size_t i = 0; i < numel; ++i) {
-    const float v = ts.mask[i] != 0 ? g[i] : 0.0f;
-    d0[i] = acc0 ? d0[i] + v : v;
-    d1[i] = acc1 ? d1[i] + v : v;
   }
 }
 

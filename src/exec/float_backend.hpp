@@ -2,8 +2,9 @@
 //
 // The float twin of quant::PositSession: GraphBuilder lowers the module tree
 // once, ArenaPlanner folds every intermediate onto reusable arena buffers,
-// and run() executes the plan on the blocked-GEMM path with persistent
-// im2col scratch and pre-transposed linear weight panels. Steady state
+// and run() and train_forward() each walk the plan through the one
+// exec::PlanRunner, supplying blocked-GEMM kernels with persistent im2col
+// scratch and pre-transposed linear weight panels. Steady state
 // (repeated shapes, no weight mutation) performs zero heap allocations,
 // and outputs are bit-identical to chaining nn::Module::forward in eval
 // mode — the eager path computes exactly the same GEMM calls, bias loops,
@@ -42,8 +43,8 @@
 
 #include "exec/backend.hpp"
 #include "exec/passes.hpp"
+#include "exec/runner.hpp"
 #include "nn/precision.hpp"
-#include "tensor/arena.hpp"
 
 namespace pdnn::exec {
 
@@ -72,14 +73,15 @@ class FloatBackend final : public Backend {
   /// its own panels, scratch, and arena — see Backend::clone().
   std::unique_ptr<Backend> clone() const override;
 
-  const ExecPlan& plan() const override { return plan_; }
-  std::size_t arena_bytes() const override { return arena_.bytes(); }
-  std::size_t arena_buffers() const { return arena_.buffers(); }
+  const ExecPlan& plan() const override { return runner_.plan(); }
+  std::size_t arena_bytes() const override { return runner_.arena().bytes(); }
+  std::size_t arena_buffers() const { return runner_.arena().buffers(); }
   /// The plan options actually compiled (after any policy forcing).
   const PlanOptions& options() const { return opts_; }
 
-  /// Drop every cached panel (weight panels and BN-folded weights) so the
-  /// next run re-derives them, mirroring quant::PositSession::invalidate().
+  /// Drop every cached panel (weight panels, BN-folded weights, and the
+  /// backward W^T panels) so whichever of run() and train_forward() comes
+  /// next re-derives them, mirroring quant::PositSession::invalidate().
   /// Version checks already catch Param and running-stat mutations; this is
   /// the belt-and-braces hook for out-of-band weight writes.
   void invalidate() { force_refresh_ = true; }
@@ -174,8 +176,6 @@ class FloatBackend final : public Backend {
   bool quantizing() const { return policy_ != nullptr && policy_->active(); }
   void refresh();
   void fold_conv_bn(const Step& s, StepState& st);
-  const tensor::Tensor& slot_tensor(int slot, const tensor::Tensor& x) const;
-  tensor::Tensor& bind_slot(int slot, const tensor::Shape& shape);
   void require_training(const char* who) const;
 
   void exec_linear(const Step& s, StepState& st, const tensor::Tensor& in, tensor::Tensor& out);
@@ -201,16 +201,13 @@ class FloatBackend final : public Backend {
   static void exec_relu_grad(const TrainState& ts, const tensor::Tensor& e, tensor::Tensor& gout,
                              bool acc);
   static void exec_maxpool_grad(TrainState& ts, const tensor::Tensor& e, tensor::Tensor& gout,
-                                bool acc, tensor::Tensor& scratch);
+                                bool acc);
   static void exec_gap_grad(const TrainState& ts, const tensor::Tensor& e, tensor::Tensor& gout,
                             bool acc);
-  static void exec_join_grad(const TrainState& ts, const tensor::Tensor& e, tensor::Tensor& gout0,
-                             bool acc0, tensor::Tensor& gout1, bool acc1);
 
-  ExecPlan plan_;
+  PlanRunner runner_;
   PlanOptions opts_;
   std::vector<StepState> state_;
-  tensor::TensorArena arena_;
   nn::Module* net_ = nullptr;              // not owned; clone() recompiles from it
   nn::PrecisionPolicy* policy_ = nullptr;  // not owned
   bool panels_quantized_ = false;

@@ -25,6 +25,15 @@ inline int engine_threads() {
 #endif
 }
 
+/// The calling thread's index in its engine team (its quire-pool slot).
+inline int engine_thread_id() {
+#ifdef _OPENMP
+  return omp_get_thread_num();
+#else
+  return 0;
+#endif
+}
+
 /// The tabulated kernels a (spec, mode) pair can dispatch onto (n <= 8
 /// formats; all pointers null otherwise). `mul`+`add` drive serial
 /// accumulation, `fma` the fma chain, and `add` alone every bias add in any
@@ -69,6 +78,17 @@ void engine_gemm(const EncodedTensor& a, const EncodedTensor& w, const EncodedTe
 /// so each output pixel's patch is contiguous, reusing the panel's storage.
 void encode_conv_panel(const float* cols, std::size_t patch, std::size_t pixels,
                        const posit::PositSpec& spec, EncodedTensor& panel);
+
+/// The per-image conv lowering shared by posit_conv2d and PositSession: for
+/// each of `batch` images in `x`, im2col into `cols` (skipped when
+/// `elide_im2col`: a 1x1/s1/p0 input slice [C, H*W] already IS the patch
+/// matrix), encode_conv_panel into `act`, then engine_gemm into the image's
+/// [out_c, pixels] plane of `out`. `cols` and `act` are caller-owned,
+/// grow-only scratch; `quire_pool` as for engine_gemm.
+void engine_conv2d(const float* x, std::size_t batch, const tensor::Conv2dGeom& geom,
+                   const EncodedTensor& w, const EncodedTensor& bias, AccumMode mode,
+                   const EngineLuts& luts, posit::Quire* quire_pool, bool elide_im2col,
+                   tensor::Tensor& cols, EncodedTensor& act, float* out);
 
 /// Bytes of the calling thread's block-decode + encode scratch (capacity,
 /// grow-only). Scratch, not model footprint: PositSession::panel_bytes()

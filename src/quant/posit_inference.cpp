@@ -90,12 +90,7 @@ void engine_gemm(const EncodedTensor& a, const EncodedTensor& w, const EncodedTe
   Unpacked* const a_ops_buf = need_ops ? host.a_ops.data() : nullptr;
 #pragma omp parallel
   {
-#ifdef _OPENMP
-    const int tid = omp_get_thread_num();
-#else
-    const int tid = 0;
-#endif
-    posit::Quire* quire = mode == AccumMode::kQuire ? &quire_pool[tid] : nullptr;
+    posit::Quire* quire = mode == AccumMode::kQuire ? &quire_pool[engine_thread_id()] : nullptr;
 #pragma omp for schedule(static)
     for (std::size_t tile = 0; tile < tiles; ++tile) {
       const std::size_t r0 = tile * kActTile;
@@ -174,6 +169,25 @@ void encode_conv_panel(const float* cols, std::size_t patch, std::size_t pixels,
   }
   panel.packed.assign(posit::packed_capacity(panel.count, spec), 0u);
   posit::pack_codes(codes.data(), 0, panel.count, spec, panel.packed.data());
+}
+
+void engine_conv2d(const float* x, std::size_t batch, const tensor::Conv2dGeom& geom,
+                   const EncodedTensor& w, const EncodedTensor& bias, AccumMode mode,
+                   const EngineLuts& luts, posit::Quire* quire_pool, bool elide_im2col,
+                   Tensor& cols, EncodedTensor& act, float* out) {
+  const std::size_t pixels = geom.out_h() * geom.out_w();
+  const std::size_t patch = geom.patch();
+  if (!elide_im2col) cols.resize({patch, pixels});
+  for (std::size_t nidx = 0; nidx < batch; ++nidx) {
+    const float* slice = x + nidx * geom.in_c * geom.in_h * geom.in_w;
+    if (!elide_im2col) tensor::im2col(slice, geom, cols.data());
+    // Encode the unfolded image once, transposed so each output pixel's
+    // patch is contiguous (the decode-once activation panel).
+    encode_conv_panel(elide_im2col ? slice : cols.data(), patch, pixels, w.spec, act);
+    // Output plane for this image is [out_c, pixels]: column stride `pixels`.
+    engine_gemm(act, w, bias, pixels, patch, geom.out_c, mode, out + nidx * geom.out_c * pixels, 1,
+                pixels, luts, quire_pool);
+  }
 }
 
 }  // namespace detail
@@ -292,7 +306,6 @@ Tensor posit_conv2d(const Tensor& x, const EncodedTensor& w, const EncodedTensor
   const PositSpec spec = w.spec;
   const std::size_t batch = x.shape()[0];
   const std::size_t oh = geom.out_h(), ow = geom.out_w();
-  const std::size_t pixels = oh * ow;
   const std::size_t patch = geom.patch();
   if (w.numel() != geom.out_c * patch) throw std::invalid_argument("posit_conv2d: weight mismatch");
   if (!bias.empty() && bias.numel() != geom.out_c) {
@@ -305,17 +318,10 @@ Tensor posit_conv2d(const Tensor& x, const EncodedTensor& w, const EncodedTensor
   const detail::EngineLuts luts = detail::resolve_luts(spec, mode);
   std::vector<posit::Quire> pool = make_quire_pool(spec, mode);
   Tensor out({batch, geom.out_c, oh, ow});
-  Tensor cols({patch, pixels});
+  Tensor cols;
   EncodedTensor panel;
-  for (std::size_t nidx = 0; nidx < batch; ++nidx) {
-    tensor::im2col(x.data() + nidx * geom.in_c * geom.in_h * geom.in_w, geom, cols.data());
-    // Encode the unfolded image once, transposed so each output pixel's patch
-    // is contiguous (the decode-once activation panel).
-    detail::encode_conv_panel(cols.data(), patch, pixels, spec, panel);
-    // Output plane for this image is [out_c, pixels]: column stride `pixels`.
-    detail::engine_gemm(panel, w, bias, pixels, patch, geom.out_c, mode,
-                        out.data() + nidx * geom.out_c * pixels, 1, pixels, luts, pool.data());
-  }
+  detail::engine_conv2d(x.data(), batch, geom, w, bias, mode, luts, pool.data(),
+                        /*elide_im2col=*/false, cols, panel, out.data());
   return out;
 }
 

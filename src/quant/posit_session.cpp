@@ -10,8 +10,8 @@
 #include "exec/backend.hpp"
 #include "exec/graph_builder.hpp"
 #include "exec/kernels.hpp"
+#include "exec/runner.hpp"
 #include "quant/engine_gemm.hpp"
-#include "tensor/arena.hpp"
 #include "tensor/ops.hpp"
 
 namespace pdnn::quant {
@@ -88,9 +88,8 @@ struct StepState {
 struct PositSession::Impl final : exec::Backend {
   SessionConfig cfg;
   nn::Module* net = nullptr;  // not owned; clone() recompiles from it
-  exec::ExecPlan eplan;
-  std::vector<StepState> state;  // parallel to eplan.steps
-  tensor::TensorArena slots;
+  exec::PlanRunner runner;
+  std::vector<StepState> state;  // parallel to plan().steps
 
   struct Arena {
     PositSpec spec{16, 1};
@@ -102,8 +101,8 @@ struct PositSession::Impl final : exec::Backend {
   std::size_t bound = 0;
   bool force_refresh = false;
 
-  const exec::ExecPlan& plan() const override { return eplan; }
-  std::size_t arena_bytes() const override { return slots.bytes(); }
+  const exec::ExecPlan& plan() const override { return runner.plan(); }
+  std::size_t arena_bytes() const override { return runner.arena().bytes(); }
   std::unique_ptr<exec::Backend> clone() const override {
     return PositSession::compile_backend(*net, cfg);
   }
@@ -159,17 +158,11 @@ struct PositSession::Impl final : exec::Backend {
   void compile_step(const exec::Step& step, StepState& s);
   void refresh(bool force);
 
-  const Tensor& slot_tensor(int slot, const Tensor& x) const {
-    if (slot == eplan.input_slot) return x;
-    return slots.at(
-        static_cast<std::size_t>(eplan.slots[static_cast<std::size_t>(slot)].buffer));
-  }
-
   const Tensor& run_impl(const Tensor& x) override;
 
   void exec_linear(const exec::Step& step, StepState& s, const Tensor& in, Tensor& out);
   void exec_conv(const exec::Step& step, StepState& s, const Tensor& in, Tensor& out);
-  void exec_bn(const exec::Step& step, StepState& s, const Tensor& in, Tensor& out);
+  void exec_bn(StepState& s, const Tensor& in, Tensor& out);
   void exec_gap(StepState& s, const Tensor& in, Tensor& out);
   void exec_join(StepState& s, const Tensor& main, const Tensor& skip, Tensor& out);
 };
@@ -179,12 +172,18 @@ struct PositSession::Impl final : exec::Backend {
 // ---------------------------------------------------------------------------
 
 void PositSession::Impl::compile_step(const exec::Step& step, StepState& s) {
+  // Pooling and the join resolve with the conv family (step.cls; see the
+  // lowering); ReLU and max pooling resolve a format they never use.
+  s.spec = cfg.spec_for(step.name, step.cls);
+  s.mode = cfg.mode_for(step.name, step.cls);
+  // GEMMs and the join dispatch LUT kernels and, in kQuire mode, a quire pool.
+  const auto resolve_accum = [&] {
+    s.luts = detail::resolve_luts(s.spec, s.mode);
+    if (s.mode == AccumMode::kQuire) s.arena = arena_for(s.spec);
+  };
   switch (step.op) {
     case exec::OpKind::kLinear:
-      s.spec = cfg.spec_for(step.name, step.cls);
-      s.mode = cfg.mode_for(step.name, step.cls);
-      s.luts = detail::resolve_luts(s.spec, s.mode);
-      if (s.mode == AccumMode::kQuire) s.arena = arena_for(s.spec);
+      resolve_accum();
       bind(s.weight, step.linear->weight(), s.spec);
       bind(s.bias, step.linear->bias(), s.spec);
       break;
@@ -196,10 +195,7 @@ void PositSession::Impl::compile_step(const exec::Step& step, StepState& s) {
                                     "' carries a folded BatchNorm; the posit backend declines "
                                     "fold_bn (pre-scaled weights break its encoded-BN numerics)");
       }
-      s.spec = cfg.spec_for(step.name, step.cls);
-      s.mode = cfg.mode_for(step.name, step.cls);
-      s.luts = detail::resolve_luts(s.spec, s.mode);
-      if (s.mode == AccumMode::kQuire) s.arena = arena_for(s.spec);
+      resolve_accum();
       bind(s.weight, step.conv->weight(), s.spec);
       if (step.conv->has_bias()) {
         bind(s.bias, step.conv->bias(), s.spec);
@@ -208,8 +204,6 @@ void PositSession::Impl::compile_step(const exec::Step& step, StepState& s) {
       }
       break;
     case exec::OpKind::kBatchNorm:
-      s.spec = cfg.spec_for(step.name, step.cls);
-      s.mode = cfg.mode_for(step.name, step.cls);
       // The per-element transform is one fma: dispatch its table when the BN
       // format is small enough, whatever the accumulation mode.
       if (posit::fma_lut_supported(s.spec, posit::RoundMode::kNearestEven)) {
@@ -218,17 +212,9 @@ void PositSession::Impl::compile_step(const exec::Step& step, StepState& s) {
       encode_bn(step, s);
       break;
     case exec::OpKind::kGlobalAvgPool:
-      s.spec = cfg.spec_for(step.name, step.cls);  // pooling: conv family (see lowering)
       s.arena = arena_for(s.spec);  // the plane sum always runs through a quire
       break;
-    case exec::OpKind::kResidualJoin:
-      // step.cls is the conv family (the post-add activation is a conv-class
-      // tensor in training too; see the lowering).
-      s.spec = cfg.spec_for(step.name, step.cls);
-      s.mode = cfg.mode_for(step.name, step.cls);
-      s.luts = detail::resolve_luts(s.spec, s.mode);
-      if (s.mode == AccumMode::kQuire) s.arena = arena_for(s.spec);
-      break;
+    case exec::OpKind::kResidualJoin: resolve_accum(); break;
     case exec::OpKind::kRelu:
     case exec::OpKind::kMaxPool2x2:
       break;
@@ -240,18 +226,15 @@ void PositSession::Impl::compile_step(const exec::Step& step, StepState& s) {
 // ---------------------------------------------------------------------------
 
 void PositSession::Impl::refresh(bool force) {
-  for (std::size_t i = 0; i < eplan.steps.size(); ++i) {
-    const exec::Step& step = eplan.steps[i];
+  for (std::size_t i = 0; i < plan().steps.size(); ++i) {
+    const exec::Step& step = plan().steps[i];
     StepState& s = state[i];
-    if (s.weight.param != nullptr && (force || s.weight.param->version != s.weight.version)) {
-      s.weight.version = s.weight.param->version;
-      s.weight.panel = encode_pack(s.weight.param->value, s.spec);
-      ++encodes;
-    }
-    if (s.bias.param != nullptr && (force || s.bias.param->version != s.bias.version)) {
-      s.bias.version = s.bias.param->version;
-      s.bias.panel = encode_pack(s.bias.param->value, s.spec);
-      ++encodes;
+    for (Binding* b : {&s.weight, &s.bias}) {
+      if (b->param != nullptr && (force || b->param->version != b->version)) {
+        b->version = b->param->version;
+        b->panel = encode_pack(b->param->value, s.spec);
+        ++encodes;
+      }
     }
     if (step.bn != nullptr && (force || step.bn->gamma().version != s.gamma_version ||
                                step.bn->beta().version != s.beta_version ||
@@ -269,21 +252,13 @@ const Tensor& PositSession::Impl::run_impl(const Tensor& x) {
   ensure_arena_threads();  // the caller may have grown the OpenMP team
   refresh(force_refresh);
   force_refresh = false;
-  for (std::size_t i = 0; i < eplan.steps.size(); ++i) {
-    const exec::Step& step = eplan.steps[i];
+  return runner.forward(x, "PositSession", [&](std::size_t i, const exec::Step& step,
+                                                const Tensor& in, const Tensor* skip, Tensor& out) {
     StepState& s = state[i];
-    const Tensor& in = slot_tensor(step.in0, x);
-    const Tensor* skip = step.in1 >= 0 ? &slot_tensor(step.in1, x) : nullptr;
-    const tensor::Shape skip_shape = skip != nullptr ? skip->shape() : tensor::Shape{};
-    const tensor::Shape out_shape = exec::infer_out_shape(
-        step, in.shape(), skip != nullptr ? &skip_shape : nullptr, "PositSession");
-    Tensor& out = slots.bind(
-        static_cast<std::size_t>(eplan.slots[static_cast<std::size_t>(step.out)].buffer),
-        out_shape);
     switch (step.op) {
       case exec::OpKind::kLinear: exec_linear(step, s, in, out); break;
       case exec::OpKind::kConv2d: exec_conv(step, s, in, out); break;
-      case exec::OpKind::kBatchNorm: exec_bn(step, s, in, out); break;
+      case exec::OpKind::kBatchNorm: exec_bn(s, in, out); break;
       case exec::OpKind::kRelu: exec::relu_kernel(in, out); break;
       case exec::OpKind::kMaxPool2x2: exec::maxpool2x2_kernel(in, out); break;
       case exec::OpKind::kGlobalAvgPool: exec_gap(s, in, out); break;
@@ -295,9 +270,7 @@ const Tensor& PositSession::Impl::run_impl(const Tensor& x) {
       // what the separate kRelu step over the same buffer produced.
       exec::relu_kernel(out, out);
     }
-  }
-  return slots.at(static_cast<std::size_t>(
-      eplan.slots[static_cast<std::size_t>(eplan.output_slot)].buffer));
+  });
 }
 
 void PositSession::Impl::exec_linear(const exec::Step& step, StepState& s, const Tensor& in,
@@ -313,32 +286,13 @@ void PositSession::Impl::exec_conv(const exec::Step& step, StepState& s, const T
                                    Tensor& out) {
   const tensor::Conv2dGeom geom{step.in_c,   in.shape()[2], in.shape()[3], step.out_c,
                                 step.kernel, step.stride,   step.pad,      step.kernel_w};
-  const std::size_t batch = in.shape()[0];
-  const std::size_t pixels = geom.out_h() * geom.out_w();
-  const std::size_t patch = geom.patch();
-  if (!step.elide_im2col) s.cols.resize({patch, pixels});
-  for (std::size_t nidx = 0; nidx < batch; ++nidx) {
-    const float* slice = in.data() + nidx * step.in_c * geom.in_h * geom.in_w;
-    const float* bmat;
-    if (step.elide_im2col) {
-      // 1x1/s1/p0: the input slice [C, H*W] IS the patch matrix — encode it
-      // straight into the activation panel, no gather.
-      bmat = slice;
-    } else {
-      tensor::im2col(slice, geom, s.cols.data());
-      bmat = s.cols.data();
-    }
-    detail::encode_conv_panel(bmat, patch, pixels, s.spec, s.act);
-    detail::engine_gemm(s.act, s.weight.panel, s.bias.panel, pixels, patch, step.out_c, s.mode,
-                        out.data() + nidx * step.out_c * pixels, 1, pixels, s.luts, pool(s));
-  }
+  detail::engine_conv2d(in.data(), in.shape()[0], geom, s.weight.panel, s.bias.panel, s.mode,
+                        s.luts, pool(s), step.elide_im2col, s.cols, s.act, out.data());
 }
 
-void PositSession::Impl::exec_bn(const exec::Step& step, StepState& s, const Tensor& in,
-                                 Tensor& out) {
+void PositSession::Impl::exec_bn(StepState& s, const Tensor& in, Tensor& out) {
   // Eval-mode BN as posit arithmetic: y = scale * (x - mean) + shift with
   // scale/mean/shift pre-encoded per channel.
-  (void)step;
   const std::size_t n = in.shape()[0], c = in.shape()[1];
   const std::size_t plane = in.shape()[2] * in.shape()[3];
   // Channel slices are independent (same parallel shape as the FP32 BN);
@@ -373,11 +327,7 @@ void PositSession::Impl::exec_gap(StepState& s, const Tensor& in, Tensor& out) {
   // Each (image, channel) cell owns its reduction; per-thread quires.
 #pragma omp parallel
   {
-#ifdef _OPENMP
-    posit::Quire& quire = quires[omp_get_thread_num()];
-#else
-    posit::Quire& quire = quires[0];
-#endif
+    posit::Quire& quire = quires[detail::engine_thread_id()];
 #pragma omp for schedule(static) collapse(2)
     for (std::size_t ni = 0; ni < n; ++ni) {
       for (std::size_t ci = 0; ci < c; ++ci) {
@@ -407,12 +357,7 @@ void PositSession::Impl::exec_join(StepState& s, const Tensor& main, const Tenso
   // modes use the rounded add, via its table when available.
 #pragma omp parallel if (numel > 16384)
   {
-#ifdef _OPENMP
-    const int tid = omp_get_thread_num();
-#else
-    const int tid = 0;
-#endif
-    posit::Quire* quire = quires != nullptr ? &quires[tid] : nullptr;
+    posit::Quire* quire = quires != nullptr ? &quires[detail::engine_thread_id()] : nullptr;
 #pragma omp for schedule(static)
     for (std::size_t i = 0; i < numel; ++i) {
       const std::uint32_t a = posit::from_double(ma[i], s.spec, kEncodeRound);
@@ -452,12 +397,10 @@ PositSession PositSession::compile(nn::Module& net, const SessionConfig& cfg) {
   // pre-scaled float weight panel would change which values get encoded.
   exec::PlanOptions opts = exec::PlanOptions::defaults();
   opts.fold_bn = false;
-  I.eplan = exec::GraphBuilder::lower(net, opts);
-  I.slots.configure(I.eplan.num_buffers);
-  I.state.resize(I.eplan.steps.size());
-  for (std::size_t i = 0; i < I.eplan.steps.size(); ++i) {
-    I.compile_step(I.eplan.steps[i], I.state[i]);
-  }
+  I.runner = exec::PlanRunner(exec::GraphBuilder::lower(net, opts));
+  const std::vector<exec::Step>& steps = I.plan().steps;
+  I.state.resize(steps.size());
+  for (std::size_t i = 0; i < steps.size(); ++i) I.compile_step(steps[i], I.state[i]);
   I.ensure_arena_threads();
   return session;
 }
@@ -473,9 +416,9 @@ const Tensor& PositSession::run(const Tensor& x) { return impl_->run(x); }
 void PositSession::invalidate() { impl_->force_refresh = true; }
 
 const SessionConfig& PositSession::config() const { return impl_->cfg; }
-const exec::ExecPlan& PositSession::plan() const { return impl_->eplan; }
+const exec::ExecPlan& PositSession::plan() const { return impl_->plan(); }
 std::size_t PositSession::arena_bytes() const { return impl_->arena_bytes(); }
-std::size_t PositSession::steps() const { return impl_->eplan.top_level_steps; }
+std::size_t PositSession::steps() const { return impl_->plan().top_level_steps; }
 std::size_t PositSession::bound_params() const { return impl_->bound; }
 std::uint64_t PositSession::encode_count() const { return impl_->encodes; }
 

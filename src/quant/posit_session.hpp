@@ -15,14 +15,15 @@
 //     EncodedTensor panels, resolves the n <= 8 LUT kernels, and plans
 //     per-thread quire arenas plus per-step scratch (im2col columns,
 //     activation panels).
-//   * run() executes the compiled plan. In steady state (shapes repeat, no
+//   * run() executes the compiled plan through exec::PlanRunner, the exec
+//     layer's one step interpreter, with posit per-op kernels. In steady state (shapes repeat, no
 //     weight mutation) it performs no allocation and takes no lock: panels,
 //     arenas, and scratch are reused; Param::version mismatches — an
 //     optimizer step or checkpoint load that called Param::mark_updated() —
 //     re-encode exactly the stale panels first.
 //
 // exec::FloatBackend executes the identical plan in FP32 — the session is
-// one of two pluggable backends over one lowering, not a parallel stack.
+// one of two pluggable backends over one lowering and one interpreter.
 //
 // Outputs are bit-identical to chaining the per-layer engine entry points
 // (and hence to the scalar reference) at every spec, accumulation mode, and

@@ -1,16 +1,13 @@
 // float_backend_test.cpp — the compiled FP32 backend against the eager
 // module walk: bit-equality on fixed and randomized graphs (nested
 // Sequential, ResidualBlock with/without downsample) across batch-shape
-// changes and N = 0, zero-heap-allocation steady state (counted via the
-// test-global operator new), Param::version-driven panel refresh, and the
+// changes and N = 0, zero-heap-allocation steady state (counted by
+// support/heap_counter.hpp), Param::version-driven panel refresh, and the
 // PrecisionPolicy hook parity that lets a quantized trainer eval through
 // the plan.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 
 #include "exec/float_backend.hpp"
 #include "graph_gen.hpp"
@@ -18,43 +15,12 @@
 #include "nn/optimizer.hpp"
 #include "nn/resnet.hpp"
 #include "quant/policy.hpp"
-
-// ---------------------------------------------------------------------------
-// Counting allocator: every C++ heap allocation in this binary funnels
-// through here, so "zero allocations during steady-state run()" is a plain
-// counter delta. (OpenMP's internal mallocs bypass operator new — they are
-// runtime pool management, not per-run tensor traffic.)
-// ---------------------------------------------------------------------------
-
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-}  // namespace
-
-// The malloc/free pairing across replaced operator new/delete is the point
-// of a counting allocator; silence the pairing heuristic.
-#if defined(__GNUC__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "support/heap_counter.hpp"
 
 namespace pdnn::exec {
 namespace {
+
+using test_support::g_heap_allocs;
 
 using tensor::Rng;
 using tensor::Tensor;

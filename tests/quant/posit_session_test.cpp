@@ -2,8 +2,8 @@
 // oracles: per-layer reference chains on Sequential nets across the full
 // spec x mode grid, a hand-rolled scalar walk of a ResNet (residual joins
 // included), compile-once/run-many weight-mutation invalidation, thread-count
-// invariance, per-layer precision overrides, and the empty/degenerate edge
-// cases.
+// invariance, zero-heap-allocation steady state, per-layer precision
+// overrides, and the empty/degenerate edge cases.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,6 +18,7 @@
 #include "nn/optimizer.hpp"
 #include "nn/resnet.hpp"
 #include "quant/posit_session.hpp"
+#include "support/heap_counter.hpp"
 #include "tensor/ops.hpp"
 
 namespace pdnn::quant {
@@ -25,6 +26,7 @@ namespace {
 
 using posit::PositSpec;
 using tensor::Rng;
+using test_support::g_heap_allocs;
 using tensor::Tensor;
 
 bool bit_identical(const Tensor& a, const Tensor& b) {
@@ -379,6 +381,50 @@ TEST(PositSession, ThreadCountInvariance) {
   }
 #else
   GTEST_SKIP() << "built without OpenMP";
+#endif
+}
+
+TEST(PositSession, SteadyStateRunPerformsZeroHeapAllocations) {
+  // The Backend contract: repeated shapes and no weight mutation touch no
+  // heap — for every accumulation mode, a LUT-backed and a LUT-less format,
+  // and (with OpenMP) a grown team.
+  Rng rng(149);
+  nn::ResNetConfig rc;
+  rc.blocks_per_stage = 1;
+  rc.base_channels = 4;
+  auto net = nn::cifar_resnet(rc, rng);
+  net->forward(Tensor::randn({2, 3, 8, 8}, rng), true);
+  const Tensor x = Tensor::randn({2, 3, 8, 8}, rng);
+#ifdef _OPENMP
+  const int restore = omp_get_max_threads();
+  const std::vector<int> teams = {1, 2};
+#else
+  const std::vector<int> teams = {1};
+#endif
+  for (const int threads : teams) {
+#ifdef _OPENMP
+    omp_set_num_threads(threads);
+#endif
+    for (const PositSpec spec : {PositSpec{8, 1}, PositSpec{16, 1}}) {
+      for (const AccumMode mode : mode_grid()) {
+        SessionConfig cfg;
+        cfg.spec = spec;
+        cfg.mode = mode;
+        PositSession session = PositSession::compile(*net, cfg);
+        session.run(x);
+        session.run(x);  // arena, scratch, quire pools, and OpenMP team settled
+        const Tensor want = session.run(x);
+        const std::uint64_t before = g_heap_allocs.load();
+        for (int r = 0; r < 5; ++r) session.run(x);
+        EXPECT_EQ(g_heap_allocs.load(), before)
+            << "steady-state run() must not touch the heap: posit(" << spec.n << "," << spec.es
+            << ") mode " << static_cast<int>(mode) << " threads " << threads;
+        EXPECT_TRUE(bit_identical(session.run(x), want));
+      }
+    }
+  }
+#ifdef _OPENMP
+  omp_set_num_threads(restore);
 #endif
 }
 

@@ -3,12 +3,11 @@
 // Module::forward(training)/backward chain: finite-difference gradient
 // checks, bit-equality on 40+ randomized nested graphs (including N = 0 and
 // batch-shape changes), BN running-stat commit parity, zero-heap-allocation
-// steady state, and the training-API misuse throws.
+// steady state, invalidate() reaching the backward panels, and the
+// training-API misuse throws.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <vector>
@@ -17,41 +16,13 @@
 #include "graph_gen.hpp"
 #include "nn/layers.hpp"
 #include "nn/resnet.hpp"
+#include "support/heap_counter.hpp"
 #include "tensor/ops.hpp"
-
-// ---------------------------------------------------------------------------
-// Counting allocator (same scheme as float_backend_test): every C++ heap
-// allocation funnels through here, so "zero allocations during steady-state
-// train_forward + run_backward" is a plain counter delta.
-// ---------------------------------------------------------------------------
-
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-}  // namespace
-
-#if defined(__GNUC__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace pdnn::exec {
 namespace {
+
+using test_support::g_heap_allocs;
 
 using tensor::Rng;
 using tensor::Shape;
@@ -299,6 +270,35 @@ TEST(TrainBackward, SteadyStateTrainingStepIsAllocationFree) {
   EXPECT_EQ(g_heap_allocs.load(), before)
       << "steady-state train_forward/run_backward must not touch the heap\n"
       << b.plan().dump(b.arena_bytes());
+}
+
+TEST(TrainBackward, InvalidateAfterEvalRunRebuildsBackwardPanels) {
+  // An out-of-band weight write (no Param::mark_updated) is only seen after
+  // invalidate(). Here the eval run() consumes that flag before
+  // train_forward(); the backward conv W^T panels must still be rebuilt, so
+  // dX equals that of a freshly compiled training backend.
+  Rng rng(4321);
+  nn::ResNetConfig rc;
+  rc.blocks_per_stage = 1;
+  rc.base_channels = 4;
+  rc.classes = 4;
+  auto net = nn::cifar_resnet(rc, rng);
+  const Tensor x = Tensor::randn({2, 3, 8, 8}, rng);
+  const Tensor g = Tensor::randn({2, 4}, rng);
+  FloatBackend b = FloatBackend::compile_training(*net);
+  b.train_forward(x);
+  b.run_backward(g);  // binds every W^T panel
+  for (nn::Param* p : net->params()) {
+    for (std::size_t j = 0; j < p->value.numel(); ++j) p->value[j] *= -0.5f;
+  }
+  b.invalidate();
+  b.run(x);
+  b.train_forward(x);
+  const Tensor got = b.run_backward(g);
+
+  FloatBackend fresh = FloatBackend::compile_training(*net);
+  fresh.train_forward(x);
+  EXPECT_TRUE(bit_identical(got, fresh.run_backward(g)));
 }
 
 TEST(TrainBackward, WeightUpdateBetweenStepsRefreshesWithoutDrift) {
