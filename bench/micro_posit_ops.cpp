@@ -2,6 +2,7 @@
 // kernels used throughout training (supporting data, not a paper table).
 #include <benchmark/benchmark.h>
 
+#include "posit/accum.hpp"
 #include "posit/arith.hpp"
 #include "posit/quire.hpp"
 #include "posit/simd.hpp"
@@ -143,6 +144,62 @@ BENCHMARK(BM_QuireAccumulateDot)
     ->Args({16, 1, 1})
     ->Args({32, 2, 0})
     ->Args({32, 2, 1});
+
+/// One output's rounded dot product of length k over Gaussian operands (the
+/// engine's n > 8 kFma / kSerial inner loop): the coded per-term chain the
+/// engine used to run (/accum=0: the sum re-decoded from its code, added in
+/// 128 bits and re-packed every term) vs posit::RoundedAccum (/accum=1: the
+/// sum stays unpacked, packed once). Same codes out; items/s is MAC/s.
+/// k = 144 and 576 are the ResNet-8 stage-3 patch lengths.
+template <bool kFmaChain>
+void rounded_chain(benchmark::State& state) {
+  const posit::PositSpec spec{static_cast<int>(state.range(0)), static_cast<int>(state.range(1))};
+  const auto k = static_cast<std::size_t>(state.range(2));
+  const bool accum = state.range(3) != 0;
+  tensor::Rng rng(17);
+  std::vector<posit::Unpacked> a(k), b(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    a[i] = posit::decode_unpacked(posit::from_double(rng.normal(), spec), spec);
+    b[i] = posit::decode_unpacked(posit::from_double(0.3 * rng.normal(), spec), spec);
+  }
+  posit::RoundedAccum racc(spec);
+  for (auto _ : state) {
+    std::uint32_t acc = 0;
+    if (accum) {
+      racc.clear();
+      if (kFmaChain) {
+        racc.fma_dot(a.data(), b.data(), k);
+      } else {
+        racc.serial_dot(a.data(), b.data(), k);
+      }
+      acc = racc.to_posit();
+    } else {
+      for (std::size_t i = 0; i < k; ++i) {
+        acc = kFmaChain ? posit::fma(a[i], b[i], acc, spec)
+                        : posit::add(acc, posit::mul(a[i], b[i], spec), spec);
+      }
+    }
+    benchmark::DoNotOptimize(acc);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(k));
+}
+
+void chain_args(benchmark::internal::Benchmark* bm) {
+  bm->ArgNames({"n", "es", "k", "accum"});
+  for (const int k : {144, 576}) {
+    for (const int accum : {0, 1}) {
+      bm->Args({16, 1, k, accum});
+      bm->Args({32, 2, k, accum});
+    }
+  }
+}
+
+void BM_FmaChain(benchmark::State& state) { rounded_chain<true>(state); }
+BENCHMARK(BM_FmaChain)->Apply(chain_args);
+
+void BM_SerialChain(benchmark::State& state) { rounded_chain<false>(state); }
+BENCHMARK(BM_SerialChain)->Apply(chain_args);
 
 void BM_FromDoubleNearest(benchmark::State& state) {
   const posit::PositSpec spec{16, 1};

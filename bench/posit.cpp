@@ -35,6 +35,7 @@
 
 #include "bench_util.hpp"
 #include "nn/layers.hpp"
+#include "posit/add_lut.hpp"
 #include "posit/mul_lut.hpp"
 #include "quant/posit_inference.hpp"
 #include "quant/posit_session.hpp"
@@ -312,9 +313,13 @@ int main(int argc, char** argv) {
                     static_cast<double>(f.unpacked_bytes) / static_cast<double>(f.packed_bytes));
       }
       for (const AccumMode mode : modes) {
+        // The tables engine_gemm dispatches onto (resolve_luts' predicates):
+        // mul + add drive the serial chain, the fma table the fma chain.
+        constexpr auto kArith = pdnn::posit::RoundMode::kNearestEven;
         const bool lut =
-            mode == AccumMode::kSerial &&
-            pdnn::posit::mul_lut_supported(spec, pdnn::posit::RoundMode::kNearestEven);
+            (mode == AccumMode::kSerial && pdnn::posit::mul_lut_supported(spec, kArith) &&
+             pdnn::posit::add_lut_supported(spec, kArith)) ||
+            (mode == AccumMode::kFma && pdnn::posit::fma_lut_supported(spec, kArith));
         // Small shapes are noisy on shared runners; more reps tighten the
         // best-of (mirrors bench_gemm).
         const bool small = c.macs < 8.0e6;

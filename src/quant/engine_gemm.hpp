@@ -38,7 +38,8 @@ inline int engine_thread_id() {
 /// formats; all pointers null otherwise). `mul`+`add` drive serial
 /// accumulation, `fma` the fma chain, and `add` alone every bias add in any
 /// mode. Results are bit-identical to the arithmetic routines by
-/// construction.
+/// construction. Without its tables a serial/fma chain runs on
+/// posit::RoundedAccum (the sum stays unpacked, packed once per output).
 struct EngineLuts {
   const posit::MulLut* mul = nullptr;
   const posit::AddLut* add = nullptr;
@@ -61,10 +62,11 @@ EngineLuts resolve_luts(const posit::PositSpec& spec, AccumMode mode);
 /// Resident panel memory is the packed payload; the decoded activation panel
 /// is per-call working scratch.
 ///
-/// Threading is over output columns with one quire per thread. Each output
-/// is accumulated start-to-finish by a single thread in ascending-k order —
-/// exactly the reference order — so results are bit-identical to the scalar
-/// reference and to any other thread count, for every AccumMode.
+/// Threading is over output columns with one quire (or rounded accumulator)
+/// per thread. Each output is accumulated start-to-finish by a single thread
+/// in ascending-k order — exactly the reference order — so results are
+/// bit-identical to the scalar reference and to any other thread count, for
+/// every AccumMode.
 ///
 /// `quire_pool` must hold at least engine_threads() quires of `w.spec` when
 /// mode == kQuire (the session's pre-planned per-thread arenas; the free

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "posit/accum.hpp"
 #include "quant/engine_gemm.hpp"
 #include "quant/posit_session.hpp"
 #include "tensor/ops.hpp"
@@ -91,6 +92,9 @@ void engine_gemm(const EncodedTensor& a, const EncodedTensor& w, const EncodedTe
 #pragma omp parallel
   {
     posit::Quire* quire = mode == AccumMode::kQuire ? &quire_pool[engine_thread_id()] : nullptr;
+    // Rounded chains without a LUT (n > 8): the running sum stays unpacked
+    // and is packed once per output (posit/accum.hpp).
+    posit::RoundedAccum racc(spec);
 #pragma omp for schedule(static)
     for (std::size_t tile = 0; tile < tiles; ++tile) {
       const std::size_t r0 = tile * kActTile;
@@ -129,16 +133,18 @@ void engine_gemm(const EncodedTensor& a, const EncodedTensor& w, const EncodedTe
                 acc = luts.add->at(acc, luts.mul->at(acodes[i], wcodes[i]));
               }
             } else {
-              for (std::size_t i = 0; i < k; ++i) {
-                acc = posit::add(acc, posit::mul(arow[i], wrow[i], spec), spec);
-              }
+              racc.clear();
+              racc.serial_dot(arow, wrow, k);
+              acc = racc.to_posit();
             }
             break;
           case AccumMode::kFma:
             if (lut_fma) {
               for (std::size_t i = 0; i < k; ++i) acc = luts.fma->at(acodes[i], wcodes[i], acc);
             } else {
-              for (std::size_t i = 0; i < k; ++i) acc = posit::fma(arow[i], wrow[i], acc, spec);
+              racc.clear();
+              racc.fma_dot(arow, wrow, k);
+              acc = racc.to_posit();
             }
             break;
         }

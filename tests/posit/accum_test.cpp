@@ -1,0 +1,339 @@
+// accum_test.cpp — RoundedAccum against the coded chains, bit for bit.
+//
+// Oracle: the coded per-term chains the accumulator replaces,
+//   fma     acc = posit::fma(a, b, acc)
+//   serial  acc = posit::add(acc, posit::mul(a, b))
+// run on the raw codes. Every prefix of every chain is compared, at every
+// (n, es) with n in 9..32 and es in 0..3 (plus the small formats, whose
+// fast band is narrow or empty), over streams built to reach each branch of
+// the accumulator: NaR mid-chain, zero operands, cancellation to exact zero,
+// saturation at +-maxpos, sums near minpos, magnitudes far enough apart to
+// take the sticky alignment, and the truncated-exponent band. Each stream
+// also asserts that it actually reached the case it was built for.
+#include <gtest/gtest.h>
+
+#include <cmath>
+#include <random>
+#include <utility>
+#include <vector>
+
+#include "posit/accum.hpp"
+#include "posit/arith.hpp"
+
+namespace pdnn::posit {
+namespace {
+
+using Terms = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+
+/// What the coded chains reached over one stream.
+struct Reached {
+  int nar = 0;         ///< steps whose sum is NaR
+  int zero_after = 0;  ///< steps that cancelled a non-zero sum to exactly zero
+  int maxpos = 0;      ///< sums at +-maxpos
+  int minpos = 0;      ///< sums at +-minpos
+  int truncated = 0;   ///< sums whose regime + es bits overflow the word
+  int far = 0;         ///< fma terms whose smaller operand falls below the 61-bit window
+};
+
+/// True when round(a*b + acc) aligns the smaller of the exact product and
+/// the sum with a sticky bit: its LSB lies below the larger one's MSB - 61.
+bool sticky_alignment(std::uint32_t acc, std::uint32_t a, std::uint32_t b, const PositSpec& spec) {
+  const Unpacked ua = decode_unpacked(a, spec), ub = decode_unpacked(b, spec);
+  const Unpacked uc = decode_unpacked(acc, spec);
+  if (ua.flags != 0 || ub.flags != 0 || uc.flags != 0) return false;
+  const std::uint64_t p = std::uint64_t{ua.sig} * ub.sig;
+  const int p_lsb = ua.lsb_weight + ub.lsb_weight;
+  const int p_top = p_lsb + 63 - __builtin_clzll(p);
+  const int c_top = uc.lsb_weight + 31 - __builtin_clz(uc.sig);
+  return p_top >= c_top ? uc.lsb_weight < p_top - 61 : p_lsb < c_top - 61;
+}
+
+bool truncated_band(std::uint32_t code, const PositSpec& spec) {
+  const Decoded d = decode(code, spec);
+  if (d.is_zero || d.is_nar) return false;
+  const int rb = d.k >= 0 ? d.k + 2 : 1 - d.k;
+  return rb + spec.es > spec.n - 1 && code != spec.maxpos_code() &&
+         code != neg(spec.maxpos_code(), spec);
+}
+
+void tally(std::uint32_t prev, std::uint32_t acc, const PositSpec& spec, Reached& r) {
+  if (acc == spec.nar_code()) ++r.nar;
+  if (acc == 0 && prev != 0) ++r.zero_after;
+  if (abs(acc, spec) == spec.maxpos_code()) ++r.maxpos;
+  if (abs(acc, spec) == spec.minpos_code()) ++r.minpos;
+  if (truncated_band(acc, spec)) ++r.truncated;
+}
+
+/// Runs both chains over `terms` step by step against the coded oracle and
+/// the dot-loop entry points against the final oracle code. Returns what the
+/// oracle chains reached.
+Reached check_chains(const PositSpec& spec, const Terms& terms, const char* stream) {
+  std::vector<Unpacked> a(terms.size()), b(terms.size());
+  for (std::size_t i = 0; i < terms.size(); ++i) {
+    a[i] = decode_unpacked(terms[i].first, spec);
+    b[i] = decode_unpacked(terms[i].second, spec);
+  }
+  Reached reached;
+  RoundedAccum fma_acc(spec), serial_acc(spec);
+  std::uint32_t fma_code = 0, serial_code = 0;
+  for (std::size_t i = 0; i < terms.size(); ++i) {
+    const auto [ca, cb] = terms[i];
+    if (sticky_alignment(fma_code, ca, cb, spec)) ++reached.far;
+    const std::uint32_t fma_prev = fma_code, serial_prev = serial_code;
+    fma_code = fma(ca, cb, fma_code, spec);
+    serial_code = add(serial_code, mul(ca, cb, spec), spec);
+    tally(fma_prev, fma_code, spec, reached);
+    tally(serial_prev, serial_code, spec, reached);
+    fma_acc.fma(a[i], b[i]);
+    serial_acc.add_product(a[i], b[i]);
+    if (fma_acc.to_posit() != fma_code || serial_acc.to_posit() != serial_code) {
+      ADD_FAILURE() << spec.to_string() << " " << stream << " term " << i << " (a=" << ca
+                    << ", b=" << cb << "): fma got " << fma_acc.to_posit() << " want " << fma_code
+                    << " (prev " << fma_prev << "); serial got " << serial_acc.to_posit()
+                    << " want " << serial_code << " (prev " << serial_prev << ")";
+      return reached;
+    }
+  }
+  RoundedAccum dot(spec);
+  dot.fma_dot(a.data(), b.data(), a.size());
+  EXPECT_EQ(dot.to_posit(), fma_code) << spec.to_string() << " " << stream << " fma_dot";
+  dot.clear();
+  dot.serial_dot(a.data(), b.data(), a.size());
+  EXPECT_EQ(dot.to_posit(), serial_code) << spec.to_string() << " " << stream << " serial_dot";
+  return reached;
+}
+
+/// Stream builders. All draw from one seeded engine per (spec, stream).
+class Streams {
+ public:
+  Streams(const PositSpec& spec, std::uint64_t seed) : spec_(spec), rng_(seed) {}
+
+  double uniform() { return std::uniform_real_distribution<double>(0.0, 1.0)(rng_); }
+  double normal() { return std::normal_distribution<double>(0.0, 1.0)(rng_); }
+  int uniform_int(int lo, int hi) { return std::uniform_int_distribution<int>(lo, hi)(rng_); }
+  bool coin() { return (rng_() & 1) != 0; }
+
+  /// A random value at binary scale `scale`: +-(1 + f) * 2^scale.
+  std::uint32_t at_scale(int scale) {
+    const double v = std::ldexp(1.0 + uniform(), scale);
+    return from_double(coin() ? -v : v, spec_);
+  }
+  std::uint32_t gaussian(double sigma) { return from_double(normal() * sigma, spec_); }
+  /// Any code but NaR (zero included).
+  std::uint32_t any_code() {
+    std::uint32_t c;
+    do {
+      c = static_cast<std::uint32_t>(rng_()) & spec_.mask();
+    } while (c == spec_.nar_code());
+    return c;
+  }
+
+  Terms gaussian_terms(std::size_t count) {
+    Terms t(count);
+    for (auto& [a, b] : t) {
+      a = gaussian(1.0);
+      b = gaussian(0.3);
+    }
+    return t;
+  }
+
+ private:
+  PositSpec spec_;
+  std::mt19937_64 rng_;
+};
+
+std::vector<PositSpec> chain_specs() {
+  std::vector<PositSpec> specs;
+  for (int n = 3; n <= 32; ++n) {
+    for (int es = 0; es <= 3; ++es) specs.push_back({n, es});
+  }
+  return specs;
+}
+
+std::uint64_t seed_of(const PositSpec& spec, int stream) {
+  return (static_cast<std::uint64_t>(spec.n) << 16) ^ (static_cast<std::uint64_t>(spec.es) << 8) ^
+         static_cast<std::uint64_t>(stream);
+}
+
+TEST(RoundedAccum, GaussianChainsOf2048MatchCodedChains) {
+  for (const PositSpec& spec : chain_specs()) {
+    Streams s(spec, seed_of(spec, 1));
+    check_chains(spec, s.gaussian_terms(2048), "gaussian");
+  }
+}
+
+TEST(RoundedAccum, RandomCodeChainsMatchCodedChains) {
+  for (const PositSpec& spec : chain_specs()) {
+    Streams s(spec, seed_of(spec, 2));
+    Terms t(2048);
+    for (auto& [a, b] : t) {
+      a = s.any_code();
+      b = s.any_code();
+    }
+    check_chains(spec, t, "random codes");
+  }
+}
+
+TEST(RoundedAccum, EveryScaleChainsMatchCodedChains) {
+  for (const PositSpec& spec : chain_specs()) {
+    Streams s(spec, seed_of(spec, 3));
+    Terms t(2048);
+    for (auto& [a, b] : t) {
+      a = s.at_scale(s.uniform_int(spec.min_scale(), spec.max_scale()));
+      b = s.at_scale(s.uniform_int(spec.min_scale(), spec.max_scale()));
+    }
+    check_chains(spec, t, "every scale");
+  }
+}
+
+TEST(RoundedAccum, NarMidChainAbsorbs) {
+  for (const PositSpec& spec : chain_specs()) {
+    for (int which = 0; which < 2; ++which) {
+      Streams s(spec, seed_of(spec, 4 + which));
+      Terms t = s.gaussian_terms(300);
+      (which == 0 ? t[150].first : t[150].second) = spec.nar_code();
+      const Reached r = check_chains(spec, t, "nar mid-chain");
+      EXPECT_EQ(r.nar, 2 * 150) << spec.to_string();  // both chains, terms 150..299
+    }
+  }
+}
+
+TEST(RoundedAccum, ZeroOperandsLeaveTheSum) {
+  for (const PositSpec& spec : chain_specs()) {
+    Streams s(spec, seed_of(spec, 6));
+    Terms t = s.gaussian_terms(1024);
+    for (auto& [a, b] : t) {
+      const int r = s.uniform_int(0, 5);
+      if (r == 0) a = 0;
+      if (r == 1) b = 0;
+      if (r == 2) a = b = 0;
+    }
+    t[0].first = 0;  // the chain starts on a zero term
+    check_chains(spec, t, "zero operands");
+  }
+}
+
+TEST(RoundedAccum, CancellationToExactZero) {
+  for (const PositSpec& spec : chain_specs()) {
+    Streams s(spec, seed_of(spec, 7));
+    const std::uint32_t one = from_double(1.0, spec);
+    Terms t;
+    for (int i = 0; i < 256; ++i) {
+      // x*1 is exact, so x then -x returns both chains to exactly zero.
+      const std::uint32_t x = s.gaussian(4.0);
+      t.push_back({x, one});
+      t.push_back({neg(x, spec), one});
+      // x*y then -x*y: the fma chain cancels to the rounding residue (a
+      // massive, exact cancellation), the serial chain to zero.
+      const std::uint32_t y = s.gaussian(1.0);
+      t.push_back({x, y});
+      t.push_back({neg(x, spec), y});
+    }
+    const Reached r = check_chains(spec, t, "cancellation");
+    EXPECT_GT(r.zero_after, 0) << spec.to_string();
+  }
+}
+
+TEST(RoundedAccum, SumsSaturateAtMaxpos) {
+  for (const PositSpec& spec : chain_specs()) {
+    Streams s(spec, seed_of(spec, 8));
+    const int half = spec.max_scale() / 2;
+    Terms t;
+    for (int i = 0; i < 512; ++i) {
+      // Each product sits a few binades below maxpos, so a run of same-sign
+      // terms climbs into saturation; the sign flips every 128 terms.
+      const std::uint32_t a = abs(s.at_scale(half - s.uniform_int(0, 3)), spec);
+      const std::uint32_t b = abs(s.at_scale(half - s.uniform_int(0, 3)), spec);
+      t.push_back({(i / 128) % 2 == 0 ? a : neg(a, spec), b});
+    }
+    const Reached r = check_chains(spec, t, "saturation");
+    EXPECT_GT(r.maxpos, 0) << spec.to_string();
+  }
+}
+
+TEST(RoundedAccum, SumsNearMinpos) {
+  for (const PositSpec& spec : chain_specs()) {
+    Streams s(spec, seed_of(spec, 9));
+    const int below = (spec.min_scale() - 1) / 2;  // operand scale whose square is < minpos
+    Terms t;
+    for (int i = 0; i < 512; ++i) {
+      // Products below minpos (the sums clamp at +-minpos, never to zero);
+      // in the second half every fourth one is a few binades above it.
+      const int lift = i >= 256 && i % 4 == 0 ? 2 : 0;
+      const std::uint32_t a = s.at_scale(below - s.uniform_int(0, 2) + lift);
+      t.push_back({a, s.at_scale(below - s.uniform_int(0, 2) + lift)});
+    }
+    const Reached r = check_chains(spec, t, "near minpos");
+    EXPECT_GT(r.minpos, 0) << spec.to_string();
+  }
+}
+
+TEST(RoundedAccum, FarApartMagnitudesTakeTheStickyAlignment) {
+  for (const PositSpec& spec : chain_specs()) {
+    Streams s(spec, seed_of(spec, 10));
+    const std::uint32_t one = from_double(1.0, spec);
+    Terms t;
+    const auto tiny = [&] {
+      return std::make_pair(s.at_scale(spec.min_scale() + s.uniform_int(0, 2)),
+                            s.at_scale(spec.min_scale() + s.uniform_int(0, 2)));
+    };
+    for (int block = 0; block < 64; ++block) {
+      // A tiny sum hit by a near-maxpos term X (exact: X*1), tiny terms
+      // against the large sum, then -X back to (near) zero.
+      const std::uint32_t x = s.at_scale(spec.max_scale() - 1 - s.uniform_int(0, 2));
+      for (int i = 0; i < 4; ++i) t.push_back(tiny());
+      t.push_back({x, one});
+      for (int i = 0; i < 3; ++i) t.push_back(tiny());
+      t.push_back({neg(x, spec), one});
+    }
+    const Reached r = check_chains(spec, t, "far apart");
+    // The gap spans maxpos down to a product near minpos^2: about three
+    // max_scales, which must exceed the 61-bit window (plus slack).
+    if (3 * spec.max_scale() >= 70) {
+      EXPECT_GT(r.far, 0) << spec.to_string();
+    }
+  }
+}
+
+TEST(RoundedAccum, TruncatedExponentBand) {
+  for (const PositSpec& spec : chain_specs()) {
+    if (spec.es == 0) continue;  // every regime leaves room for the (empty) exponent
+    Streams s(spec, seed_of(spec, 11));
+    // Scales whose regime leaves fewer than es bits for the exponent: the
+    // top (and bottom) regimes below saturation.
+    const int hi_lo = (spec.n - 2 - spec.es) * (1 << spec.es);
+    const int lo_hi = (spec.es + 2 - spec.n) * (1 << spec.es) - 1;
+    Terms t;
+    for (int i = 0; i < 512; ++i) {
+      const bool top = (i / 64) % 2 == 0;
+      const int scale = top ? s.uniform_int(hi_lo, spec.max_scale() - 1)
+                            : s.uniform_int(spec.min_scale(), lo_hi);
+      // Product = operand * (1 + small fraction), so the sums wander within
+      // (and across the edges of) the band.
+      t.push_back({s.at_scale(scale), from_double(1.0 + s.uniform() / 64.0, spec)});
+    }
+    const Reached r = check_chains(spec, t, "truncated exponent");
+    EXPECT_GT(r.truncated, 0) << spec.to_string();
+  }
+}
+
+TEST(RoundedAccum, ClearResetsTheSum) {
+  const PositSpec spec{16, 1};
+  RoundedAccum acc(spec);
+  const Unpacked two = decode_unpacked(from_double(2.0, spec), spec);
+  acc.fma(two, two);
+  EXPECT_EQ(acc.to_posit(), from_double(4.0, spec));
+  acc.clear();
+  EXPECT_EQ(acc.to_posit(), 0u);
+  Unpacked nar;
+  nar.flags = Unpacked::kNarFlag;
+  acc.add_product(nar, two);
+  EXPECT_EQ(acc.to_posit(), spec.nar_code());
+  acc.fma(two, two);  // NaR absorbs
+  EXPECT_EQ(acc.to_posit(), spec.nar_code());
+  acc.clear();
+  EXPECT_EQ(acc.to_posit(), 0u);
+}
+
+}  // namespace
+}  // namespace pdnn::posit
