@@ -17,40 +17,44 @@ int main() {
     float best = 0.0f, final = 0.0f;
   };
   std::vector<Entry> results;
-  const auto run = [&](const std::string& name, const TaskConfig& task, const quant::QuantConfig* cfg) {
-    const RunResult r = run_training(task, cfg, /*seed=*/7);
+  const auto report = [&](const std::string& name, const RunResult& r) {
     results.push_back({name, r.best_test_acc, r.final_test_acc});
     std::printf("  %-44s best %.2f%%  final %.2f%%\n", name.c_str(), 100.0 * r.best_test_acc,
                 100.0 * r.final_test_acc);
     std::fflush(stdout);
   };
+  const auto run = [&](const std::string& name, const TaskConfig& task,
+                       const quant::QuantConfig& cfg) {
+    quant::QuantPolicy policy(cfg);
+    report(name, run_training(task, &policy, quant_handoff(policy)));
+  };
 
   std::printf("Ablations of the paper's training techniques (synth-Cifar, ResNet-8)\n\n");
 
-  run("FP32 baseline", base_task, nullptr);
+  report("FP32 baseline", run_training(base_task));
 
   quant::QuantConfig paper = quant::QuantConfig::cifar8();
-  run("posit, full paper recipe", base_task, &paper);
+  run("posit, full paper recipe", base_task, paper);
 
   {
     TaskConfig no_warmup = base_task;
     no_warmup.train.warmup_epochs = 0;
-    run("posit, NO warm-up", no_warmup, &paper);
+    run("posit, NO warm-up", no_warmup, paper);
   }
   {
     quant::QuantConfig cfg = paper;
     cfg.scale_mode = quant::ScaleMode::kNone;
-    run("posit, NO distribution shifting", base_task, &cfg);
+    run("posit, NO distribution shifting", base_task, cfg);
   }
   {
     quant::QuantConfig cfg = paper;
     cfg.scale_mode = quant::ScaleMode::kCalibrated;
-    run("posit, calibrated (frozen) weight shifts", base_task, &cfg);
+    run("posit, calibrated (frozen) weight shifts", base_task, cfg);
   }
   for (const int sigma : {0, 1, 3}) {
     quant::QuantConfig cfg = paper;
     cfg.sigma = sigma;
-    run("posit, sigma = " + std::to_string(sigma) + " (paper: 2)", base_task, &cfg);
+    run("posit, sigma = " + std::to_string(sigma) + " (paper: 2)", base_task, cfg);
   }
   {
     // es = 1 for the backward dataflow too (ablating "Adjust Dynamic Range").
@@ -58,28 +62,23 @@ int main() {
     cfg.conv.backward = pdnn::posit::PositSpec{8, 1};
     cfg.bn.backward = pdnn::posit::PositSpec{16, 1};
     cfg.linear.backward = pdnn::posit::PositSpec{8, 1};
-    run("posit, es=1 for gradients/errors (no es split)", base_task, &cfg);
+    run("posit, es=1 for gradients/errors (no es split)", base_task, cfg);
   }
   {
     quant::QuantConfig cfg = paper;
     cfg.round_mode = pdnn::posit::RoundMode::kNearestEven;
-    run("posit, round-to-nearest-even", base_task, &cfg);
+    run("posit, round-to-nearest-even", base_task, cfg);
   }
   {
     quant::QuantConfig cfg = paper;
     cfg.round_mode = pdnn::posit::RoundMode::kStochastic;
-    run("posit, stochastic rounding", base_task, &cfg);
+    run("posit, stochastic rounding", base_task, cfg);
   }
 
   // --- reduced-precision FLOAT baselines (Section II-A related work) -------
   const auto run_fp = [&](const std::string& name, quant::FpPolicyConfig cfg) {
     quant::FpPolicy policy(cfg);
-    const RunResult r = run_training_policy(base_task, &policy,
-                                            [&policy](nn::Sequential&) { policy.activate(); });
-    results.push_back({name, r.best_test_acc, r.final_test_acc});
-    std::printf("  %-44s best %.2f%%  final %.2f%%\n", name.c_str(), 100.0 * r.best_test_acc,
-                100.0 * r.final_test_acc);
-    std::fflush(stdout);
+    report(name, run_training(base_task, &policy, [&policy](nn::Module&) { policy.activate(); }));
   };
   run_fp("FP16 mixed (Micikevicius-style, FP32 master)", quant::FpPolicyConfig::fp16_mixed());
   {

@@ -10,8 +10,8 @@
 
 #include "data/synthetic.hpp"
 #include "nn/resnet.hpp"
-#include "nn/trainer.hpp"
-#include "quant/posit_inference.hpp"
+#include "quant/posit_session.hpp"
+#include "train/trainer.hpp"
 
 int main() {
   using namespace pdnn;
@@ -24,17 +24,18 @@ int main() {
 
   quant::QuantConfig cfg = quant::QuantConfig::imagenet16();
   quant::QuantPolicy policy(cfg);
-  nn::TrainConfig tc;
+  train::TrainerConfig tc;
   tc.epochs = 50;
   tc.batch_size = 32;
   tc.sgd = {.lr = 0.1f, .momentum = 0.9f, .weight_decay = 0.0f};
   tc.schedule = {.base_lr = 0.1f, .drop_epochs = {40}, .factor = 10.0f};
+  tc.policy = &policy;
   tc.warmup_epochs = 2;
-  tc.on_warmup_end = [&policy](nn::Sequential& n) {
+  tc.on_warmup_end = [&policy](nn::Module& n) {
     policy.calibrate(n);
     policy.activate();
   };
-  nn::Trainer trainer(*net, &policy, tc);
+  train::Trainer trainer(*net, tc);
   trainer.fit(data.train.images, data.train.labels, data.test.images, data.test.labels);
 
   const float sim_acc = trainer.evaluate(data.test.images, data.test.labels);
@@ -42,9 +43,11 @@ int main() {
   std::printf("%-46s %s\n", "inference arithmetic", "test accuracy");
   std::printf("%-46s %.2f%%\n", "FP32-simulated quantization (training view)", 100.0 * sim_acc);
 
-  policy.deactivate();  // posit_forward reads raw (already on-grid) weights
+  // The session reads the raw (already on-grid) weights; no policy applies.
   const auto eval_mode = [&](const char* name, AccumMode mode, const quant::QuantConfig& c) {
-    const tensor::Tensor logits = quant::posit_forward(*net, data.test.images, c, mode);
+    quant::PositSession session =
+        quant::PositSession::compile(*net, quant::SessionConfig::from_quant(c, mode));
+    const tensor::Tensor& logits = session.run(data.test.images);
     const std::size_t correct = tensor::count_correct(logits, data.test.labels);
     std::printf("%-46s %.2f%%\n", name,
                 100.0 * static_cast<double>(correct) / static_cast<double>(data.test.size()));

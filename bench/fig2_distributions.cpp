@@ -20,8 +20,8 @@ int main() {
   quant::WeightStatsCollector collector({conv_name, bn_name});
 
   std::printf("Fig. 2 reproduction: weight distributions across FP32 training\n\n");
-  run_training(task, nullptr, /*seed=*/7, /*verbose=*/false,
-               [&](std::size_t epoch, nn::Sequential& net) { collector.collect(epoch, net); });
+  run_training(task, nullptr, {}, /*seed=*/7,
+               [&](std::size_t epoch, nn::Module& net) { collector.collect(epoch, net); });
 
   for (const std::string& name : {conv_name, bn_name}) {
     const auto& series = collector.series(name);

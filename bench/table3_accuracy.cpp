@@ -26,9 +26,9 @@ int main() {
                 task.data.height, task.data.width, task.data.classes, task.train.epochs,
                 task.train.batch_size, task.train.warmup_epochs);
 
-    const RunResult fp32 = run_training(task, nullptr);
-    const quant::QuantConfig cfg = quant::QuantConfig::cifar8();
-    const RunResult posit = run_training(task, &cfg);
+    const RunResult fp32 = run_training(task);
+    quant::QuantPolicy policy(quant::QuantConfig::cifar8());
+    const RunResult posit = run_training(task, &policy, quant_handoff(policy));
 
     std::printf("  FP32 baseline : final %.2f%%  best %.2f%%\n", 100.0 * fp32.final_test_acc,
                 100.0 * fp32.best_test_acc);
@@ -44,9 +44,9 @@ int main() {
     std::printf("[synth-ImageNet-proxy] ResNet-8, %zu classes, %zu epochs, warm-up %zu epochs\n",
                 task.data.classes, task.train.epochs, task.train.warmup_epochs);
 
-    const RunResult fp32 = run_training(task, nullptr);
-    const quant::QuantConfig cfg = quant::QuantConfig::imagenet16();
-    const RunResult posit = run_training(task, &cfg);
+    const RunResult fp32 = run_training(task);
+    quant::QuantPolicy policy(quant::QuantConfig::imagenet16());
+    const RunResult posit = run_training(task, &policy, quant_handoff(policy));
 
     std::printf("  FP32 baseline : final %.2f%%  best %.2f%%\n", 100.0 * fp32.final_test_acc,
                 100.0 * fp32.best_test_acc);

@@ -4,13 +4,13 @@
 #pragma once
 
 #include <cstdio>
-#include <memory>
+#include <functional>
 #include <string>
 
 #include "data/synthetic.hpp"
 #include "nn/resnet.hpp"
-#include "nn/trainer.hpp"
 #include "quant/policy.hpp"
+#include "train/trainer.hpp"
 
 namespace bench {
 
@@ -19,7 +19,7 @@ using namespace pdnn;
 struct TaskConfig {
   data::SynthCifarConfig data;
   nn::ResNetConfig net;
-  nn::TrainConfig train;
+  train::TrainerConfig train;
 };
 
 /// The synth-Cifar-10 task: 10 classes, 16x16, ResNet-8 (paper: Cifar-10,
@@ -76,55 +76,36 @@ inline TaskConfig synth_imagenet_proxy_task(std::size_t epochs = 12) {
 struct RunResult {
   float best_test_acc = 0.0f;
   float final_test_acc = 0.0f;
-  std::vector<nn::EpochResult> history;
+  std::vector<train::EpochResult> history;
 };
 
-/// Trains one network on the task. If `quant_cfg` is non-null, runs the
-/// paper's flow: FP32 warm-up, then posit quantization at every Fig. 3 hook.
-inline RunResult run_training(const TaskConfig& task, const quant::QuantConfig* quant_cfg,
-                              std::uint64_t seed = 7, bool verbose = false,
-                              const std::function<void(std::size_t, nn::Sequential&)>& epoch_hook = {}) {
-  tensor::Rng rng(seed);
-  auto net = nn::cifar_resnet(task.net, rng);
-  const auto data = data::make_synth_cifar(task.data);
-
-  std::unique_ptr<quant::QuantPolicy> policy;
-  nn::TrainConfig tc = task.train;
-  tc.shuffle_seed = seed;
-  tc.verbose = verbose;
-  tc.on_epoch_end = epoch_hook;
-  if (quant_cfg != nullptr) {
-    policy = std::make_unique<quant::QuantPolicy>(*quant_cfg);
-    quant::QuantPolicy* raw = policy.get();
-    tc.on_warmup_end = [raw](nn::Sequential& n) {
-      raw->calibrate(n);
-      raw->activate();
-    };
-  } else {
-    tc.warmup_epochs = 0;  // pure FP32 baseline
-  }
-
-  nn::Trainer trainer(*net, policy.get(), tc);
-  RunResult r;
-  r.history = trainer.fit(data.train.images, data.train.labels, data.test.images, data.test.labels);
-  for (const auto& e : r.history) r.best_test_acc = std::max(r.best_test_acc, e.test_acc);
-  r.final_test_acc = r.history.back().test_acc;
-  return r;
+/// The paper's warm-up handoff for a QuantPolicy: freeze the calibrated
+/// weight shifts from the warm-up model, then switch quantization on.
+inline std::function<void(nn::Module&)> quant_handoff(quant::QuantPolicy& policy) {
+  return [&policy](nn::Module& net) {
+    policy.calibrate(net);
+    policy.activate();
+  };
 }
 
-/// Variant taking an arbitrary PrecisionPolicy (e.g. quant::FpPolicy for the
-/// FP16/FP8 baselines). `on_warmup` should activate/calibrate the policy.
-inline RunResult run_training_policy(const TaskConfig& task, nn::PrecisionPolicy* policy,
-                                     const std::function<void(nn::Sequential&)>& on_warmup,
-                                     std::uint64_t seed = 7) {
+/// Trains one network on the task with train::Trainer. With a `policy`,
+/// runs the paper's flow: FP32 warm-up, then `on_warmup` switches the policy
+/// on (quant_handoff for a QuantPolicy) and every Fig. 3 hook quantizes.
+/// Without one, a pure FP32 run.
+inline RunResult run_training(const TaskConfig& task, nn::PrecisionPolicy* policy = nullptr,
+                              std::function<void(nn::Module&)> on_warmup = {},
+                              std::uint64_t seed = 7,
+                              std::function<void(std::size_t, nn::Module&)> epoch_hook = {}) {
   tensor::Rng rng(seed);
   auto net = nn::cifar_resnet(task.net, rng);
   const auto data = data::make_synth_cifar(task.data);
 
-  nn::TrainConfig tc = task.train;
+  train::TrainerConfig tc = task.train;
   tc.shuffle_seed = seed;
-  tc.on_warmup_end = on_warmup;
-  nn::Trainer trainer(*net, policy, tc);
+  tc.policy = policy;
+  tc.on_warmup_end = std::move(on_warmup);
+  tc.on_epoch_end = std::move(epoch_hook);
+  train::Trainer trainer(*net, tc);
   RunResult r;
   r.history = trainer.fit(data.train.images, data.train.labels, data.test.images, data.test.labels);
   for (const auto& e : r.history) r.best_test_acc = std::max(r.best_test_acc, e.test_acc);

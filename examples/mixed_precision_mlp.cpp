@@ -9,10 +9,10 @@
 
 #include "data/synthetic.hpp"
 #include "nn/resnet.hpp"
-#include "nn/trainer.hpp"
 #include "quant/policy.hpp"
 #include "quant/posit_session.hpp"
 #include "tensor/ops.hpp"
+#include "train/trainer.hpp"
 
 namespace {
 
@@ -29,7 +29,7 @@ Trained train_once(const data::TrainTest& data, const quant::QuantConfig* cfg, s
   t.net = nn::mlp(/*in=*/2, /*hidden=*/32, /*classes=*/3, /*depth=*/2, rng);
 
   std::unique_ptr<quant::QuantPolicy> policy;
-  nn::TrainConfig tc;
+  train::TrainerConfig tc;
   tc.epochs = 60;
   tc.batch_size = 32;
   tc.sgd = {.lr = 0.1f, .momentum = 0.9f, .weight_decay = 0.0f};
@@ -39,12 +39,13 @@ Trained train_once(const data::TrainTest& data, const quant::QuantConfig* cfg, s
   if (cfg != nullptr) {
     policy = std::make_unique<quant::QuantPolicy>(*cfg);
     quant::QuantPolicy* raw = policy.get();
-    tc.on_warmup_end = [raw](nn::Sequential& n) {
+    tc.policy = raw;
+    tc.on_warmup_end = [raw](nn::Module& n) {
       raw->calibrate(n);
       raw->activate();
     };
   }
-  nn::Trainer trainer(*t.net, policy.get(), tc);
+  train::Trainer trainer(*t.net, tc);
   const auto hist = trainer.fit(data.train.images, data.train.labels, data.test.images, data.test.labels);
   t.test_acc = hist.back().test_acc;
   return t;

@@ -9,8 +9,8 @@
 
 #include "data/synthetic.hpp"
 #include "nn/resnet.hpp"
-#include "nn/trainer.hpp"
 #include "quant/policy.hpp"
+#include "train/trainer.hpp"
 
 int main(int argc, char** argv) {
   using namespace pdnn;
@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  nn::TrainConfig tc;
+  train::TrainerConfig tc;
   tc.epochs = epochs;
   tc.batch_size = 50;
   tc.sgd = {.lr = 0.1f, .momentum = 0.9f, .weight_decay = 1e-4f};
@@ -52,14 +52,15 @@ int main(int argc, char** argv) {
   tc.verbose = true;
   if (policy) {
     quant::QuantPolicy* raw = policy.get();
-    tc.on_warmup_end = [raw](nn::Sequential& n) {
+    tc.policy = raw;
+    tc.on_warmup_end = [raw](nn::Module& n) {
       raw->calibrate(n);
       raw->activate();
     };
   }
 
   std::printf("training ResNet-8 on synth-Cifar-10 in mode '%s' for %zu epochs\n", mode, epochs);
-  nn::Trainer trainer(*net, policy.get(), tc);
+  train::Trainer trainer(*net, tc);
   const auto hist = trainer.fit(data.train.images, data.train.labels, data.test.images, data.test.labels);
 
   std::printf("\nfinal test accuracy: %.2f%%\n", 100.0 * hist.back().test_acc);

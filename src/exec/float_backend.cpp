@@ -59,6 +59,14 @@ void masked_relu(std::vector<std::uint8_t>& mask, Tensor& out, F&& value) {
   }
 }
 
+/// The eager layers' Fig. 3 hook sites: P(A) on the outputs and P(E) on the
+/// incoming errors of Linear, Conv2d, BatchNorm2d and the residual join (the
+/// block's post-add activation); ReLU and pooling apply no hook.
+bool fig3_hooked(OpKind op) {
+  return op == OpKind::kLinear || op == OpKind::kConv2d || op == OpKind::kBatchNorm ||
+         op == OpKind::kResidualJoin;
+}
+
 }  // namespace
 
 FloatBackend FloatBackend::compile(nn::Module& net, nn::PrecisionPolicy* policy,
@@ -83,15 +91,16 @@ FloatBackend FloatBackend::compile(nn::Module& net, nn::PrecisionPolicy* policy,
 }
 
 std::unique_ptr<Backend> FloatBackend::clone() const {
-  if (plan().training()) return std::make_unique<FloatBackend>(compile_training(*net_));
+  if (plan().training()) return std::make_unique<FloatBackend>(compile_training(*net_, policy_));
   return std::make_unique<FloatBackend>(compile(*net_, policy_, opts_));
 }
 
-FloatBackend FloatBackend::compile_training(nn::Module& net) {
+FloatBackend FloatBackend::compile_training(nn::Module& net, nn::PrecisionPolicy* policy) {
   FloatBackend b;
   b.opts_ = PlanOptions::none();
   b.runner_ = PlanRunner(GraphBuilder::lower_training(net));
   b.net_ = &net;
+  b.policy_ = policy;
   const std::vector<Step>& steps = b.plan().steps;
   b.state_.resize(steps.size());
   b.tstate_.resize(steps.size());
@@ -173,14 +182,13 @@ void FloatBackend::refresh() {
         nn::Param& w = s.linear->weight();
         if (force || !st.bound || w.version != st.version) {
           if (quant) {
-            st.panel = tensor::transpose(
-                policy_->quantize_weight(w.value, s.name, nn::LayerClass::kLinear));
-          } else {
-            // Grow-only resize + transpose_into: weight updates between
-            // training steps re-derive the panel without reallocating.
-            st.panel.resize({s.in_c, s.out_c});
-            tensor::transpose_into(w.value.data(), s.out_c, s.in_c, st.panel.data());
+            st.qweight = policy_->quantize_weight(w.value, s.name, nn::LayerClass::kLinear);
           }
+          // Grow-only resize + transpose_into: weight updates between
+          // training steps re-derive the panel without reallocating.
+          st.panel.resize({s.in_c, s.out_c});
+          tensor::transpose_into((quant ? st.qweight : w.value).data(), s.out_c, s.in_c,
+                                 st.panel.data());
           st.version = w.version;
           st.bound = true;
         }
@@ -206,12 +214,12 @@ void FloatBackend::refresh() {
           }
         } else if (quant) {
           if (force || !st.bound || w.version != st.version) {
-            st.panel = policy_->quantize_weight(w.value, s.name, nn::LayerClass::kConv);
+            st.qweight = policy_->quantize_weight(w.value, s.name, nn::LayerClass::kConv);
             st.version = w.version;
             st.bound = true;
           }
         } else if (force || !st.bound) {
-          st.panel = Tensor();  // read the live weight directly
+          st.qweight = Tensor();  // read the live weight directly
           st.version = w.version;
           st.bound = true;
         }
@@ -276,12 +284,8 @@ const Tensor& FloatBackend::run_impl(const Tensor& x) {
       case OpKind::kGlobalAvgPool: exec_gap(in, out); break;
       case OpKind::kResidualJoin: exec_join(in, *skip, out); break;
     }
-    // The eager forward's A_p = P(A) hook sites: conv/linear/bn outputs and
-    // the post-join activation (step.cls is each one's layer class, the conv
-    // family for the join); ReLU and pooling apply no hook.
-    const bool hooked = s.op == OpKind::kLinear || s.op == OpKind::kConv2d ||
-                        s.op == OpKind::kBatchNorm || s.op == OpKind::kResidualJoin;
-    if (quant && hooked) policy_->quantize_activation(out, s.name, s.cls);
+    // A_p = P(A); step.cls is each layer's class, the conv family for the join.
+    if (quant && fig3_hooked(s.op)) policy_->quantize_activation(out, s.name, s.cls);
   });
 }
 
@@ -314,7 +318,7 @@ void FloatBackend::exec_conv(const Step& s, StepState& st, const Tensor& in, Ten
   const std::size_t patch = geom.patch();
   const bool folded = s.folded_bn != nullptr;
   const float* w2d = folded             ? st.fw.data()
-                     : quantizing()     ? st.panel.data()
+                     : quantizing()     ? st.qweight.data()
                                         : s.conv->weight().value.data();
   tensor::GemmEpilogue ep;
   ep.row_bias = folded             ? st.fb.data()
@@ -405,6 +409,7 @@ const Tensor& FloatBackend::train_forward(const Tensor& x) {
   require_training("train_forward");
   bump_generation();
   refresh();
+  const bool quant = quantizing();
   const Tensor& out = runner_.forward(x, "FloatBackend", [&](std::size_t i, const Step& s,
                                                              const Tensor& in, const Tensor* skip,
                                                              Tensor& out) {
@@ -415,13 +420,15 @@ const Tensor& FloatBackend::train_forward(const Tensor& x) {
       case OpKind::kLinear: exec_linear(s, st, in, out); break;
       case OpKind::kConv2d: exec_conv(s, st, in, out); break;
       case OpKind::kBatchNorm:
-        exec_bn_train(s, ts, in, out, runner_.bind(s.save, in.shape()));
+        exec_bn_train(s, st, ts, in, out, runner_.bind(s.save, in.shape()));
         break;
       case OpKind::kRelu: exec_relu_train(ts, in, out); break;
       case OpKind::kMaxPool2x2: exec_maxpool_train(ts, in, out); break;
       case OpKind::kGlobalAvgPool: exec_gap(in, out); break;
       case OpKind::kResidualJoin: exec_join_train(ts, in, *skip, out); break;
     }
+    // A_p = P(A) after the masks are recorded, as the eager join does.
+    if (quant && fig3_hooked(s.op)) policy_->quantize_activation(out, s.name, s.cls);
   });
   train_out_shape_ = out.shape();
   train_input_ = &x;
@@ -429,10 +436,11 @@ const Tensor& FloatBackend::train_forward(const Tensor& x) {
   return out;
 }
 
-void FloatBackend::exec_bn_train(const Step& s, TrainState& ts, const Tensor& in, Tensor& out,
-                                 Tensor& xhat) {
+void FloatBackend::exec_bn_train(const Step& s, const StepState& st, TrainState& ts,
+                                 const Tensor& in, Tensor& out, Tensor& xhat) {
   // nn::BatchNorm2d::forward with training=true, minus the running-stat EMA
   // (batch stats land in bn_stats_; the trainer commits them serially).
+  // Under a policy the output uses P(gamma), like the eager forward.
   nn::BatchNorm2d& bn = *s.bn;
   const std::size_t n = in.shape()[0], c = in.shape()[1];
   const std::size_t plane = in.shape()[2] * in.shape()[3];
@@ -441,7 +449,7 @@ void FloatBackend::exec_bn_train(const Step& s, TrainState& ts, const Tensor& in
   BnBatchStats& stats = bn_stats_[static_cast<std::size_t>(ts.bn_stats)];
   stats.mean.assign(c, 0.0f);
   stats.var.assign(c, 0.0f);
-  const float* gamma = bn.gamma().value.data();
+  const float* gamma = quantizing() ? st.qgamma.data() : bn.gamma().value.data();
   const float* beta = bn.beta().value.data();
 #pragma omp parallel for schedule(static) if (c > 1 && n * plane > 4096)
   for (std::size_t ci = 0; ci < c; ++ci) {
@@ -530,6 +538,10 @@ void FloatBackend::exec_maxpool_train(TrainState& ts, const Tensor& in, Tensor& 
 // dX into zeroed scratch exactly like eager's fresh tensor, then add it to
 // the slot's prior contents — eager's `gm += gs` with the operands swapped,
 // identical bits for any non-NaN gradient (IEEE addition is commutative).
+// Under an active policy a hooked step applies P(E) to a TrainState::eq copy
+// of its error (grad_out and the slots stay untouched), dX reads the
+// forward's P(W) (BN's dX the raw gamma, as eager), and P(dW) runs on the
+// backend grads in eager order: weight then bias, gamma then beta.
 
 const Tensor& FloatBackend::run_backward(const Tensor& grad_out) {
   require_training("run_backward");
@@ -542,20 +554,34 @@ const Tensor& FloatBackend::run_backward(const Tensor& grad_out) {
                                 train_out_shape_.to_string());
   }
   bump_generation();
+  const bool quant = quantizing();
   // Slot lookups: the caller-owned grad_out for the last step's gin, the
   // caller's forward input for a first-layer GEMM's saved activation.
   const Tensor& x = *train_input_;
   for (const GradStep& g : plan().grad_steps) {
-    const Step& s = plan().steps[static_cast<std::size_t>(g.fwd_step)];
-    TrainState& ts = tstate_[static_cast<std::size_t>(g.fwd_step)];
-    const Tensor& e = runner_.slot(g.gin, grad_out);
+    const auto i = static_cast<std::size_t>(g.fwd_step);
+    const Step& s = plan().steps[i];
+    TrainState& ts = tstate_[i];
+    const Tensor* ep = &runner_.slot(g.gin, grad_out);
+    if (quant && fig3_hooked(s.op)) {
+      ts.eq = *ep;  // reuses eq's storage once it has seen this shape
+      policy_->quantize_error(ts.eq, s.name, s.cls);
+      ep = &ts.eq;
+    }
+    const Tensor& e = *ep;
+    // The weight the forward multiplied by: P(W) if its panels were quantized.
+    const auto fwd_weight = [&](nn::Param& w) {
+      return (panels_quantized_ ? state_[i].qweight : w.value).data();
+    };
     Tensor& gout0 = runner_.bind(g.gout0, ts.in_shape);
     switch (s.op) {
       case OpKind::kLinear:
-        exec_linear_grad(s, ts, e, runner_.slot(s.in0, x), gout0, g.acc0);
+        exec_linear_grad(s, fwd_weight(s.linear->weight()), ts, e, runner_.slot(s.in0, x), gout0,
+                         g.acc0);
         break;
       case OpKind::kConv2d:
-        exec_conv_grad(s, ts, e, runner_.slot(s.in0, x), gout0, g.acc0);
+        exec_conv_grad(s, fwd_weight(s.conv->weight()), ts, e, runner_.slot(s.in0, x), gout0,
+                       g.acc0);
         break;
       case OpKind::kBatchNorm: exec_bn_grad(s, ts, e, runner_.slot(s.save, x), gout0, g.acc0); break;
       case OpKind::kRelu: exec_relu_grad(ts, e, gout0, g.acc0); break;
@@ -568,11 +594,17 @@ const Tensor& FloatBackend::run_backward(const Tensor& grad_out) {
         exec_relu_grad(ts, e, runner_.bind(g.gout1, ts.in_shape), g.acc1);
         break;
     }
+    if (quant && ts.wgrad >= 0) {
+      policy_->quantize_gradient(grads_[static_cast<std::size_t>(ts.wgrad)], s.name, s.cls);
+      if (ts.bgrad >= 0) {
+        policy_->quantize_gradient(grads_[static_cast<std::size_t>(ts.bgrad)], s.name, s.cls);
+      }
+    }
   }
   return runner_.slot(plan().grad_input_slot, x);
 }
 
-void FloatBackend::exec_linear_grad(const Step& s, TrainState& ts, const Tensor& e,
+void FloatBackend::exec_linear_grad(const Step& s, const float* w, TrainState& ts, const Tensor& e,
                                     const Tensor& in, Tensor& gout, bool acc) {
   // nn::Linear::backward: dW = dY^T X, db = colsum(dY), dX = dY W — the same
   // blocked GEMMs matmul makes, staged through persistent scratch.
@@ -592,13 +624,12 @@ void FloatBackend::exec_linear_grad(const Step& s, TrainState& ts, const Tensor&
     for (std::size_t j = 0; j < s.out_c; ++j) gb[j] += e.data()[i * s.out_c + j];
   }
   stage_dx(ts.dx_scratch, gout, acc, [&](Tensor& dx) {
-    tensor::gemm_blocked(n, s.in_c, s.out_c, e.data(), s.out_c, s.linear->weight().value.data(),
-                         s.in_c, dx.data(), s.in_c);
+    tensor::gemm_blocked(n, s.in_c, s.out_c, e.data(), s.out_c, w, s.in_c, dx.data(), s.in_c);
   });
 }
 
-void FloatBackend::exec_conv_grad(const Step& s, TrainState& ts, const Tensor& e, const Tensor& in,
-                                  Tensor& gout, bool acc) {
+void FloatBackend::exec_conv_grad(const Step& s, const float* w, TrainState& ts, const Tensor& e,
+                                  const Tensor& in, Tensor& gout, bool acc) {
   // nn::Conv2d::backward + tensor::conv2d_backward: per-channel bias
   // reduction, then the serial per-sample im2col / dW GEMM / dX col2im loop —
   // dW accumulates straight into the backend-owned grad (same layout and
@@ -621,11 +652,11 @@ void FloatBackend::exec_conv_grad(const Step& s, TrainState& ts, const Tensor& e
       gb[ci] += acc_b;
     }
   }
-  nn::Param& w = s.conv->weight();
-  if (!ts.wt_bound || ts.wt_version != w.version) {
+  const std::uint64_t version = s.conv->weight().version;
+  if (!ts.wt_bound || ts.wt_version != version) {
     ts.w2d_t.resize({patch, s.out_c});
-    tensor::transpose_into(w.value.data(), s.out_c, patch, ts.w2d_t.data());
-    ts.wt_version = w.version;
+    tensor::transpose_into(w, s.out_c, patch, ts.w2d_t.data());
+    ts.wt_version = version;
     ts.wt_bound = true;
   }
   ts.cols.resize({patch, pixels});

@@ -13,11 +13,11 @@
 // that bit-identity; the opt-in fold_bn pass pre-scales conv weights by the
 // BN affine and is epsilon-close instead (weights round once at fold time).
 //
-// An optional PrecisionPolicy mirrors the eager forward's Fig. 3 hooks
-// (W_p = P(W) cached per Param::version, A_p = P(A) applied in place on the
-// slot buffer), so a trainer's eval loop under posit-simulated quantization
-// can run through the compiled plan too. With no policy (or an inactive
-// one), the backend is the plain FP32 reference.
+// An optional PrecisionPolicy fires the eager layers' Fig. 3 hooks at the
+// same sites: W_p = P(W) cached per Param::version, A_p = P(A) in place on
+// the slot buffer, and in a training backend's run_backward() E_p = P(E) and
+// dW_p = P(dW) — so posit-simulated training and its eval loop run through
+// the compiled plan. With no policy (or an inactive one), it is plain FP32.
 //
 // ## Training mode (compile_training)
 //
@@ -28,7 +28,8 @@
 // order, accumulating parameter gradients into BACKEND-OWNED grad tensors
 // (param_grads()) — never into the shared Param::grad, so cloned training
 // backends can run on worker threads without racing. Both are bit-identical
-// to the eager Module::forward(x, true)/backward chain: the same GEMM calls,
+// to the eager Module::forward(x, true)/backward chain (under a policy too,
+// for any policy whose transforms are deterministic): the same GEMM calls,
 // the same per-element expressions, the same serial accumulation orders —
 // the only reordering is which operand of a final gradient add comes first
 // (IEEE-commutative). Batch statistics land in bn_batch_stats(); they are
@@ -61,10 +62,11 @@ class FloatBackend final : public Backend {
   static FloatBackend compile(nn::Module& net, nn::PrecisionPolicy* policy = nullptr,
                               PlanOptions opts = PlanOptions::defaults());
 
-  /// Compile a training backend (see "Training mode" above). No policy and
-  /// no fusion passes: the Fig. 3 hooks and the fused epilogues both
-  /// conflict with the saved activations and masks backward needs.
-  static FloatBackend compile_training(nn::Module& net);
+  /// Compile a training backend (see "Training mode" above). No fusion
+  /// passes: fused epilogues conflict with the saved activations and masks
+  /// backward needs. A non-null `policy` fires the Fig. 3 hooks in
+  /// train_forward() and run_backward() whenever it is active.
+  static FloatBackend compile_training(nn::Module& net, nn::PrecisionPolicy* policy = nullptr);
 
   FloatBackend(FloatBackend&&) noexcept = default;
   FloatBackend& operator=(FloatBackend&&) noexcept = default;
@@ -135,7 +137,8 @@ class FloatBackend final : public Backend {
 
   /// Per-step backend state: weight-derived panels and conv scratch.
   struct StepState {
-    tensor::Tensor panel;   ///< linear: W^T [in,out]; conv under policy: P(W)
+    tensor::Tensor panel;    ///< linear: W^T [in,out] (P(W)^T under a policy)
+    tensor::Tensor qweight;  ///< linear/conv under policy: P(W), read forward and backward
     std::uint64_t version = 0;
     bool bound = false;
     tensor::Tensor qgamma;  ///< bn under policy: P(gamma)
@@ -171,6 +174,7 @@ class FloatBackend final : public Backend {
     tensor::Tensor dw;                   ///< linear: dW staging
     tensor::Tensor cols, cols_t, grad_cols;  ///< conv backward scratch
     tensor::Tensor dx_scratch;           ///< accumulate-mode dX staging
+    tensor::Tensor eq;                   ///< P(E) copy of the incoming error
   };
 
   bool quantizing() const { return policy_ != nullptr && policy_->active(); }
@@ -185,16 +189,16 @@ class FloatBackend final : public Backend {
   static void exec_join(const tensor::Tensor& main, const tensor::Tensor& skip,
                         tensor::Tensor& out);
 
-  void exec_bn_train(const Step& s, TrainState& ts, const tensor::Tensor& in, tensor::Tensor& out,
-                     tensor::Tensor& xhat);
+  void exec_bn_train(const Step& s, const StepState& st, TrainState& ts, const tensor::Tensor& in,
+                     tensor::Tensor& out, tensor::Tensor& xhat);
   static void exec_relu_train(TrainState& ts, const tensor::Tensor& in, tensor::Tensor& out);
   static void exec_maxpool_train(TrainState& ts, const tensor::Tensor& in, tensor::Tensor& out);
   static void exec_join_train(TrainState& ts, const tensor::Tensor& main,
                               const tensor::Tensor& skip, tensor::Tensor& out);
 
-  void exec_linear_grad(const Step& s, TrainState& ts, const tensor::Tensor& e,
+  void exec_linear_grad(const Step& s, const float* w, TrainState& ts, const tensor::Tensor& e,
                         const tensor::Tensor& in, tensor::Tensor& gout, bool acc);
-  void exec_conv_grad(const Step& s, TrainState& ts, const tensor::Tensor& e,
+  void exec_conv_grad(const Step& s, const float* w, TrainState& ts, const tensor::Tensor& e,
                       const tensor::Tensor& in, tensor::Tensor& gout, bool acc);
   void exec_bn_grad(const Step& s, TrainState& ts, const tensor::Tensor& e,
                     const tensor::Tensor& xhat, tensor::Tensor& gout, bool acc);

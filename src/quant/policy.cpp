@@ -42,7 +42,7 @@ void QuantPolicy::transform(Tensor& t, const PositSpec& spec, int shift) {
   }
 }
 
-void QuantPolicy::calibrate(nn::Sequential& net) {
+void QuantPolicy::calibrate(nn::Module& net) {
   weight_shifts_.clear();
   for (nn::Param* p : net.params()) {
     weight_shifts_[p->name] = scale_shift(p->value, cfg_.sigma);

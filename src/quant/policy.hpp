@@ -66,7 +66,7 @@ class QuantPolicy final : public nn::PrecisionPolicy {
 
   /// Freeze per-layer weight shifts from the (warm-up trained) network.
   /// Only meaningful in ScaleMode::kCalibrated.
-  void calibrate(nn::Sequential& net);
+  void calibrate(nn::Module& net);
 
   tensor::Tensor quantize_weight(const tensor::Tensor& w, const std::string& layer,
                                  nn::LayerClass cls) override;

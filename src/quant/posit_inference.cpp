@@ -5,7 +5,6 @@
 
 #include "posit/accum.hpp"
 #include "quant/engine_gemm.hpp"
-#include "quant/posit_session.hpp"
 #include "tensor/ops.hpp"
 
 namespace pdnn::quant {
@@ -338,11 +337,6 @@ Tensor posit_conv2d(const Tensor& x, const Tensor& w, const Tensor& bias,
   be.spec = spec;
   if (bias.numel() > 0) be = encode_pack(bias, spec);
   return posit_conv2d(x, we, be, geom, mode);
-}
-
-Tensor posit_forward(nn::Sequential& net, const Tensor& x, const QuantConfig& cfg, AccumMode mode) {
-  PositSession session = PositSession::compile(net, SessionConfig::from_quant(cfg, mode));
-  return session.run(x);
 }
 
 // ---------------------------------------------------------------------------

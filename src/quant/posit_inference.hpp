@@ -28,7 +28,7 @@
 // inference lives in quant::PositSession (posit_session.hpp), which compiles
 // a module graph once — session-owned weight panels, per-thread quire
 // arenas, per-layer precision overrides — and runs allocation-free in steady
-// state; posit_forward() is the thin compile-and-run compatibility wrapper.
+// state.
 #pragma once
 
 #include <cstdint>
@@ -107,14 +107,6 @@ tensor::Tensor posit_conv2d(const tensor::Tensor& x, const tensor::Tensor& w, co
 /// Engine form: weights/bias already encoded+unpacked.
 tensor::Tensor posit_conv2d(const tensor::Tensor& x, const EncodedTensor& w, const EncodedTensor& bias,
                             const tensor::Conv2dGeom& geom, AccumMode mode);
-
-/// Compatibility wrapper: compile `net` into a PositSession with the
-/// per-layer-class formats of `cfg` (SessionConfig::from_quant) and run one
-/// batch. Bit-identical to the pre-session per-layer engine path; weights
-/// re-encode on every call, so repeated inference should hold a compiled
-/// session instead. Throws std::invalid_argument on unsupported children.
-tensor::Tensor posit_forward(nn::Sequential& net, const tensor::Tensor& x, const QuantConfig& cfg,
-                             AccumMode mode);
 
 // ---------------------------------------------------------------------------
 // Retained scalar reference path (the pre-engine implementation): coded

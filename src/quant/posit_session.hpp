@@ -27,8 +27,7 @@
 //
 // Outputs are bit-identical to chaining the per-layer engine entry points
 // (and hence to the scalar reference) at every spec, accumulation mode, and
-// thread count. posit_forward() in posit_inference.hpp is the thin
-// compile-and-run compatibility wrapper over this API.
+// thread count.
 //
 // BN constants re-encode whenever gamma/beta versions or the BN's
 // stats_version change — a training forward that only moves the running
@@ -58,8 +57,7 @@ struct LayerOverride {
 /// Format/accumulation plan for a session: one default (spec, mode) pair
 /// plus overrides keyed by layer class or by exact layer name (name wins
 /// over class, class over default) — genuine per-layer mixed precision.
-/// Pooling layers resolve with LayerClass::kConv, matching the pre-session
-/// posit_forward.
+/// Pooling layers resolve with LayerClass::kConv.
 struct SessionConfig {
   posit::PositSpec spec{16, 1};
   AccumMode mode = AccumMode::kQuire;
@@ -67,7 +65,7 @@ struct SessionConfig {
   std::map<std::string, LayerOverride> by_name;
 
   /// The session equivalent of QuantConfig's per-class forward formats
-  /// (conv/bn/linear), under one accumulation mode: what posit_forward uses.
+  /// (conv/bn/linear), under one accumulation mode.
   static SessionConfig from_quant(const QuantConfig& cfg, AccumMode mode);
 
   posit::PositSpec spec_for(const std::string& name, nn::LayerClass cls) const;

@@ -7,7 +7,7 @@ namespace pdnn::quant {
 
 const std::vector<WeightSnapshot> WeightStatsCollector::kEmpty{};
 
-void WeightStatsCollector::collect(std::size_t epoch, nn::Sequential& net) {
+void WeightStatsCollector::collect(std::size_t epoch, nn::Module& net) {
   for (nn::Param* p : net.params()) {
     if (std::find(patterns_.begin(), patterns_.end(), p->name) == patterns_.end()) continue;
     WeightSnapshot snap;

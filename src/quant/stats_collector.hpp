@@ -30,7 +30,7 @@ class WeightStatsCollector {
       : patterns_(std::move(patterns)), bins_(bins) {}
 
   /// Snapshot all tracked parameters of `net` (call from on_epoch_end).
-  void collect(std::size_t epoch, nn::Sequential& net);
+  void collect(std::size_t epoch, nn::Module& net);
 
   const std::vector<WeightSnapshot>& series(const std::string& name) const;
   std::vector<std::string> tracked() const;

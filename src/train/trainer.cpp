@@ -5,6 +5,7 @@
 #include <cstring>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "tensor/ops.hpp"
@@ -15,14 +16,38 @@ namespace pdnn::train {
 using tensor::Shape;
 using tensor::Tensor;
 
+namespace {
+
+/// Rows of batch or dataset (x, y), which must be non-empty with one label
+/// per row.
+std::size_t checked_rows(const Tensor& x, const std::vector<int>& y, const char* who) {
+  const std::size_t n = x.shape().rank() != 0 ? x.shape()[0] : 0;
+  if (n == 0 || y.size() != n) {
+    throw std::invalid_argument(std::string("train::Trainer::") + who + ": " +
+                                std::to_string(y.size()) + " labels for " + std::to_string(n) +
+                                " rows (need a non-empty set, one label per row)");
+  }
+  return n;
+}
+
+}  // namespace
+
 Trainer::Trainer(nn::Module& net, TrainerConfig cfg)
-    : net_(net), cfg_(std::move(cfg)), params_(net.params()), opt_(params_, cfg_.sgd) {
+    : net_(net),
+      cfg_(std::move(cfg)),
+      params_(net.params()),
+      opt_(params_, cfg_.sgd, cfg_.policy) {
   if (cfg_.batch_size == 0) throw std::invalid_argument("train::Trainer: batch_size must be > 0");
   if (cfg_.micro_batch == 0) cfg_.micro_batch = cfg_.batch_size;
   if (cfg_.workers == 0) cfg_.workers = 1;
+  if (cfg_.policy != nullptr && cfg_.workers > 1) {
+    throw std::invalid_argument(
+        "train::Trainer: a precision policy needs workers == 1 (its hook order must not depend "
+        "on thread scheduling)");
+  }
   backends_.reserve(cfg_.workers);
   for (std::size_t w = 0; w < cfg_.workers; ++w) {
-    backends_.push_back(exec::FloatBackend::compile_training(net_));
+    backends_.push_back(exec::FloatBackend::compile_training(net_, cfg_.policy));
   }
   worker_x_.resize(cfg_.workers);
   worker_y_.resize(cfg_.workers);
@@ -82,12 +107,7 @@ void Trainer::run_worker(std::size_t w, std::size_t n_shards, const Tensor& bx,
 }
 
 StepStats Trainer::step(const Tensor& bx, const std::vector<int>& by) {
-  const std::size_t n = bx.shape().rank() != 0 ? bx.shape()[0] : 0;
-  if (n == 0) throw std::invalid_argument("train::Trainer::step: empty batch");
-  if (by.size() != n) {
-    throw std::invalid_argument("train::Trainer::step: " + std::to_string(by.size()) +
-                                " labels for " + std::to_string(n) + " samples");
-  }
+  const std::size_t n = checked_rows(bx, by, "step");
   const std::size_t n_shards = (n + cfg_.micro_batch - 1) / cfg_.micro_batch;
   if (n_shards > shard_grads_.size()) {
     throw std::invalid_argument("train::Trainer::step: batch of " + std::to_string(n) +
@@ -167,17 +187,19 @@ Tensor Trainer::gather(const Tensor& x, const std::vector<std::size_t>& idx, std
 
 std::vector<EpochResult> Trainer::fit(const Tensor& train_x, const std::vector<int>& train_y,
                                       const Tensor& test_x, const std::vector<int>& test_y) {
-  const std::size_t n = train_x.shape()[0];
+  const std::size_t n = checked_rows(train_x, train_y, "fit");
+  checked_rows(test_x, test_y, "fit");
   tensor::Rng shuffle_rng(cfg_.shuffle_seed);
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
 
   std::vector<EpochResult> history;
   for (std::size_t epoch = 0; epoch < cfg_.epochs; ++epoch) {
+    if (epoch == cfg_.warmup_epochs && cfg_.on_warmup_end) cfg_.on_warmup_end(net_);
     const float lr = cfg_.schedule.lr_at(epoch);
     opt_.set_lr(lr);
 
-    // Fisher-Yates, same stream as nn::Trainer::fit.
+    // Fisher-Yates shuffle.
     for (std::size_t i = n - 1; i > 0; --i) {
       std::swap(order[i], order[shuffle_rng.uniform_int(i + 1)]);
     }
@@ -202,19 +224,22 @@ std::vector<EpochResult> Trainer::fit(const Tensor& train_x, const std::vector<i
     r.train_loss = static_cast<float>(loss_sum / static_cast<double>(seen));
     r.train_acc = static_cast<float>(correct) / static_cast<float>(seen);
     r.test_acc = evaluate(test_x, test_y);
+    r.quantized = cfg_.policy != nullptr && cfg_.policy->active();
     history.push_back(r);
 
     if (cfg_.verbose) {
-      std::printf("epoch %3zu  lr %.4f  loss %.4f  train %.4f  test %.4f\n", epoch, lr,
-                  r.train_loss, r.train_acc, r.test_acc);
+      const char* tag = cfg_.policy == nullptr ? "" : r.quantized ? "  [quantized]" : "  [fp32]";
+      std::printf("epoch %3zu  lr %.4f  loss %.4f  train %.4f  test %.4f%s\n", epoch, lr,
+                  r.train_loss, r.train_acc, r.test_acc, tag);
       std::fflush(stdout);
     }
+    if (cfg_.on_epoch_end) cfg_.on_epoch_end(epoch, net_);
   }
   return history;
 }
 
 float Trainer::evaluate(const Tensor& x, const std::vector<int>& y, std::size_t batch) {
-  const std::size_t n = x.shape()[0];
+  const std::size_t n = checked_rows(x, y, "evaluate");
   Tensor bx;
   std::size_t correct = 0;
   for (std::size_t lo = 0; lo < n; lo += batch) {

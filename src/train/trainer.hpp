@@ -21,11 +21,19 @@
 //
 //   => Trained parameters are BIT-IDENTICAL for any `workers` value at
 //      fixed micro_batch. And with micro_batch == batch_size (one shard,
-//      scale n_s/N == 1), the whole step is bit-identical to the eager
-//      nn::Trainer loop on the same batches.
+//      scale n_s/N == 1), the whole step is bit-identical to a hand-written
+//      eager loop (Module::forward/backward + SgdMomentum) on the same
+//      batches.
+//
+// The paper's method runs on the same loop: an optional PrecisionPolicy
+// fires the Fig. 3 hooks in the compiled backends and P(W_updated) in the
+// SGD step, and fit() trains `warmup_epochs` in FP32 before on_warmup_end
+// switches the policy on. A policy holds an RNG and counters, so its hook
+// order must not depend on thread scheduling: it requires `workers == 1`.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "exec/float_backend.hpp"
@@ -47,6 +55,16 @@ struct TrainerConfig {
   nn::StepSchedule schedule;
   std::uint64_t shuffle_seed = 1;
   bool verbose = false;
+  /// Fig. 3 precision policy (not owned; nullptr trains in FP32). Its hooks
+  /// fire whenever it is active. Requires workers == 1.
+  nn::PrecisionPolicy* policy = nullptr;
+  /// FP32 epochs before on_warmup_end fires (0: before the first epoch).
+  std::size_t warmup_epochs = 1;
+  /// Called once when warm-up finishes; wire this to
+  /// QuantPolicy::calibrate(net) + activate(). May be empty.
+  std::function<void(nn::Module&)> on_warmup_end;
+  /// Called after every epoch (e.g. the Fig. 2 histogram collector).
+  std::function<void(std::size_t epoch, nn::Module&)> on_epoch_end;
 };
 
 /// Aggregates of one optimizer step, weighted like the eager loop's epoch
@@ -63,6 +81,7 @@ struct EpochResult {
   float train_loss = 0.0f;
   float train_acc = 0.0f;
   float test_acc = 0.0f;
+  bool quantized = false;  ///< the policy was active during this epoch
 };
 
 class Trainer {
@@ -70,7 +89,8 @@ class Trainer {
   /// Compiles one training backend per worker over `net` (which must outlive
   /// the trainer). The module graph is shared read-only during a step; all
   /// mutation (gradient merge, BN running stats, SGD update) happens serially
-  /// on the calling thread after the workers join.
+  /// on the calling thread after the workers join. Throws
+  /// std::invalid_argument on batch_size 0 or a policy with workers > 1.
   Trainer(nn::Module& net, TrainerConfig cfg);
 
   /// One optimizer step on batch (bx, by): shard, forward/backward on the
@@ -78,13 +98,16 @@ class Trainer {
   /// batch or a label count mismatch.
   StepStats step(const tensor::Tensor& bx, const std::vector<int>& by);
 
-  /// Full training run, mirroring nn::Trainer::fit: Fisher-Yates shuffle per
-  /// epoch from shuffle_seed, lr from the step schedule, one EpochResult per
-  /// epoch.
+  /// Full training run: Fisher-Yates shuffle per epoch from shuffle_seed,
+  /// lr from the step schedule, the warm-up handoff entering epoch
+  /// warmup_epochs, one EpochResult per epoch. Throws std::invalid_argument
+  /// on an empty train or test set or a label count mismatch.
   std::vector<EpochResult> fit(const tensor::Tensor& train_x, const std::vector<int>& train_y,
                                const tensor::Tensor& test_x, const std::vector<int>& test_y);
 
-  /// Accuracy in eval mode (compiled forward, running BN stats).
+  /// Accuracy in eval mode (compiled forward, running BN stats, the policy's
+  /// P(W)/P(A) while it is active). Throws std::invalid_argument on an empty
+  /// set or a label count mismatch.
   float evaluate(const tensor::Tensor& x, const std::vector<int>& y, std::size_t batch = 128);
 
   std::size_t workers() const { return backends_.size(); }

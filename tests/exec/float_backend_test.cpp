@@ -15,21 +15,17 @@
 #include "nn/optimizer.hpp"
 #include "nn/resnet.hpp"
 #include "quant/policy.hpp"
+#include "support/bits.hpp"
 #include "support/heap_counter.hpp"
 
 namespace pdnn::exec {
 namespace {
 
+using test_support::bit_identical;
 using test_support::g_heap_allocs;
 
 using tensor::Rng;
 using tensor::Tensor;
-
-bool bit_identical(const Tensor& a, const Tensor& b) {
-  // The N = 0 guard keeps memcmp away from empty tensors' null data().
-  return a.shape() == b.shape() &&
-         (a.numel() == 0 || std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0);
-}
 
 TEST(FloatBackend, MlpBitIdenticalToEagerForward) {
   Rng rng(211);

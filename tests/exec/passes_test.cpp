@@ -18,17 +18,14 @@
 #include "nn/activations.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/resnet.hpp"
+#include "support/bits.hpp"
 
 namespace pdnn::exec {
 namespace {
 
+using test_support::bit_identical;
 using tensor::Rng;
 using tensor::Tensor;
-
-bool bit_identical(const Tensor& a, const Tensor& b) {
-  return a.shape() == b.shape() &&
-         (a.numel() == 0 || std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0);
-}
 
 /// Elementwise |got - want| <= atol + rtol*|want| — the oracle for fold_bn,
 /// which pre-scales weights and therefore changes rounding but not math.

@@ -7,9 +7,9 @@
 #include "data/synthetic.hpp"
 #include "nn/resnet.hpp"
 #include "nn/serialize.hpp"
-#include "nn/trainer.hpp"
 #include "quant/float_policy.hpp"
 #include "quant/policy.hpp"
+#include "train/trainer.hpp"
 
 namespace pdnn::quant {
 namespace {
@@ -26,13 +26,16 @@ data::TrainTest small_task() {
   return data::make_synth_cifar(dc);
 }
 
-nn::TrainConfig small_train_config(std::size_t epochs, std::size_t warmup) {
-  nn::TrainConfig tc;
+/// The small-task schedule under `policy` (null: FP32); callers wire the handoff.
+train::TrainerConfig small_train_config(std::size_t epochs, std::size_t warmup,
+                                        nn::PrecisionPolicy* policy) {
+  train::TrainerConfig tc;
   tc.epochs = epochs;
   tc.batch_size = 40;
   tc.sgd = {.lr = 0.05f, .momentum = 0.9f, .weight_decay = 1e-4f};
   tc.schedule = {.base_lr = 0.05f, .drop_epochs = {epochs - 2}, .factor = 10.0f};
   tc.warmup_epochs = warmup;
+  tc.policy = policy;
   return tc;
 }
 
@@ -46,12 +49,12 @@ TEST(QuantIntegration, ResNetPositCifar8RecipeLearns) {
   const auto data = small_task();
 
   QuantPolicy policy(QuantConfig::cifar8());
-  nn::TrainConfig tc = small_train_config(8, 1);
-  tc.on_warmup_end = [&policy](nn::Sequential& n) {
+  train::TrainerConfig tc = small_train_config(8, 1, &policy);
+  tc.on_warmup_end = [&policy](nn::Module& n) {
     policy.calibrate(n);
     policy.activate();
   };
-  nn::Trainer trainer(*net, &policy, tc);
+  train::Trainer trainer(*net, tc);
   const auto hist = trainer.fit(data.train.images, data.train.labels, data.test.images, data.test.labels);
 
   EXPECT_FALSE(hist.front().quantized) << "epoch 0 is the FP32 warm-up";
@@ -88,8 +91,7 @@ TEST(QuantIntegration, WarmupCheckpointSharedAcrossConfigs) {
 
   auto warm = nn::cifar_resnet(rc, rng);
   {
-    nn::TrainConfig tc = small_train_config(2, 0);
-    nn::Trainer trainer(*warm, nullptr, tc);
+    train::Trainer trainer(*warm, small_train_config(2, 0, nullptr));
     trainer.fit(data.train.images, data.train.labels, data.test.images, data.test.labels);
   }
   std::stringstream checkpoint;
@@ -102,12 +104,12 @@ TEST(QuantIntegration, WarmupCheckpointSharedAcrossConfigs) {
     nn::load_parameters(copy, *net);
 
     QuantPolicy policy(use16 ? QuantConfig::imagenet16() : QuantConfig::cifar8());
-    nn::TrainConfig tc = small_train_config(5, 0);
-    tc.on_warmup_end = [&policy](nn::Sequential& n) {
+    train::TrainerConfig tc = small_train_config(5, 0, &policy);
+    tc.on_warmup_end = [&policy](nn::Module& n) {
       policy.calibrate(n);
       policy.activate();
     };
-    nn::Trainer trainer(*net, &policy, tc);
+    train::Trainer trainer(*net, tc);
     const auto hist = trainer.fit(data.train.images, data.train.labels, data.test.images, data.test.labels);
     EXPECT_GT(hist.back().train_acc, 0.4f) << "resumed training must keep learning (use16=" << use16 << ")";
   }
@@ -123,9 +125,9 @@ TEST(QuantIntegration, Fp16BaselineLearnsLikeFp32) {
   const auto data = small_task();
 
   FpPolicy policy(FpPolicyConfig::fp16_mixed());
-  nn::TrainConfig tc = small_train_config(6, 1);
-  tc.on_warmup_end = [&policy](nn::Sequential&) { policy.activate(); };
-  nn::Trainer trainer(*net, &policy, tc);
+  train::TrainerConfig tc = small_train_config(6, 1, &policy);
+  tc.on_warmup_end = [&policy](nn::Module&) { policy.activate(); };
+  train::Trainer trainer(*net, tc);
   const auto hist = trainer.fit(data.train.images, data.train.labels, data.test.images, data.test.labels);
   EXPECT_GT(hist.back().test_acc, 0.5f);
 }
@@ -139,13 +141,13 @@ TEST(QuantIntegration, DeterministicGivenSeeds) {
     auto net = nn::cifar_resnet(rc, rng);
     const auto data = small_task();
     QuantPolicy policy(QuantConfig::cifar8());
-    nn::TrainConfig tc = small_train_config(3, 1);
+    train::TrainerConfig tc = small_train_config(3, 1, &policy);
     tc.shuffle_seed = 5;
-    tc.on_warmup_end = [&policy](nn::Sequential& n) {
+    tc.on_warmup_end = [&policy](nn::Module& n) {
       policy.calibrate(n);
       policy.activate();
     };
-    nn::Trainer trainer(*net, &policy, tc);
+    train::Trainer trainer(*net, tc);
     const auto hist = trainer.fit(data.train.images, data.train.labels, data.test.images, data.test.labels);
     return hist.back();
   };

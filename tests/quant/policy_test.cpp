@@ -6,9 +6,9 @@
 
 #include "data/synthetic.hpp"
 #include "nn/resnet.hpp"
-#include "nn/trainer.hpp"
 #include "quant/policy.hpp"
 #include "quant/stats_collector.hpp"
+#include "train/trainer.hpp"
 
 namespace pdnn::quant {
 namespace {
@@ -157,20 +157,21 @@ TEST(QuantizedTraining, MlpWithPositPolicyLearnsMoons) {
   QuantConfig cfg = QuantConfig::imagenet16();  // 16-bit posit everywhere
   auto policy = std::make_unique<QuantPolicy>(cfg);
 
-  nn::TrainConfig tc;
+  train::TrainerConfig tc;
   tc.epochs = 40;
   tc.batch_size = 32;
   tc.sgd = {.lr = 0.1f, .momentum = 0.9f, .weight_decay = 0.0f};
   tc.schedule = {.base_lr = 0.1f, .drop_epochs = {30}, .factor = 10.0f};
   tc.warmup_epochs = 2;
   QuantPolicy* praw = policy.get();
-  tc.on_warmup_end = [praw](nn::Sequential& n) {
+  tc.policy = praw;
+  tc.on_warmup_end = [praw](nn::Module& n) {
     praw->calibrate(n);
     praw->activate();
   };
 
   const auto data = pdnn::data::make_two_moons(200, 0.15f, 7);
-  nn::Trainer trainer(*net, policy.get(), tc);
+  train::Trainer trainer(*net, tc);
   const auto hist = trainer.fit(data.train.images, data.train.labels, data.test.images, data.test.labels);
   EXPECT_FALSE(hist[0].quantized);
   EXPECT_FALSE(hist[1].quantized);
@@ -186,13 +187,14 @@ TEST(QuantizedTraining, WeightsAreOnPositGridAfterTraining) {
   cfg.scale_mode = ScaleMode::kNone;  // plain grid for an exact check
   QuantPolicy policy(cfg);
 
-  nn::TrainConfig tc;
+  train::TrainerConfig tc;
   tc.epochs = 3;
   tc.batch_size = 16;
+  tc.policy = &policy;
   tc.warmup_epochs = 0;
-  tc.on_warmup_end = [&policy](nn::Sequential&) { policy.activate(); };
+  tc.on_warmup_end = [&policy](nn::Module&) { policy.activate(); };
   const auto data = pdnn::data::make_two_moons(40, 0.2f, 13);
-  nn::Trainer trainer(*net, &policy, tc);
+  train::Trainer trainer(*net, tc);
   trainer.fit(data.train.images, data.train.labels, data.test.images, data.test.labels);
 
   // Fig. 3c: stored weights were re-quantized after the last update.

@@ -14,11 +14,14 @@
 
 #include "nn/resnet.hpp"
 #include "quant/posit_inference.hpp"
+#include "quant/posit_session.hpp"
+#include "support/bits.hpp"
 #include "tensor/ops.hpp"
 
 namespace pdnn::quant {
 namespace {
 
+using test_support::bit_identical;
 using posit::PositSpec;
 using tensor::Rng;
 using tensor::Tensor;
@@ -36,11 +39,6 @@ const std::vector<AccumMode>& mode_grid() {
   static const std::vector<AccumMode> modes = {AccumMode::kQuire, AccumMode::kSerial,
                                                AccumMode::kFma};
   return modes;
-}
-
-bool bit_identical(const Tensor& a, const Tensor& b) {
-  return a.shape() == b.shape() &&
-         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
 }
 
 TEST(PositEngine, LinearBitIdenticalToScalarReferenceAcrossSpecGridAndModes) {
@@ -115,8 +113,8 @@ TEST(PositEngine, ThreadedRunsBitIdenticalToSerial) {
 }
 
 TEST(PositEngine, ForwardMatchesPerLayerReference) {
-  // posit_forward with the cache must agree bit-for-bit with hand-chaining
-  // the reference kernels on a Linear/ReLU stack.
+  // A compiled session must agree bit-for-bit with hand-chaining the
+  // reference kernels on a Linear/ReLU stack.
   Rng rng(59);
   auto net = nn::mlp(6, 10, 3, 1, rng);
   const Tensor x = Tensor::randn({4, 6}, rng);
@@ -131,7 +129,7 @@ TEST(PositEngine, ForwardMatchesPerLayerReference) {
         ref.apply([](float v) { return v > 0.0f ? v : 0.0f; });
       }
     }
-    const Tensor got = posit_forward(*net, x, cfg, mode);
+    const Tensor got = PositSession::compile(*net, SessionConfig::from_quant(cfg, mode)).run(x);
     EXPECT_TRUE(bit_identical(got, ref)) << "mode " << static_cast<int>(mode);
   }
 }
@@ -150,12 +148,14 @@ TEST(PositEngine, ForwardAppliesConvBiasAndRectangularKernel) {
   const tensor::Conv2dGeom g{2, 6, 7, 3, 3, 1, 1, 2};
   const Tensor ref = posit_conv2d_reference(x, conv_ptr->weight().value, conv_ptr->bias().value, g,
                                             cfg.conv.forward, AccumMode::kQuire);
-  const Tensor got = posit_forward(net, x, cfg, AccumMode::kQuire);
+  PositSession session =
+      PositSession::compile(net, SessionConfig::from_quant(cfg, AccumMode::kQuire));
+  const Tensor got = session.run(x);
   EXPECT_TRUE(bit_identical(got, ref));
   // The bias must actually land: zeroing it changes the output.
   conv_ptr->bias().value.fill(0.0f);
   conv_ptr->bias().mark_updated();
-  EXPECT_FALSE(bit_identical(posit_forward(net, x, cfg, AccumMode::kQuire), got));
+  EXPECT_FALSE(bit_identical(session.run(x), got));
 }
 
 TEST(PositEngine, ZeroBatchYieldsWellFormedEmptyOutputs) {
@@ -177,8 +177,8 @@ TEST(PositEngine, ZeroBatchYieldsWellFormedEmptyOutputs) {
   auto net = nn::plain_cnn(4, 3, rng);
   const Tensor warm = Tensor::randn({2, 3, 8, 8}, rng);
   net->forward(warm, true);
-  const Tensor y = posit_forward(*net, Tensor({0, 3, 8, 8}), QuantConfig::imagenet16(),
-                                 AccumMode::kQuire);
+  const auto cfg = SessionConfig::from_quant(QuantConfig::imagenet16(), AccumMode::kQuire);
+  const Tensor y = PositSession::compile(*net, cfg).run(Tensor({0, 3, 8, 8}));
   EXPECT_EQ(y.shape(), (tensor::Shape{0, 3}));
 }
 

@@ -5,9 +5,11 @@
 #include <cmath>
 
 #include "data/synthetic.hpp"
+#include "exec/float_backend.hpp"
 #include "nn/resnet.hpp"
-#include "nn/trainer.hpp"
 #include "quant/posit_inference.hpp"
+#include "quant/posit_session.hpp"
+#include "train/trainer.hpp"
 
 namespace pdnn::quant {
 namespace {
@@ -100,23 +102,24 @@ TEST(PositForward, MlpAgreementWithSimulatedQuantization) {
 
   QuantConfig cfg = QuantConfig::imagenet16();
   QuantPolicy policy(cfg);
-  nn::TrainConfig tc;
+  train::TrainerConfig tc;
   tc.epochs = 15;
   tc.batch_size = 32;
+  tc.policy = &policy;
   tc.warmup_epochs = 1;
-  tc.on_warmup_end = [&policy](nn::Sequential& n) {
+  tc.on_warmup_end = [&policy](nn::Module& n) {
     policy.calibrate(n);
     policy.activate();
   };
-  nn::Trainer trainer(*net, &policy, tc);
+  train::Trainer trainer(*net, tc);
   trainer.fit(data.train.images, data.train.labels, data.test.images, data.test.labels);
 
   // Simulated quantized forward (eval mode, policy active).
-  const Tensor sim = net->forward(data.test.images, false);
-  // True posit inference (policy hooks are bypassed: posit_forward reads the
-  // raw weights, which already live on the posit grid after training).
-  policy.deactivate();
-  const Tensor real = posit_forward(*net, data.test.images, cfg, AccumMode::kQuire);
+  const Tensor sim = exec::FloatBackend::compile(*net, &policy).run(data.test.images);
+  // True posit inference: the session reads the raw weights, which already
+  // live on the posit grid after training.
+  const Tensor real = PositSession::compile(*net, SessionConfig::from_quant(cfg, AccumMode::kQuire))
+                          .run(data.test.images);
 
   // Predictions should agree almost everywhere.
   std::size_t agree = 0;
@@ -141,8 +144,8 @@ TEST(PositForward, UnsupportedLayerThrows) {
   };
   nn::Sequential net("n");
   net.add(std::make_unique<Opaque>());
-  const Tensor x({1, 4});
-  EXPECT_THROW(posit_forward(net, x, QuantConfig{}, AccumMode::kQuire), std::invalid_argument);
+  const auto cfg = SessionConfig::from_quant(QuantConfig{}, AccumMode::kQuire);
+  EXPECT_THROW(PositSession::compile(net, cfg), std::invalid_argument);
 }
 
 TEST(PositForward, ResidualBlockRunsEndToEnd) {
@@ -157,7 +160,8 @@ TEST(PositForward, ResidualBlockRunsEndToEnd) {
 
   const Tensor x = Tensor::randn({2, 3, 8, 8}, rng);
   const Tensor ref = net.forward(x, false);
-  const Tensor y = posit_forward(net, x, QuantConfig::imagenet16(), AccumMode::kQuire);
+  const auto cfg = SessionConfig::from_quant(QuantConfig::imagenet16(), AccumMode::kQuire);
+  const Tensor y = PositSession::compile(net, cfg).run(x);
   ASSERT_EQ(y.shape(), ref.shape());
   for (std::size_t i = 0; i < y.numel(); ++i) {
     EXPECT_NEAR(y[i], ref[i], std::fabs(ref[i]) * 0.05 + 0.05) << i;
@@ -174,7 +178,8 @@ TEST(PositForward, PlainCnnRunsEndToEnd) {
 
   const Tensor x = Tensor::randn({2, 3, 8, 8}, rng);
   const Tensor ref = net->forward(x, false);
-  const Tensor y = posit_forward(*net, x, QuantConfig::imagenet16(), AccumMode::kQuire);
+  const auto cfg = SessionConfig::from_quant(QuantConfig::imagenet16(), AccumMode::kQuire);
+  const Tensor y = PositSession::compile(*net, cfg).run(x);
   ASSERT_EQ(y.shape(), ref.shape());
   // posit(16,1) forward should track FP32 closely (weights are FP32 here, so
   // this measures pure arithmetic error).

@@ -17,31 +17,18 @@
 #include "nn/resnet.hpp"
 #include "quant/posit_session.hpp"
 #include "serve/engine.hpp"
+#include "support/bits.hpp"
 #include "tensor/ops.hpp"
 
 namespace pdnn::serve {
 namespace {
 
+using test_support::bit_identical;
+using test_support::solo_run;
 using exec::Backend;
 using exec::FloatBackend;
 using tensor::Rng;
 using tensor::Tensor;
-
-bool bit_identical(const Tensor& a, const Tensor& b) {
-  return a.shape() == b.shape() &&
-         (a.numel() == 0 || std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0);
-}
-
-/// The solo reference: the same sample alone (batch of one) through a fresh
-/// backend of the same configuration.
-Tensor solo_run(Backend& backend, const Tensor& sample) {
-  const Tensor* one = &sample;
-  Tensor batch;
-  tensor::stack_samples(&one, 1, batch);
-  Tensor row;
-  tensor::extract_sample(backend.run(batch), 0, row);
-  return row;
-}
 
 /// N client threads push `per_client` samples each through `engine`; every
 /// future must come back bit-identical to the solo reference.

@@ -24,11 +24,14 @@
 #include "nn/resnet.hpp"
 #include "serve/engine.hpp"
 #include "serve/errors.hpp"
+#include "support/bits.hpp"
 #include "tensor/ops.hpp"
 
 namespace pdnn::serve {
 namespace {
 
+using test_support::bit_identical;
+using test_support::solo_run;
 using exec::Backend;
 using exec::FaultConfig;
 using exec::FaultInjectingBackend;
@@ -39,20 +42,6 @@ using tensor::Tensor;
 using namespace std::chrono_literals;
 
 constexpr float kPoison = 1.0e30f;  // the trigger value poison samples carry
-
-bool bit_identical(const Tensor& a, const Tensor& b) {
-  return a.shape() == b.shape() &&
-         (a.numel() == 0 || std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0);
-}
-
-Tensor solo_run(Backend& backend, const Tensor& sample) {
-  const Tensor* one = &sample;
-  Tensor batch;
-  tensor::stack_samples(&one, 1, batch);
-  Tensor row;
-  tensor::extract_sample(backend.run(batch), 0, row);
-  return row;
-}
 
 /// Poll `engine.stats()` until `pred` holds or ~10 s pass.
 template <typename Pred>

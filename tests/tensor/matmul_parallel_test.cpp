@@ -10,11 +10,14 @@
 #include <omp.h>
 #endif
 
+#include "support/bits.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/random.hpp"
 
 namespace pdnn::tensor {
 namespace {
+
+using test_support::bit_identical;
 
 /// Plain triple loop in the same i-k-j order as matmul_acc — the serial
 /// reference the threaded kernel must reproduce exactly.
@@ -28,11 +31,6 @@ Tensor matmul_reference(const Tensor& a, const Tensor& b) {
       for (std::size_t j = 0; j < n; ++j) c.at(i, j) += aik * b.at(kk, j);
     }
   return c;
-}
-
-bool bit_identical(const Tensor& x, const Tensor& y) {
-  return x.shape() == y.shape() &&
-         std::memcmp(x.data(), y.data(), x.numel() * sizeof(float)) == 0;
 }
 
 int saved_threads() {

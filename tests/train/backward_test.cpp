@@ -2,13 +2,16 @@
 // compile_training / train_forward / run_backward) against the eager
 // Module::forward(training)/backward chain: finite-difference gradient
 // checks, bit-equality on 40+ randomized nested graphs (including N = 0 and
-// batch-shape changes), BN running-stat commit parity, zero-heap-allocation
-// steady state, invalidate() reaching the backward panels, and the
-// training-API misuse throws.
+// batch-shape changes), the Fig. 3 policy hooks against the eager layers
+// under every deterministic policy, BN running-stat commit parity,
+// zero-heap-allocation steady state, invalidate() reaching the backward
+// panels, and the training-API misuse throws.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -16,32 +19,22 @@
 #include "graph_gen.hpp"
 #include "nn/layers.hpp"
 #include "nn/resnet.hpp"
+#include "quant/float_policy.hpp"
+#include "quant/policy.hpp"
+#include "support/bits.hpp"
 #include "support/heap_counter.hpp"
 #include "tensor/ops.hpp"
 
 namespace pdnn::exec {
 namespace {
 
+using test_support::bit_identical;
+using test_support::expect_nets_identical;
 using test_support::g_heap_allocs;
 
 using tensor::Rng;
 using tensor::Shape;
 using tensor::Tensor;
-
-bool bit_identical(const Tensor& a, const Tensor& b) {
-  return a.shape() == b.shape() &&
-         (a.numel() == 0 || std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0);
-}
-
-bool bit_identical(const std::vector<float>& a, const std::vector<float>& b) {
-  return a.size() == b.size() &&
-         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
-}
-
-void collect_bns(nn::Module& m, std::vector<nn::BatchNorm2d*>& out) {
-  if (auto* bn = dynamic_cast<nn::BatchNorm2d*>(&m)) out.push_back(bn);
-  for (nn::Module* c : m.children()) collect_bns(*c, out);
-}
 
 /// One eager training step on `net`: zero grads, training forward, backward.
 Tensor eager_step(nn::Module& net, const Tensor& x, const Tensor& grad_out, Tensor& out) {
@@ -73,19 +66,6 @@ void expect_steps_match(nn::Module& eager_net, FloatBackend& b, const Tensor& x,
   for (std::size_t i = 0; i < eager_params.size(); ++i) {
     EXPECT_TRUE(bit_identical(eager_params[i]->grad, plan_grads[i]))
         << ctx << ": grad of param " << i << " (" << eager_params[i]->name << ") differs";
-  }
-}
-
-void expect_bn_stats_match(nn::Module& eager_net, nn::Module& plan_net, const std::string& ctx) {
-  std::vector<nn::BatchNorm2d*> a, c;
-  collect_bns(eager_net, a);
-  collect_bns(plan_net, c);
-  ASSERT_EQ(a.size(), c.size()) << ctx;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_TRUE(bit_identical(a[i]->running_mean(), c[i]->running_mean()))
-        << ctx << ": running_mean of bn " << i << " differs";
-    EXPECT_TRUE(bit_identical(a[i]->running_var(), c[i]->running_var()))
-        << ctx << ": running_var of bn " << i << " differs";
   }
 }
 
@@ -189,7 +169,7 @@ TEST(TrainBackward, RandomizedGraphsBitIdenticalToEager) {
 
     const Tensor g1 = Tensor::randn(gshape, data_rng);
     expect_steps_match(*a.net, b, x, g1, ctx + " batch 1");
-    expect_bn_stats_match(*a.net, *c.net, ctx + " after batch 1");
+    expect_nets_identical(*a.net, *c.net, ctx + " after batch 1");
 
     // Batch-shape change through the same compiled backend.
     const std::size_t batch2 = batch + 1 + trial % 2;
@@ -197,7 +177,7 @@ TEST(TrainBackward, RandomizedGraphsBitIdenticalToEager) {
         Tensor::randn({batch2, a.input_shape[1], a.input_shape[2], a.input_shape[3]}, data_rng);
     const Tensor g2 = Tensor::randn({batch2, gshape[1]}, data_rng);
     expect_steps_match(*a.net, b, x2, g2, ctx + " batch 2 (reshaped)");
-    expect_bn_stats_match(*a.net, *c.net, ctx + " after batch 2");
+    expect_nets_identical(*a.net, *c.net, ctx + " after batch 2");
 
     // Every few trials, push an N = 0 batch through both paths: identical
     // degenerate expressions (BN's 0/0 included) must yield identical bits.
@@ -205,7 +185,7 @@ TEST(TrainBackward, RandomizedGraphsBitIdenticalToEager) {
       const Tensor x0(Shape{0, a.input_shape[1], a.input_shape[2], a.input_shape[3]});
       const Tensor g0(Shape{0, gshape[1]});
       expect_steps_match(*a.net, b, x0, g0, ctx + " batch 3 (N=0)");
-      expect_bn_stats_match(*a.net, *c.net, ctx + " after batch 3");
+      expect_nets_identical(*a.net, *c.net, ctx + " after batch 3");
     }
   }
 }
@@ -236,6 +216,82 @@ TEST(TrainBackward, GradientsAccumulateAcrossCallsLikeEager) {
   const std::vector<nn::Param*> eager_params = a.net->params();
   for (std::size_t i = 0; i < eager_params.size(); ++i) {
     EXPECT_TRUE(bit_identical(eager_params[i]->grad, b.param_grads()[i])) << "param " << i;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Fig. 3 policy hooks: compile_training(net, policy) vs the eager layers
+// ---------------------------------------------------------------------------
+
+/// Every deterministic policy family the paper benches train with, built
+/// for `net` and switched on as the warm-up handoff does: cifar8 then
+/// imagenet16, each with dynamic then calibrated shifts, each rounding
+/// toward zero then to nearest-even; last the FP8 (1-5-2) float baseline.
+std::vector<std::unique_ptr<nn::PrecisionPolicy>> policy_grid(nn::Module& net) {
+  std::vector<std::unique_ptr<nn::PrecisionPolicy>> grid;
+  for (const bool p16 : {false, true}) {
+    for (const auto scale : {quant::ScaleMode::kDynamic, quant::ScaleMode::kCalibrated}) {
+      for (const auto round : {posit::RoundMode::kTowardZero, posit::RoundMode::kNearestEven}) {
+        quant::QuantConfig cfg =
+            p16 ? quant::QuantConfig::imagenet16() : quant::QuantConfig::cifar8();
+        cfg.scale_mode = scale;
+        cfg.round_mode = round;
+        auto p = std::make_unique<quant::QuantPolicy>(cfg);
+        p->calibrate(net);
+        p->activate();
+        grid.push_back(std::move(p));
+      }
+    }
+  }
+  auto fp8 = std::make_unique<quant::FpPolicy>(quant::FpPolicyConfig::fp8_training());
+  fp8->activate();
+  grid.push_back(std::move(fp8));
+  return grid;
+}
+
+/// Nudge every parameter (an SGD step stand-in), bumping its version.
+void perturb(nn::Module& net) {
+  for (nn::Param* p : net.params()) {
+    for (std::size_t j = 0; j < p->value.numel(); ++j) {
+      p->value[j] += 0.01f * static_cast<float>(j % 7);
+    }
+    p->mark_updated();
+  }
+}
+
+TEST(TrainBackward, PolicyHooksBitIdenticalToEager) {
+  // Identically seeded nets, each with its own instance of every policy: the
+  // eager net gets it through set_policy, the plan through compile_training.
+  // Both nets stay bit-identical, so each policy continues on them.
+  nn::ResNetConfig rc;
+  rc.blocks_per_stage = 1;  // ResNet-8
+  rc.base_channels = 4;
+  rc.classes = 3;
+  const std::vector<std::pair<std::function<std::unique_ptr<nn::Sequential>(Rng&)>, Shape>> graphs =
+      {{[](Rng& r) { return nn::mlp(6, 10, 3, 2, r); }, Shape{3, 6}},
+       {[](Rng& r) { return nn::plain_cnn(4, 3, r); }, Shape{3, 3, 8, 8}},
+       {[rc](Rng& r) { return nn::cifar_resnet(rc, r); }, Shape{3, 3, 8, 8}}};
+  for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
+    Rng rng_a(808), rng_b(808), data_rng(909);
+    auto a = graphs[gi].first(rng_a);
+    auto c = graphs[gi].first(rng_b);
+    const auto pa = policy_grid(*a), pc = policy_grid(*c);
+    for (std::size_t k = 0; k < pa.size(); ++k) {
+      const std::string ctx = "graph " + std::to_string(gi) + " policy " + std::to_string(k);
+      a->set_policy(pa[k].get());
+      FloatBackend b = FloatBackend::compile_training(*c, pc[k].get());
+      for (int step = 0; step < 2; ++step) {
+        const Tensor x = Tensor::randn(graphs[gi].second, data_rng);
+        const Tensor g = Tensor::randn({3, 3}, data_rng);
+        expect_steps_match(*a, b, x, g, ctx + " step " + std::to_string(step));
+        expect_nets_identical(*a, *c, ctx);
+        // The compiled eval forward under the same policy matches eager too.
+        EXPECT_TRUE(bit_identical(a->forward(x, /*training=*/false), b.run(x))) << ctx;
+        // The next step's P(W) must re-derive from the new versions.
+        perturb(*a);
+        perturb(*c);
+      }
+    }
   }
 }
 
@@ -315,18 +371,8 @@ TEST(TrainBackward, WeightUpdateBetweenStepsRefreshesWithoutDrift) {
   Tensor out = a.net->forward(x, /*training=*/false);
   const Tensor g = Tensor::randn({2, out.shape()[1]}, data_rng);
   expect_steps_match(*a.net, b, x, g, "before update");
-
-  // Perturb every parameter identically on both nets (an SGD step stand-in).
-  const auto perturb = [](std::vector<nn::Param*> params) {
-    for (nn::Param* p : params) {
-      for (std::size_t j = 0; j < p->value.numel(); ++j) {
-        p->value[j] += 0.01f * static_cast<float>(j % 7);
-      }
-      p->mark_updated();
-    }
-  };
-  perturb(a.net->params());
-  perturb(c.net->params());
+  perturb(*a.net);
+  perturb(*c.net);
   expect_steps_match(*a.net, b, x, g, "after update");
 }
 

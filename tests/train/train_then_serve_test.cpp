@@ -13,20 +13,17 @@
 #include "exec/float_backend.hpp"
 #include "nn/resnet.hpp"
 #include "serve/engine.hpp"
+#include "support/bits.hpp"
 #include "tensor/ops.hpp"
 #include "train/trainer.hpp"
 
 namespace pdnn::train {
 namespace {
 
+using test_support::bit_identical;
 using exec::FloatBackend;
 using tensor::Rng;
 using tensor::Tensor;
-
-bool bit_identical(const Tensor& a, const Tensor& b) {
-  return a.shape() == b.shape() &&
-         (a.numel() == 0 || std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0);
-}
 
 TEST(TrainThenServe, StaleBackendsSeeTrainedWeights) {
   Rng rng(91);

@@ -1,61 +1,32 @@
 // trainer_test.cpp — train::Trainer determinism and correctness: trained
-// parameters bit-identical across 1/2/4 workers at fixed micro-batch,
-// single-shard steps bit-identical to the manual eager loop, shard-count
-// metrics aggregation, fit()'s epoch loop, and batch-validation throws.
+// parameters bit-identical across 1/2/4 workers at fixed micro-batch, a
+// single-shard multi-epoch fit (FP32 warm-up, then posit) bit-identical to
+// the hand-written eager loop, the warm-up handoff, shard-count metrics
+// aggregation, fit()'s epoch loop, and the batch/dataset/policy throws.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
 #include <vector>
 
+#include "data/synthetic.hpp"
 #include "nn/layers.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/resnet.hpp"
+#include "quant/policy.hpp"
+#include "support/bits.hpp"
 #include "tensor/ops.hpp"
 #include "train/trainer.hpp"
 
 namespace pdnn::train {
 namespace {
 
+using test_support::expect_nets_identical;
 using tensor::Rng;
 using tensor::Shape;
 using tensor::Tensor;
-
-bool bit_identical(const Tensor& a, const Tensor& b) {
-  return a.shape() == b.shape() &&
-         (a.numel() == 0 || std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0);
-}
-
-bool bit_identical(const std::vector<float>& a, const std::vector<float>& b) {
-  return a.size() == b.size() &&
-         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
-}
-
-void collect_bns(nn::Module& m, std::vector<nn::BatchNorm2d*>& out) {
-  if (auto* bn = dynamic_cast<nn::BatchNorm2d*>(&m)) out.push_back(bn);
-  for (nn::Module* c : m.children()) collect_bns(*c, out);
-}
-
-void expect_nets_identical(nn::Module& a, nn::Module& b, const std::string& ctx) {
-  const std::vector<nn::Param*> pa = a.params();
-  const std::vector<nn::Param*> pb = b.params();
-  ASSERT_EQ(pa.size(), pb.size()) << ctx;
-  for (std::size_t i = 0; i < pa.size(); ++i) {
-    EXPECT_TRUE(bit_identical(pa[i]->value, pb[i]->value))
-        << ctx << ": param " << i << " (" << pa[i]->name << ") differs";
-  }
-  std::vector<nn::BatchNorm2d*> ba, bb;
-  collect_bns(a, ba);
-  collect_bns(b, bb);
-  ASSERT_EQ(ba.size(), bb.size()) << ctx;
-  for (std::size_t i = 0; i < ba.size(); ++i) {
-    EXPECT_TRUE(bit_identical(ba[i]->running_mean(), bb[i]->running_mean()))
-        << ctx << ": bn " << i << " running_mean differs";
-    EXPECT_TRUE(bit_identical(ba[i]->running_var(), bb[i]->running_var()))
-        << ctx << ": bn " << i << " running_var differs";
-  }
-}
 
 std::unique_ptr<nn::Sequential> seeded_cnn(std::uint64_t seed) {
   Rng rng(seed);
@@ -103,40 +74,103 @@ TEST(TrainTrainer, ParamsBitIdenticalAcrossWorkerCounts) {
   EXPECT_EQ(s1.count, 8u);
 }
 
-TEST(TrainTrainer, SingleShardStepBitIdenticalToEagerLoop) {
-  // micro_batch == batch_size (one shard): every expression matches the
-  // manual eager loop — same loss, same gradients, same SGD update, same BN
-  // running stats.
-  auto eager_net = seeded_cnn(33);
-  auto plan_net = seeded_cnn(33);
+TEST(TrainTrainer, PositFitWithWarmupBitIdenticalToEagerLoop) {
+  // The paper's flow end to end: an FP32 warm-up epoch, calibrate +
+  // activate, then posit-quantized epochs. With one shard per batch, fit()
+  // must reproduce the hand-written eager loop — Module::forward/backward
+  // under set_policy, SgdMomentum(policy) applying P(W_updated), the same
+  // shuffles — in every trained bit and every epoch's training loss.
+  auto eager_net = seeded_cnn(77);
+  auto plan_net = seeded_cnn(77);
+  quant::QuantConfig qc = quant::QuantConfig::cifar8();
+  qc.scale_mode = quant::ScaleMode::kCalibrated;
+  quant::QuantPolicy eager_policy(qc), plan_policy(qc);
 
-  Rng data_rng(600);
-  const Tensor bx = Tensor::randn({4, 2, 8, 8}, data_rng);
-  const std::vector<int> by = {2, 0, 1, 2};
-
-  nn::SgdConfig sgd;
-  sgd.lr = 0.1f;
-  sgd.weight_decay = 5e-4f;
-  nn::SgdMomentum opt(eager_net->params(), sgd);
+  Rng data_rng(900);
+  const std::size_t n = 12;
+  const Tensor xs = Tensor::randn({n, 2, 8, 8}, data_rng);
+  std::vector<int> ys(n);
+  for (std::size_t i = 0; i < n; ++i) ys[i] = static_cast<int>(i % 3);
 
   TrainerConfig cfg;
-  cfg.batch_size = 4;
-  cfg.workers = 1;
-  cfg.sgd = sgd;
+  cfg.epochs = 3;
+  cfg.batch_size = 5;  // uneven tail batch of 2
+  cfg.sgd = {.lr = 0.05f, .momentum = 0.9f, .weight_decay = 1e-4f};
+  cfg.schedule = {.base_lr = 0.05f, .drop_epochs = {2}, .factor = 10.0f};
+  cfg.shuffle_seed = 3;
+  cfg.policy = &plan_policy;
+  cfg.warmup_epochs = 1;
+  cfg.on_warmup_end = [&plan_policy](nn::Module& net) {
+    plan_policy.calibrate(net);
+    plan_policy.activate();
+  };
   Trainer trainer(*plan_net, cfg);
+  const std::vector<EpochResult> history = trainer.fit(xs, ys, xs, ys);
+  ASSERT_EQ(history.size(), 3u);
 
-  for (int s = 0; s < 3; ++s) {
-    opt.zero_grad();
-    const Tensor logits = eager_net->forward(bx, /*training=*/true);
-    Tensor dlogits;
-    const float eager_loss = tensor::cross_entropy(logits, by, &dlogits);
-    eager_net->backward(dlogits);
-    opt.step();
+  eager_net->set_policy(&eager_policy);
+  nn::SgdMomentum opt(eager_net->params(), cfg.sgd, &eager_policy);
+  Rng shuffle(cfg.shuffle_seed);
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  const std::size_t row = xs.numel() / n;
+  for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
+    if (epoch == cfg.warmup_epochs) {
+      eager_policy.calibrate(*eager_net);
+      eager_policy.activate();
+    }
+    opt.set_lr(cfg.schedule.lr_at(epoch));
+    for (std::size_t i = n - 1; i > 0; --i) std::swap(order[i], order[shuffle.uniform_int(i + 1)]);
+    double loss_sum = 0.0;
+    for (std::size_t lo = 0; lo < n; lo += cfg.batch_size) {
+      const std::size_t hi = std::min(n, lo + cfg.batch_size);
+      Tensor bx({hi - lo, 2, 8, 8});
+      std::vector<int> by(hi - lo);
+      for (std::size_t i = lo; i < hi; ++i) {
+        std::memcpy(bx.data() + (i - lo) * row, xs.data() + order[i] * row, row * sizeof(float));
+        by[i - lo] = ys[order[i]];
+      }
+      opt.zero_grad();
+      const Tensor logits = eager_net->forward(bx, /*training=*/true);
+      Tensor dlogits;
+      const float loss = tensor::cross_entropy(logits, by, &dlogits);
+      loss_sum += static_cast<double>(loss) * static_cast<double>(hi - lo);
+      eager_net->backward(dlogits);
+      opt.step();
+    }
+    EXPECT_EQ(history[epoch].train_loss, static_cast<float>(loss_sum / static_cast<double>(n)))
+        << "epoch " << epoch;
+  }
+  expect_nets_identical(*eager_net, *plan_net, "after posit fit");
+}
 
-    const StepStats st = trainer.step(bx, by);
-    EXPECT_FLOAT_EQ(static_cast<float>(st.loss_sum / static_cast<double>(st.count)), eager_loss)
-        << "step " << s;
-    expect_nets_identical(*eager_net, *plan_net, "after step " + std::to_string(s));
+TEST(TrainTrainer, WarmupCallbackFiresOnce) {
+  Rng rng(21);
+  auto net = nn::mlp(2, 8, 2, 1, rng);
+  quant::QuantPolicy policy(quant::QuantConfig::imagenet16());
+  TrainerConfig cfg;
+  cfg.epochs = 4;
+  cfg.warmup_epochs = 2;
+  cfg.batch_size = 16;
+  cfg.policy = &policy;
+  int fired = 0;
+  std::size_t epochs_done = 0, fired_at = 999;
+  cfg.on_warmup_end = [&](nn::Module&) {
+    ++fired;
+    fired_at = epochs_done;
+    policy.activate();
+  };
+  cfg.on_epoch_end = [&](std::size_t e, nn::Module&) { EXPECT_EQ(e, epochs_done++); };
+  const auto data = data::make_two_moons(40, 0.2f, 9);
+  Trainer trainer(*net, cfg);
+  const std::vector<EpochResult> history =
+      trainer.fit(data.train.images, data.train.labels, data.test.images, data.test.labels);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(fired_at, 2u) << "warm-up ends entering epoch 2";
+  EXPECT_EQ(epochs_done, 4u);
+  ASSERT_EQ(history.size(), 4u);
+  for (std::size_t e = 0; e < history.size(); ++e) {
+    EXPECT_EQ(history[e].quantized, e >= cfg.warmup_epochs) << "epoch " << e;
   }
 }
 
@@ -214,9 +248,27 @@ TEST(TrainTrainer, DegenerateBatchesThrow) {
   EXPECT_THROW(t.step(Tensor::zeros({2, 4}), {0}), std::invalid_argument);
   EXPECT_THROW(t.step(Tensor::zeros({8, 4}), std::vector<int>(8, 0)), std::invalid_argument);
 
+  // Empty datasets and label/row count mismatches, train and eval side.
+  const Tensor x4 = Tensor::zeros({4, 4});
+  const std::vector<int> y4(4, 0);
+  EXPECT_THROW(t.fit(Tensor(), {}, x4, y4), std::invalid_argument);
+  EXPECT_THROW(t.fit(Tensor::zeros({0, 4}), {}, x4, y4), std::invalid_argument);
+  EXPECT_THROW(t.fit(x4, {0, 1}, x4, y4), std::invalid_argument);
+  EXPECT_THROW(t.fit(x4, std::vector<int>(5, 0), x4, y4), std::invalid_argument);
+  EXPECT_THROW(t.fit(x4, y4, Tensor::zeros({0, 4}), {}), std::invalid_argument);
+  EXPECT_THROW(t.fit(x4, y4, x4, {0}), std::invalid_argument);
+  EXPECT_THROW(t.evaluate(Tensor::zeros({0, 4}), {}), std::invalid_argument);
+  EXPECT_THROW(t.evaluate(x4, {0, 1, 2}), std::invalid_argument);
+  EXPECT_THROW(t.evaluate(x4, std::vector<int>(5, 0)), std::invalid_argument);
+
   TrainerConfig bad;
   bad.batch_size = 0;
   EXPECT_THROW(Trainer(*net, bad), std::invalid_argument);
+  // A policy's hook order must not depend on thread scheduling.
+  quant::QuantPolicy policy;
+  cfg.policy = &policy;
+  cfg.workers = 2;
+  EXPECT_THROW(Trainer(*net, cfg), std::invalid_argument);
 }
 
 }  // namespace
