@@ -2,8 +2,10 @@
 // over cloned exec backends) with closed-loop clients (each waits for its
 // answer before sending the next request) and an open-loop arrival process
 // (requests paced at an offered QPS regardless of completions), recording
-// p50/p99/p999 latency, achieved QPS, and the dispatched batch-size histogram
-// per row, then writes BENCH_serve.json.
+// p50/p99/p999 latency, achieved QPS, the dispatched batch-size histogram,
+// the engine's own per-phase p50/p99 (queue wait, gather, backend run,
+// copy-out) and its futile-wait early dispatches per row, then writes
+// BENCH_serve.json.
 //
 // Every closed-loop float row also bit-checks each batched answer against the
 // solo single-sample reference — the Engine's core correctness claim.
@@ -97,16 +99,14 @@ struct Row {
   std::uint64_t rejected = 0, shed = 0, deadline_expired = 0;
   std::uint64_t retries = 0, quarantines = 0, rebuilds = 0;
   std::uint64_t errors = 0;
+  // The engine's per-request phase histograms (EngineStats), as p50/p99 in
+  // microseconds: queue wait, gather, backend run, copy-out.
+  struct Phase {
+    double p50_us = 0.0, p99_us = 0.0;
+  };
+  Phase queue, gather, run, copy;
+  std::uint64_t early_dispatches = 0;
 };
-
-void fill_fault_stats(Row& row, const EngineStats& stats) {
-  row.rejected = stats.rejected;
-  row.shed = stats.shed;
-  row.deadline_expired = stats.deadline_expired;
-  row.retries = stats.retries;
-  row.quarantines = stats.quarantines;
-  row.rebuilds = stats.rebuilds;
-}
 
 std::string render_hist(const EngineStats& stats) {
   std::string h;
@@ -116,6 +116,33 @@ std::string render_hist(const EngineStats& stats) {
     h += std::to_string(s) + ":" + std::to_string(stats.batch_hist[s]);
   }
   return h.empty() ? "0" : h;
+}
+
+Row::Phase phase_of(const pdnn::serve::LatencyHistogram& h) {
+  const auto us = [&](double q) {
+    return std::chrono::duration<double, std::micro>(h.quantile(q)).count();
+  };
+  return {us(0.50), us(0.99)};
+}
+
+/// Everything a row reads off the engine after its drain.
+void fill_engine_stats(Row& row, const EngineStats& stats) {
+  row.batches = stats.batches;
+  row.mean_batch =
+      stats.batches == 0 ? 0.0
+                         : static_cast<double>(stats.completed) / static_cast<double>(stats.batches);
+  row.hist = render_hist(stats);
+  row.queue = phase_of(stats.queue_wait);
+  row.gather = phase_of(stats.gather);
+  row.run = phase_of(stats.run);
+  row.copy = phase_of(stats.copy_out);
+  row.early_dispatches = stats.early_dispatches;
+  row.rejected = stats.rejected;
+  row.shed = stats.shed;
+  row.deadline_expired = stats.deadline_expired;
+  row.retries = stats.retries;
+  row.quarantines = stats.quarantines;
+  row.rebuilds = stats.rebuilds;
 }
 
 /// Solo reference: the sample alone, a batch of one, through `backend`.
@@ -177,15 +204,9 @@ Row closed_loop(const std::string& backend_name, Backend& proto, const EngineCon
   std::vector<double> all;
   for (auto& l : lat) all.insert(all.end(), l.begin(), l.end());
   row.lat = percentiles(all);
-  const EngineStats stats = engine.stats();
-  row.batches = stats.batches;
-  row.mean_batch =
-      stats.batches == 0 ? 0.0
-                         : static_cast<double>(stats.completed) / static_cast<double>(stats.batches);
-  row.hist = render_hist(stats);
+  fill_engine_stats(row, engine.stats());
   row.bit_identical = identical.load() && errors.load() == 0;
   row.errors = errors.load();
-  fill_fault_stats(row, stats);
   return row;
 }
 
@@ -239,15 +260,9 @@ Row open_loop(const std::string& backend_name, Backend& proto, const EngineConfi
   row.requests = requests;
   row.achieved_qps = static_cast<double>(requests) / wall;
   row.lat = percentiles(lat_us);
-  const EngineStats stats = engine.stats();
-  row.batches = stats.batches;
-  row.mean_batch =
-      stats.batches == 0 ? 0.0
-                         : static_cast<double>(stats.completed) / static_cast<double>(stats.batches);
-  row.hist = render_hist(stats);
+  fill_engine_stats(row, engine.stats());
   row.bit_identical = errors.load() == 0;  // faultless open loop: any error is real
   row.errors = errors.load();
-  fill_fault_stats(row, stats);
   return row;
 }
 
@@ -324,13 +339,8 @@ Row chaos_loop(const std::string& backend_name, Backend& proto, const EngineConf
   for (auto& l : lat) all.insert(all.end(), l.begin(), l.end());
   row.lat = percentiles(all);
   const EngineStats stats = engine.stats();
-  row.batches = stats.batches;
-  row.mean_batch =
-      stats.batches == 0 ? 0.0
-                         : static_cast<double>(stats.completed) / static_cast<double>(stats.batches);
-  row.hist = render_hist(stats);
+  fill_engine_stats(row, stats);
   row.errors = errors.load();
-  fill_fault_stats(row, stats);
   // Every admitted request must have resolved, and exactly the poison
   // requests must have faulted.
   const std::uint64_t poison_sent = row.requests / 10;  // i % 10 == 7 per client
@@ -500,6 +510,11 @@ int main(int argc, char** argv) {
                   r.backend.c_str(), r.workers, r.offered_qps, r.achieved_qps, r.lat.p50_us,
                   r.lat.p99_us, r.lat.p999_us, r.mean_batch);
     }
+    std::printf("       engine p50/p99 us: queue %.1f/%.1f  gather %.1f/%.1f  run %.1f/%.1f  "
+                "copy %.1f/%.1f  early dispatches %llu\n",
+                r.queue.p50_us, r.queue.p99_us, r.gather.p50_us, r.gather.p99_us, r.run.p50_us,
+                r.run.p99_us, r.copy.p50_us, r.copy.p99_us,
+                static_cast<unsigned long long>(r.early_dispatches));
   }
 
   std::ofstream out(out_path);
@@ -521,6 +536,11 @@ int main(int argc, char** argv) {
         << ", \"shed\": " << r.shed << ", \"deadline_expired\": " << r.deadline_expired
         << ", \"retries\": " << r.retries << ", \"quarantines\": " << r.quarantines
         << ", \"rebuilds\": " << r.rebuilds << ", \"errors\": " << r.errors
+        << ", \"early_dispatches\": " << r.early_dispatches
+        << ", \"queue_p50_us\": " << r.queue.p50_us << ", \"queue_p99_us\": " << r.queue.p99_us
+        << ", \"gather_p50_us\": " << r.gather.p50_us << ", \"gather_p99_us\": " << r.gather.p99_us
+        << ", \"run_p50_us\": " << r.run.p50_us << ", \"run_p99_us\": " << r.run.p99_us
+        << ", \"copy_p50_us\": " << r.copy.p50_us << ", \"copy_p99_us\": " << r.copy.p99_us
         << ", \"bit_identical\": " << (r.bit_identical ? "true" : "false") << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }

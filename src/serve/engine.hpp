@@ -13,7 +13,9 @@
 //     wait in the queue;
 //   * workers coalesce requests into batches under two watermarks — dispatch
 //     as soon as `max_batch` same-shape requests are queued, or when the
-//     oldest pending request has waited `batch_timeout`, whichever first;
+//     oldest pending request has waited `batch_timeout`, whichever first —
+//     and one futile-wait rule: a partial batch goes early once the next
+//     arrival is expected only after the head's deadline (below);
 //   * a batch is gathered with tensor::stack_samples, run through the
 //     worker's own backend, and scattered back with tensor::extract_sample —
 //     each row is COPIED into its future before the worker's next run(), per
@@ -37,6 +39,23 @@
 // remaining queue keeps its relative order). An odd-shaped head therefore
 // delays only itself — never a ready batch of the majority shape — and
 // still cannot starve, because its time watermark is untouched.
+//
+// Futile waits: submit() keeps an O(1) estimate of the gap between
+// arrivals — the smaller of an EWMA (weight 1/8) and the latest gap, so one
+// close pair of arrivals ends a sparse spell's estimate at once. A worker
+// dispatches the head's partial batch as soon as now + gap >= head arrival
+// + batch_timeout: the next neighbour is expected after the deadline, so
+// waiting is expected to add nobody. Before the second arrival there is no
+// estimate (a zero gap), which is exactly the plain time watermark; so
+// batch_timeout is an upper bound on the wait, and 0 is still greedy. Each
+// worker also sets its Linux timer slack to 1 us, so the watermark wakes on
+// time instead of up to the default 50 us late.
+//
+// Observability: every request is stamped at arrival, dequeue, gather-done,
+// backend-done and promise-set, and the four phases between them are
+// recorded into fixed-size LatencyHistograms in EngineStats, under the lock
+// the worker already takes to count completions (no allocation, no new
+// lock).
 //
 // ## Overload and failure containment (the degrade-gracefully layer)
 //
@@ -80,6 +99,7 @@
 
 #include "exec/backend.hpp"
 #include "serve/errors.hpp"
+#include "serve/latency_histogram.hpp"
 #include "tensor/tensor.hpp"
 
 namespace pdnn::serve {
@@ -99,8 +119,11 @@ struct EngineConfig {
   /// Size watermark: dispatch immediately once this many same-shape requests
   /// are pending (also the gather buffer's steady-state capacity).
   std::size_t max_batch = 8;
-  /// Time watermark: dispatch a partial batch once its oldest request has
-  /// waited this long. 0 disables coalescing delay (greedy dispatch).
+  /// Time watermark, an upper bound on the coalescing wait: a partial batch
+  /// dispatches once its oldest request has waited this long, or earlier
+  /// once the estimated gap to the next arrival says waiting is futile
+  /// (the futile-wait rule above). 0 disables coalescing delay (greedy
+  /// dispatch).
   std::chrono::microseconds batch_timeout{200};
   /// Admission bound: maximum requests waiting in the queue (in-flight
   /// batches excluded). 0 = unbounded (the pre-overload behavior).
@@ -128,9 +151,19 @@ struct EngineStats {
   std::uint64_t retries = 0;           ///< backend re-runs after a failed run
   std::uint64_t quarantines = 0;       ///< workers taken out for rebuild
   std::uint64_t rebuilds = 0;          ///< backends rebuilt from the factory
+  /// Partial batches dispatched by the futile-wait rule, before their head
+  /// had waited batch_timeout.
+  std::uint64_t early_dispatches = 0;
   /// batch_hist[s] = batches dispatched with exactly s samples
   /// (index 0 unused; size max_batch + 1).
   std::vector<std::uint64_t> batch_hist;
+  /// Per-request phase latencies of every request a worker dequeued into a
+  /// batch (so each count is completed - shed - deadline_expired). A
+  /// retried request's gather/run/copy-out stamps are its last attempt's.
+  LatencyHistogram queue_wait;  ///< arrival -> dequeued into a batch
+  LatencyHistogram gather;      ///< dequeue -> batch gathered (stack_samples)
+  LatencyHistogram run;         ///< gathered -> backend run returned
+  LatencyHistogram copy_out;    ///< run returned -> row copied, promise set
 };
 
 class Engine {
@@ -186,9 +219,14 @@ class Engine {
     std::promise<tensor::Tensor> promise;
     Clock::time_point arrival;
     Clock::time_point deadline;  ///< time_point::max() = none
+    // Phase stamps, set by the worker that dequeues the request.
+    Clock::time_point dequeued, gathered, ran, resolved;
   };
 
   std::future<tensor::Tensor> submit_impl(tensor::Tensor sample, Clock::time_point deadline);
+  /// Fold one admitted arrival into the inter-arrival gap estimate. Caller
+  /// holds mu_.
+  void note_arrival(Clock::time_point arrival);
   void worker_loop(std::size_t worker);
   /// Length of the contiguous same-shape prefix of the queue, capped at
   /// max_batch. Caller holds mu_.
@@ -235,6 +273,11 @@ class Engine {
   bool accepting_ = true;
   bool stopping_ = false;
   EngineStats stats_;
+  // Inter-arrival gap estimate (guarded by mu_). gap_ stays zero — the plain
+  // time watermark — until the second admitted arrival.
+  Clock::time_point last_arrival_{};
+  Clock::duration gap_ewma_{0};
+  Clock::duration gap_{0};  ///< min(gap_ewma_, latest gap)
 
   /// Serializes quarantine rebuild factory calls (a prototype-clone factory
   /// shares one pristine backend; clone() on it must not race itself).

@@ -1,9 +1,9 @@
 // engine_test.cpp — serve::Engine concurrency and correctness: batched
 // answers bit-identical to solo runs (float and posit backends, 1/2/4
 // workers, many client threads), batch assembly under the size/timeout
-// watermarks, drain-on-shutdown with pending requests, N = 0 teardown,
-// failed-batch exception routing, and the Backend output contract
-// (stale-read guard, clone independence).
+// watermarks and the futile-wait rule, drain-on-shutdown with pending
+// requests, N = 0 teardown, failed-batch exception routing, and the Backend
+// output contract (stale-read guard, clone independence).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -153,6 +153,94 @@ TEST(ServeEngine, TimeoutWatermarkDispatchesPartialBatch) {
   f.get();
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.batch_hist[1], 1u);
+}
+
+// Futile-wait rule: with arrivals spaced wider than batch_timeout, the gap
+// estimate says no neighbour can arrive before the head's deadline, so
+// every partial batch after the second arrival dispatches early. Counted,
+// not timed, so sanitizer slowdowns cannot flake it.
+TEST(ServeEngine, SparseTrafficDispatchesEarly) {
+  Rng rng(383);
+  auto net = nn::mlp(4, 8, 2, 1, rng);
+  FloatBackend proto = FloatBackend::compile(*net);
+  EngineConfig cfg;
+  cfg.workers = 1;
+  cfg.max_batch = 8;
+  cfg.batch_timeout = std::chrono::milliseconds(20);
+  Engine engine(proto, cfg);
+
+  constexpr std::uint64_t kRequests = 8;
+  const Tensor sample = Tensor::randn({4}, rng);
+  const Tensor want = solo_run(proto, sample);
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    if (i != 0) std::this_thread::sleep_for(std::chrono::milliseconds(40));
+    EXPECT_TRUE(bit_identical(engine.submit(sample).get(), want)) << "request " << i;
+  }
+  engine.shutdown();
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.batch_hist[1], kRequests);
+  // The first request has no gap estimate and waits out the timeout; the
+  // rest go early (one spare for a worker that wakes past its deadline).
+  EXPECT_GE(stats.early_dispatches, kRequests - 2);
+  EXPECT_LT(stats.early_dispatches, kRequests);
+}
+
+// The estimate follows the latest gap down at once, so a sparse spell does
+// not cost the dense burst after it its full batches. The sparse gaps are 8x
+// batch_timeout: an EWMA alone would take ~16 close arrivals to fall back
+// under the timeout and would send this whole burst out as singletons.
+TEST(ServeEngine, DenseBurstAfterSparseSpellFormsFullBatches) {
+  Rng rng(389);
+  auto net = nn::mlp(4, 8, 2, 1, rng);
+  FloatBackend proto = FloatBackend::compile(*net);
+  EngineConfig cfg;
+  cfg.workers = 1;
+  cfg.max_batch = 4;
+  cfg.batch_timeout = std::chrono::milliseconds(50);
+  Engine engine(proto, cfg);
+
+  const Tensor sample = Tensor::randn({4}, rng);
+  const Tensor want = solo_run(proto, sample);
+  for (int i = 0; i < 3; ++i) {  // the sparse spell
+    if (i != 0) std::this_thread::sleep_for(std::chrono::milliseconds(400));
+    EXPECT_TRUE(bit_identical(engine.submit(sample).get(), want));
+  }
+  ASSERT_GE(engine.stats().early_dispatches, 1u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+
+  // Burst, 1 ms apart: the first arrival still comes after a sparse gap and
+  // goes alone; the second brings the estimate down, and the rest fill
+  // max_batch batches.
+  std::vector<std::future<Tensor>> burst;
+  for (std::size_t i = 0; i < 3 * cfg.max_batch + 1; ++i) {
+    if (i != 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    burst.push_back(engine.submit(sample));
+  }
+  for (auto& f : burst) EXPECT_TRUE(bit_identical(f.get(), want));
+  engine.shutdown();
+  EXPECT_GE(engine.stats().batch_hist[cfg.max_batch], 2u);
+}
+
+// No estimate before the second arrival: a cold engine's first request
+// waits out batch_timeout exactly as the plain time watermark does.
+TEST(ServeEngine, ColdEngineFirstRequestWaitsOutTimeout) {
+  Rng rng(397);
+  auto net = nn::mlp(4, 8, 2, 1, rng);
+  FloatBackend proto = FloatBackend::compile(*net);
+  EngineConfig cfg;
+  cfg.workers = 1;
+  cfg.max_batch = 8;
+  cfg.batch_timeout = std::chrono::milliseconds(20);
+  Engine engine(proto, cfg);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  auto f = engine.submit(Tensor::randn({4}, rng));
+  ASSERT_EQ(f.wait_for(std::chrono::seconds(30)), std::future_status::ready);
+  EXPECT_GE(std::chrono::steady_clock::now() - t0, cfg.batch_timeout);
+  f.get();
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.batch_hist[1], 1u);
+  EXPECT_EQ(stats.early_dispatches, 0u);
 }
 
 TEST(ServeEngine, HeadOfLineBlockedQueueDispatchesLaterFullBatch) {
