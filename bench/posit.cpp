@@ -1,24 +1,24 @@
 // posit — posit inference engine perf tracking. Times the retained scalar
 // reference path (coded operands, decode per MAC, weights re-encoded per
-// call) against the decode-once engine for representative layer shapes, per
-// spec and accumulation mode, serial and threaded, checks the engine is
-// bit-identical to the reference (and threaded to serial), and writes
-// BENCH_posit.json (codes/s and effective GF/s) so later PRs can diff.
+// call) against the compiled PositSession — a one-layer network holding the
+// case's weights, steady-state run() — for representative layer shapes, per
+// spec and accumulation mode, serial and at every hardware thread. Checks
+// every session row is bit-identical to the reference, and writes
+// BENCH_posit.json (MAC/s and effective GF/s) so later PRs can diff. A
+// batch-size sweep on the linear shape (labels "linear_sweep_b*") records
+// serving throughput as the per-run batch grows.
 //
 // Usage:
-//   bench_posit [--session] [out.json]
-//   bench_posit [--session] --check-regression <baseline.json> [out.json]
-//     also compares engine serial MAC/s against the committed baseline.
+//   bench_posit [out.json]
+//   bench_posit --check-regression <baseline.json> [out.json]
+//     also compares session/decode serial MAC/s against the baseline.
 //
-// --session additionally benches the compiled PositSession: steady-state
-// run() throughput on each shape (path "session") plus a batch-size sweep on
-// the linear shape (labels "linear_sweep_b*"), all recorded in the JSON.
-//
-// Besides throughput rows, the JSON carries a "footprints" array — per
-// (shape, spec) packed panel bytes next to what the old unpacked layout
-// (4-byte code + 8-byte Unpacked per value) would cost — and per-spec
-// "decode_bandwidth" rows timing the block decoder (unpack + SIMD batch
-// decode; macs_per_s holds codes/s for these).
+// The JSON header carries host metadata (CPU model, nproc, AVX2, compiler).
+// Besides throughput rows, it holds a "footprints" array — per (shape,
+// spec) posit::pack'ed weight+bias payload bytes next to what the old
+// unpacked layout (4-byte code + 8-byte Unpacked per value) would cost —
+// and per-spec "decode_bandwidth" rows timing the block decoder (unpack +
+// SIMD batch decode; macs_per_s holds codes/s for these).
 //
 // Exit codes: 0 ok; 1 correctness mismatch or packed-footprint growth vs
 // the baseline (both blocking — bit-identity and model size are contracts);
@@ -37,6 +37,8 @@
 #include "nn/layers.hpp"
 #include "posit/add_lut.hpp"
 #include "posit/mul_lut.hpp"
+#include "posit/packed.hpp"
+#include "posit/simd.hpp"
 #include "quant/posit_inference.hpp"
 #include "quant/posit_session.hpp"
 #include "tensor/ops.hpp"
@@ -46,7 +48,6 @@ namespace {
 
 using pdnn::posit::PositSpec;
 using pdnn::quant::AccumMode;
-using pdnn::quant::EncodedTensor;
 using pdnn::quant::PositSession;
 using pdnn::quant::SessionConfig;
 using pdnn::tensor::Conv2dGeom;
@@ -76,7 +77,7 @@ struct Result {
   std::string label;
   PositSpec spec{8, 1};
   AccumMode mode = AccumMode::kQuire;
-  std::string path;  // "reference" | "engine" | "engine_cached"
+  std::string path;  // "reference" | "session" | "decode"
   int threads = 1;
   double seconds = 0.0;
   double macs_per_s = 0.0;
@@ -182,7 +183,7 @@ std::size_t baseline_packed_bytes(const std::vector<Footprint>& entries, const F
   return 0;
 }
 
-double baseline_engine_macs(const std::vector<BaselineEntry>& entries, const Result& r) {
+double baseline_macs(const std::vector<BaselineEntry>& entries, const Result& r) {
   for (const auto& e : entries) {
     if (e.label == r.label && e.mode == mode_name(r.mode) && e.path == r.path &&
         e.n == r.spec.n && e.es == r.spec.es && e.threads == 1) {
@@ -193,7 +194,7 @@ double baseline_engine_macs(const std::vector<BaselineEntry>& entries, const Res
 }
 
 /// One-layer network holding exactly the bench case's weights, so the
-/// session path measures the same arithmetic the engine paths do.
+/// session measures the same arithmetic the reference does.
 std::unique_ptr<pdnn::nn::Sequential> case_net(const Case& c, const Tensor& w, const Tensor& bias) {
   // Local Rng: the ctor init is overwritten below, and consuming the bench's
   // stream here would shift every later case's data.
@@ -231,7 +232,6 @@ SessionConfig session_config(const PositSpec& spec, AccumMode mode) {
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_posit.json";
   std::string baseline_path;
-  bool run_session = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--check-regression") {
@@ -240,8 +240,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       baseline_path = argv[++i];
-    } else if (arg == "--session") {
-      run_session = true;
     } else {
       out_path = arg;
     }
@@ -299,12 +297,12 @@ int main(int argc, char** argv) {
       {
         // Model footprint at this format: packed payload vs what the retired
         // unpacked layout (uint32 code + 8-byte Unpacked per value) held.
-        const EncodedTensor fw = pdnn::quant::encode_pack(w, spec);
-        const EncodedTensor fb = pdnn::quant::encode_pack(bias, spec);
+        const auto fw = pdnn::posit::pack(w, spec, pdnn::quant::kEncodeRound);
+        const auto fb = pdnn::posit::pack(bias, spec, pdnn::quant::kEncodeRound);
         Footprint f;
         f.label = c.label;
         f.spec = spec;
-        f.values = fw.numel() + fb.numel();
+        f.values = fw.count + fb.count;
         f.packed_bytes = fw.payload_bytes() + fb.payload_bytes();
         f.unpacked_bytes = f.values * (sizeof(std::uint32_t) + sizeof(pdnn::posit::Unpacked));
         footprints.push_back(f);
@@ -324,94 +322,48 @@ int main(int argc, char** argv) {
         // best-of (mirrors bench_gemm).
         const bool small = c.macs < 8.0e6;
         const int ref_reps = small ? 3 : 1;
-        const int eng_reps = small ? 10 : 3;
+        const int sess_reps = small ? 10 : 3;
         set_threads(1);
 
-        Tensor ref_out, eng_out;
+        Tensor ref_out;
         const auto run_ref = [&] {
           ref_out = c.is_conv
                         ? pdnn::quant::posit_conv2d_reference(x, w, bias, c.geom, spec, mode)
                         : pdnn::quant::posit_linear_reference(x, w, bias, spec, mode);
         };
-        const auto run_eng = [&] {
-          eng_out = c.is_conv ? pdnn::quant::posit_conv2d(x, w, bias, c.geom, spec, mode)
-                              : pdnn::quant::posit_linear(x, w, bias, spec, mode);
-        };
-
         const double t_ref = time_best(run_ref, ref_reps);
-        const double t_eng = time_best(run_eng, eng_reps);
-        const bool eng_match = same_bits(eng_out, ref_out);
 
-        // Steady-state serving: weights already encoded + unpacked (what
-        // a compiled session holds in its panels).
-        const EncodedTensor we = pdnn::quant::encode_pack(w, spec);
-        const EncodedTensor be = pdnn::quant::encode_pack(bias, spec);
-        Tensor cached_out;
-        const auto run_cached = [&] {
-          cached_out = c.is_conv ? pdnn::quant::posit_conv2d(x, we, be, c.geom, mode)
-                                 : pdnn::quant::posit_linear(x, we, be, mode);
-        };
-        const double t_cached = time_best(run_cached, eng_reps);
-        const bool cached_match = same_bits(cached_out, ref_out);
-
+        // Compiled steady state: weights pre-encoded into session panels,
+        // quire arenas planned, scratch reused across run() calls.
+        auto net = case_net(c, w, bias);
+        PositSession session = PositSession::compile(*net, session_config(spec, mode));
+        const Tensor* sess_out = nullptr;
+        const auto run_sess = [&] { sess_out = &session.run(x); };
+        run_sess();  // settle buffer shapes before timing
+        const double t_sess = time_best(run_sess, sess_reps);
+        const bool sess_match = same_bits(*sess_out, ref_out);
         set_threads(hw_threads);
-        Tensor thr_out;
-        const auto run_thr = [&] {
-          thr_out = c.is_conv ? pdnn::quant::posit_conv2d(x, we, be, c.geom, mode)
-                              : pdnn::quant::posit_linear(x, we, be, mode);
-        };
-        const double t_thr = time_best(run_thr, eng_reps);
-        const bool thr_match = same_bits(thr_out, ref_out);
+        const double t_thr = time_best(run_sess, sess_reps);
+        const bool thr_match = same_bits(*sess_out, ref_out);
         set_threads(1);
 
         results.push_back({c.label, spec, mode, "reference", 1, t_ref, c.macs / t_ref, lut, true, 1.0});
-        results.push_back(
-            {c.label, spec, mode, "engine", 1, t_eng, c.macs / t_eng, lut, eng_match, t_ref / t_eng});
-        results.push_back({c.label, spec, mode, "engine_cached", 1, t_cached, c.macs / t_cached, lut,
-                           cached_match, t_ref / t_cached});
-        results.push_back({c.label, spec, mode, "engine_cached", hw_threads, t_thr, c.macs / t_thr,
-                           lut, thr_match, t_ref / t_thr});
-        mismatch = mismatch || !eng_match || !cached_match || !thr_match;
+        results.push_back({c.label, spec, mode, "session", 1, t_sess, c.macs / t_sess, lut,
+                           sess_match, t_ref / t_sess});
+        results.push_back({c.label, spec, mode, "session", hw_threads, t_thr, c.macs / t_thr, lut,
+                           thr_match, t_ref / t_thr});
+        mismatch = mismatch || !sess_match || !thr_match;
 
-        std::printf("%-20s %-11s %-6s ref %8.3f MMAC/s  engine %8.3f MMAC/s (x%5.1f)  cached %8.3f "
-                    "MMAC/s (x%5.1f)  %d-thr %8.3f  %s%s\n",
+        std::printf("%-20s %-11s %-6s ref %8.3f MMAC/s  session %8.3f MMAC/s (x%5.1f)  "
+                    "%d-thr %8.3f  %s%s\n",
                     c.label.c_str(), spec.to_string().c_str(), mode_name(mode), c.macs / t_ref * 1e-6,
-                    c.macs / t_eng * 1e-6, t_ref / t_eng, c.macs / t_cached * 1e-6, t_ref / t_cached,
-                    hw_threads, c.macs / t_thr * 1e-6,
-                    eng_match && cached_match && thr_match ? "bit-identical" : "MISMATCH",
-                    lut ? " [lut]" : "");
-
-        if (run_session) {
-          // Compiled steady state: weights pre-encoded into session panels,
-          // quire arenas planned, scratch reused across run() calls.
-          auto net = case_net(c, w, bias);
-          PositSession session = PositSession::compile(*net, session_config(spec, mode));
-          const Tensor* sess_out = nullptr;
-          const auto run_sess = [&] { sess_out = &session.run(x); };
-          run_sess();  // settle buffer shapes before timing
-          const double t_sess = time_best(run_sess, eng_reps);
-          const bool sess_match = same_bits(*sess_out, ref_out);
-          set_threads(hw_threads);
-          const double t_sess_thr = time_best(run_sess, eng_reps);
-          const bool sess_thr_match = same_bits(*sess_out, ref_out);
-          set_threads(1);
-          results.push_back({c.label, spec, mode, "session", 1, t_sess, c.macs / t_sess, lut,
-                             sess_match, t_ref / t_sess});
-          results.push_back({c.label, spec, mode, "session", hw_threads, t_sess_thr,
-                             c.macs / t_sess_thr, lut, sess_thr_match, t_ref / t_sess_thr});
-          mismatch = mismatch || !sess_match || !sess_thr_match;
-          std::printf("%-20s %-11s %-6s session %8.3f MMAC/s (x%5.1f vs ref, x%4.2f vs cached)  "
-                      "%d-thr %8.3f  %s\n",
-                      c.label.c_str(), spec.to_string().c_str(), mode_name(mode),
-                      c.macs / t_sess * 1e-6, t_ref / t_sess, t_cached / t_sess, hw_threads,
-                      c.macs / t_sess_thr * 1e-6,
-                      sess_match && sess_thr_match ? "bit-identical" : "MISMATCH");
-        }
+                    c.macs / t_sess * 1e-6, t_ref / t_sess, hw_threads, c.macs / t_thr * 1e-6,
+                    sess_match && thr_match ? "bit-identical" : "MISMATCH", lut ? " [lut]" : "");
       }
     }
   }
 
-  if (run_session) {
+  {
     // Batch-size sweep: serving throughput as the per-run batch grows, on the
     // acceptance shape's format (posit(16,1), quire accumulation).
     const PositSpec spec{16, 1};
@@ -421,8 +373,6 @@ int main(int argc, char** argv) {
     const Tensor bias = Tensor::randn({lin.n}, rng, 0.1f);
     auto net = case_net(lin, w, bias);
     PositSession session = PositSession::compile(*net, session_config(spec, mode));
-    const EncodedTensor we = pdnn::quant::encode_pack(w, spec);
-    const EncodedTensor be = pdnn::quant::encode_pack(bias, spec);
     for (const std::size_t batch : {std::size_t{1}, std::size_t{8}, std::size_t{64},
                                     std::size_t{256}}) {
       const Tensor x = Tensor::randn({batch, lin.k}, rng);
@@ -431,7 +381,8 @@ int main(int argc, char** argv) {
       const auto run_sess = [&] { out = &session.run(x); };
       run_sess();
       const double t = time_best(run_sess, batch >= 64 ? 3 : 10);
-      const bool match = same_bits(*out, pdnn::quant::posit_linear(x, we, be, mode));
+      const bool match =
+          same_bits(*out, pdnn::quant::posit_linear_reference(x, w, bias, spec, mode));
       const std::string label = "linear_sweep_b" + std::to_string(batch);
       results.push_back({label, spec, mode, "session", 1, t, macs / t, false, match, 0.0});
       mismatch = mismatch || !match;
@@ -452,7 +403,7 @@ int main(int argc, char** argv) {
     std::vector<std::uint32_t> codes(n_codes);
     std::vector<pdnn::posit::Unpacked> ops(n_codes);
     for (const PositSpec& spec : specs) {
-      EncodedTensor panel;
+      pdnn::posit::PackedPositTensor panel;
       pdnn::quant::encode_pack_into(src.data(), n_codes, spec, panel);
       const auto run_decode = [&] {
         pdnn::posit::unpack_codes(panel.packed.data(), 0, n_codes, spec, codes.data());
@@ -472,7 +423,9 @@ int main(int argc, char** argv) {
     std::cerr << "FAIL: cannot open " << out_path << " for writing\n";
     return 2;
   }
-  out << "{\n  \"bench\": \"posit\",\n  \"threads_available\": " << hw_threads
+  out << "{\n  \"bench\": \"posit\",\n  "
+      << pdnn::benchutil::host_json(pdnn::posit::simd::enabled())
+      << ",\n  \"threads_available\": " << hw_threads
       << ",\n  \"act_tile\": " << pdnn::quant::kActTile << ",\n  \"results\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
@@ -499,19 +452,15 @@ int main(int argc, char** argv) {
   std::cout << "wrote " << out_path << "\n";
 
   if (mismatch) {
-    std::cerr << "FAIL: engine diverged from the scalar reference\n";
+    std::cerr << "FAIL: session diverged from the scalar reference\n";
   }
 
   bool regressed = false;
   bool footprint_grew = false;
   if (!baseline_path.empty()) {
     for (const auto& r : results) {
-      if ((r.path != "engine" && r.path != "engine_cached" && r.path != "session" &&
-           r.path != "decode") ||
-          r.threads != 1) {
-        continue;
-      }
-      const double base = baseline_engine_macs(baseline, r);
+      if ((r.path != "session" && r.path != "decode") || r.threads != 1) continue;
+      const double base = baseline_macs(baseline, r);
       if (base <= 0.0) continue;  // entry not in baseline; nothing to compare
       const double ratio = r.macs_per_s / base;
       std::printf("regression check %-20s %-13s %-11s %-6s: %8.3f MMAC/s vs baseline %8.3f (x%.2f)%s\n",
@@ -520,7 +469,7 @@ int main(int argc, char** argv) {
       if (ratio < 0.8) regressed = true;
     }
     if (regressed)
-      std::cerr << "FAIL: engine serial MAC/s dropped >20% vs " << baseline_path << "\n";
+      std::cerr << "FAIL: session serial MAC/s dropped >20% vs " << baseline_path << "\n";
 
     // Packed footprint is a model-size contract, not a perf number: panels
     // are deterministic bytes, so any growth over the baseline is a real

@@ -130,21 +130,12 @@ std::size_t save_parameters_posit(std::ostream& os, Sequential& net, const posit
     write_pod(os, static_cast<std::uint32_t>(spec.n));
     write_pod(os, static_cast<std::uint32_t>(spec.es));
     const posit::PackedPositTensor packed =
-        posit::PackedPositTensor::pack(p->value, spec, posit::RoundMode::kNearestEven);
-    const auto bytes = static_cast<std::uint64_t>(packed.byte_size());
-    write_pod(os, bytes);
-    // Re-encode to a contiguous buffer via code_at for portability.
-    std::vector<std::uint8_t> buf(packed.byte_size(), 0);
-    for (std::size_t i = 0; i < packed.numel(); ++i) {
-      const std::uint32_t code = packed.code_at(i);
-      const std::size_t bit0 = i * static_cast<std::size_t>(spec.n);
-      for (int b = 0; b < spec.n; ++b) {
-        const std::size_t bit = bit0 + static_cast<std::size_t>(b);
-        if ((code >> b) & 1u) buf[bit / 8] |= static_cast<std::uint8_t>(1u << (bit % 8));
-      }
-    }
-    os.write(reinterpret_cast<const char*>(buf.data()), static_cast<std::streamsize>(buf.size()));
-    payload += buf.size();
+        posit::pack(p->value, spec, posit::RoundMode::kNearestEven);
+    const std::size_t bytes = packed.payload_bytes();
+    write_pod(os, static_cast<std::uint64_t>(bytes));
+    os.write(reinterpret_cast<const char*>(packed.packed.data()),
+             static_cast<std::streamsize>(bytes));
+    payload += bytes;
   }
   return payload;
 }
@@ -159,28 +150,26 @@ void load_parameters_posit(std::istream& is, Sequential& net) {
     const auto n = static_cast<int>(read_pod<std::uint32_t>(is));
     const auto es = static_cast<int>(read_pod<std::uint32_t>(is));
     const posit::PositSpec spec{n, es};
-    spec.validate();
+    try {
+      spec.validate();
+    } catch (const std::invalid_argument&) {
+      throw std::runtime_error("checkpoint: bad posit format");
+    }
     const auto bytes = read_pod<std::uint64_t>(is);
     const auto it = by_name.find(ns.name);
     if (it == by_name.end()) throw std::runtime_error("checkpoint: unknown parameter " + ns.name);
     if (it->second->value.shape() != ns.shape) {
       throw std::runtime_error("checkpoint: shape mismatch for " + ns.name);
     }
-    posit::PackedPositTensor packed(spec, ns.shape);
-    if (bytes != packed.byte_size()) throw std::runtime_error("checkpoint: payload size mismatch");
-    std::vector<std::uint8_t> buf(static_cast<std::size_t>(bytes));
-    is.read(reinterpret_cast<char*>(buf.data()), static_cast<std::streamsize>(buf.size()));
-    if (!is) throw std::runtime_error("checkpoint: truncated posit payload");
-    for (std::size_t e = 0; e < packed.numel(); ++e) {
-      std::uint32_t code = 0;
-      const std::size_t bit0 = e * static_cast<std::size_t>(spec.n);
-      for (int b = 0; b < spec.n; ++b) {
-        const std::size_t bit = bit0 + static_cast<std::size_t>(b);
-        code |= static_cast<std::uint32_t>((buf[bit / 8] >> (bit % 8)) & 1u) << b;
-      }
-      packed.set_code(e, code);
+    posit::PackedPositTensor packed{spec, ns.shape, {}, ns.shape.numel()};
+    if (bytes != packed.payload_bytes()) {
+      throw std::runtime_error("checkpoint: payload size mismatch");
     }
-    it->second->value = packed.unpack();
+    // The stored payload is pack_codes' layout verbatim; the slack stays zero.
+    packed.packed.assign(posit::packed_capacity(packed.count, spec), 0u);
+    is.read(reinterpret_cast<char*>(packed.packed.data()), static_cast<std::streamsize>(bytes));
+    if (!is) throw std::runtime_error("checkpoint: truncated posit payload");
+    it->second->value = posit::unpack(packed);
     it->second->mark_updated();
   }
 }

@@ -4,7 +4,8 @@
 // binary container. Two uses in this repo: reusing a warm-up-trained FP32
 // checkpoint across posit configurations (the paper trains the warm-up once
 // per run; sharing it makes ablations comparable), and persisting posit
-// models compactly via PackedPositTensor (the 25%/50% model-size claim).
+// models compactly as posit::PackedPositTensor payloads (the 25%/50%
+// model-size claim).
 #pragma once
 
 #include <iosfwd>
@@ -29,9 +30,20 @@ void load_parameters(std::istream& is, Sequential& net);
 void save_parameters_file(const std::string& path, Sequential& net);
 void load_parameters_file(const std::string& path, Sequential& net);
 
-/// Posit-compressed checkpoint: every parameter packed to (n, es) codes.
-/// Returns total payload bytes (the model-size number of Section IV).
+/// Posit-compressed checkpoint: every parameter rounded nearest-even to
+/// (n, es) codes by posit::pack. Format:
+///   magic "PDNNP001" | u64 param count | per param:
+///   u32 name length | name bytes | u32 rank | u64 dims[rank] |
+///   u32 n | u32 es | u64 payload bytes | payload
+/// where the payload is posit::pack_codes' layout (n-bit codes edge to edge,
+/// LSB-first) without its tail slack. Returns total payload bytes (the
+/// model-size number of Section IV).
 std::size_t save_parameters_posit(std::ostream& os, Sequential& net, const posit::PositSpec& spec);
+
+/// Restores a posit checkpoint (NaR codes load as 0). Throws
+/// std::runtime_error on everything load_parameters rejects, on an (n, es)
+/// outside PositSpec's limits ("checkpoint: bad posit format"), on a payload
+/// size that disagrees with shape and format, and on a truncated payload.
 void load_parameters_posit(std::istream& is, Sequential& net);
 
 }  // namespace pdnn::nn

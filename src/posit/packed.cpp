@@ -29,27 +29,21 @@ void unpack_codes(const std::uint8_t* packed, std::size_t first, std::size_t cou
   }
 }
 
-void PackedPositTensor::set_code(std::size_t index, std::uint32_t code) {
-  const std::size_t bit = index * static_cast<std::size_t>(spec_.n);
-  std::uint64_t window;
-  std::memcpy(&window, bits_.data() + (bit >> 3), sizeof(window));
-  window &= ~(static_cast<std::uint64_t>(spec_.mask()) << (bit & 7));
-  window |= static_cast<std::uint64_t>(code & spec_.mask()) << (bit & 7);
-  std::memcpy(bits_.data() + (bit >> 3), &window, sizeof(window));
-}
-
-PackedPositTensor PackedPositTensor::pack(const tensor::Tensor& t, PositSpec spec, RoundMode mode) {
-  PackedPositTensor out(spec, t.shape());
-  for (std::size_t i = 0; i < t.numel(); ++i) {
-    out.set_code(i, from_double(t[i], spec, mode));
+PackedPositTensor pack(const tensor::Tensor& t, PositSpec spec, RoundMode mode) {
+  spec.validate();
+  PackedPositTensor p{spec, t.shape(), {}, t.numel()};
+  p.packed.assign(packed_capacity(p.count, spec), 0u);
+  for (std::size_t i = 0; i < p.count; ++i) {
+    const std::uint32_t code = from_double(t[i], spec, mode);
+    pack_codes(&code, i, 1, spec, p.packed.data());
   }
-  return out;
+  return p;
 }
 
-tensor::Tensor PackedPositTensor::unpack() const {
-  tensor::Tensor t(shape_);
-  for (std::size_t i = 0; i < t.numel(); ++i) {
-    const double v = to_double(code_at(i), spec_);
+tensor::Tensor unpack(const PackedPositTensor& p) {
+  tensor::Tensor t(p.shape);
+  for (std::size_t i = 0; i < p.count; ++i) {
+    const double v = to_double(unpack_one(p.packed.data(), i, p.spec), p.spec);
     t[i] = static_cast<float>(v == v ? v : 0.0);  // NaR -> 0 in float tensors
   }
   return t;

@@ -1,19 +1,22 @@
 // packed.hpp — bit-packed posit storage.
 //
 // Section IV of the paper: "By using 8 bits or 16 bits posit number for
-// training, the model size can be reduced to 25% or 50%" of FP32. Two layers
-// live here:
+// training, the model size can be reduced to 25% or 50%" of FP32. This is
+// the one place posit codes are packed:
 //
 //   * pack_codes / unpack_codes — the block codec primitive: n-bit posit
 //     codes packed edge to edge (LSB-first within each byte, no padding
-//     between codes), random-access decodable from any code index. This is
-//     the storage layout behind the engine's compressed weight panels
-//     (quant::EncodedTensor): a posit(8,·) panel costs 1 byte per value
-//     where the decode-once layout spent 12. Access goes through unaligned
-//     64-bit windows, so every packed buffer must reserve kPackedSlackBytes
-//     of tail slack (packed_capacity() accounts for it).
-//   * PackedPositTensor — the model-size claim as an artifact: a whole float
-//     tensor quantized and packed, round-trippable to float32.
+//     between codes), random-access decodable from any code index. Access
+//     goes through unaligned 64-bit windows, so every packed buffer must
+//     reserve kPackedSlackBytes of tail slack (packed_capacity() accounts
+//     for it).
+//   * PackedPositTensor — a tensor's codes in that layout, the one posit
+//     container: the engine's compressed weight and activation panels
+//     (a posit(8,·) panel costs 1 byte per value where the decode-once
+//     layout spent 12) and the payload of posit checkpoints
+//     (nn/serialize.hpp writes payload_bytes() of `packed` verbatim).
+//   * pack / unpack — a whole float tensor quantized and packed, and decoded
+//     back to float32: the model-size claim as an artifact.
 #pragma once
 
 #include <cstdint>
@@ -59,38 +62,24 @@ inline std::uint32_t unpack_one(const std::uint8_t* packed, std::size_t index,
   return static_cast<std::uint32_t>(window >> (bit & 7)) & spec.mask();
 }
 
-class PackedPositTensor {
- public:
-  PackedPositTensor(PositSpec spec, tensor::Shape shape)
-      : spec_(spec), shape_(shape), bits_(packed_capacity(shape.numel(), spec), 0) {
-    spec_.validate();
-  }
+/// A tensor's posit codes, bit-packed by pack_codes. `packed` holds
+/// packed_capacity(count, spec) bytes; its first payload_bytes() are the
+/// codes, the rest is zeroed slack.
+struct PackedPositTensor {
+  PositSpec spec{8, 1};
+  tensor::Shape shape;
+  std::vector<std::uint8_t> packed;
+  std::size_t count = 0;
 
-  /// Quantize (round mode of your choice; the paper's storage uses the same
-  /// round-toward-zero as Algorithm 1) and pack a float tensor.
-  static PackedPositTensor pack(const tensor::Tensor& t, PositSpec spec,
-                                RoundMode mode = RoundMode::kTowardZero);
-
-  /// Decode back to float32.
-  tensor::Tensor unpack() const;
-
-  std::uint32_t code_at(std::size_t index) const { return unpack_one(bits_.data(), index, spec_); }
-  void set_code(std::size_t index, std::uint32_t code);
-
-  const PositSpec& spec() const { return spec_; }
-  const tensor::Shape& shape() const { return shape_; }
-  std::size_t numel() const { return shape_.numel(); }
-  /// Bytes of payload storage (the model-size number; slack excluded).
-  std::size_t byte_size() const { return packed_bytes(numel(), spec_); }
-  /// Storage ratio vs float32.
-  double ratio_vs_fp32() const {
-    return static_cast<double>(byte_size()) / (static_cast<double>(numel()) * sizeof(float));
-  }
-
- private:
-  PositSpec spec_;
-  tensor::Shape shape_;
-  std::vector<std::uint8_t> bits_;
+  /// Payload bytes of the packed codes (the model-size number; slack excluded).
+  std::size_t payload_bytes() const { return packed_bytes(count, spec); }
 };
+
+/// Quantize every element of `t` under `mode` and pack the codes. The
+/// engine's panels encode nearest-even; Algorithm 1 rounds toward zero.
+PackedPositTensor pack(const tensor::Tensor& t, PositSpec spec, RoundMode mode);
+
+/// Decode back to float32 in `p.shape`; NaR maps to 0.
+tensor::Tensor unpack(const PackedPositTensor& p);
 
 }  // namespace pdnn::posit

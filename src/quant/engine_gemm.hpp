@@ -1,6 +1,5 @@
-// engine_gemm.hpp — internal decode-once GEMM shared by the free-function
-// engine entry points (posit_linear / posit_conv2d) and the compiled
-// PositSession. Not part of the public API.
+// engine_gemm.hpp — internal decode-once GEMM behind the compiled
+// PositSession's linear and conv steps. Not part of the public API.
 #pragma once
 
 #include <cstddef>
@@ -69,28 +68,29 @@ EngineLuts resolve_luts(const posit::PositSpec& spec, AccumMode mode);
 /// every AccumMode.
 ///
 /// `quire_pool` must hold at least engine_threads() quires of `w.spec` when
-/// mode == kQuire (the session's pre-planned per-thread arenas; the free
-/// functions build a transient pool). Ignored for the other modes.
-void engine_gemm(const EncodedTensor& a, const EncodedTensor& w, const EncodedTensor& bias,
-                 std::size_t rows, std::size_t k, std::size_t cols, AccumMode mode, float* out,
-                 std::size_t row_stride, std::size_t col_stride, const EngineLuts& luts,
-                 posit::Quire* quire_pool);
+/// mode == kQuire (the session's pre-planned per-thread arenas). Ignored for
+/// the other modes. An empty bias (count 0) adds nothing.
+void engine_gemm(const posit::PackedPositTensor& a, const posit::PackedPositTensor& w,
+                 const posit::PackedPositTensor& bias, std::size_t rows, std::size_t k,
+                 std::size_t cols, AccumMode mode, float* out, std::size_t row_stride,
+                 std::size_t col_stride, const EngineLuts& luts, posit::Quire* quire_pool);
 
 /// Encode the im2col panel `cols` ([patch, pixels]) transposed into `panel`
 /// so each output pixel's patch is contiguous, reusing the panel's storage.
 void encode_conv_panel(const float* cols, std::size_t patch, std::size_t pixels,
-                       const posit::PositSpec& spec, EncodedTensor& panel);
+                       const posit::PositSpec& spec, posit::PackedPositTensor& panel);
 
-/// The per-image conv lowering shared by posit_conv2d and PositSession: for
-/// each of `batch` images in `x`, im2col into `cols` (skipped when
-/// `elide_im2col`: a 1x1/s1/p0 input slice [C, H*W] already IS the patch
-/// matrix), encode_conv_panel into `act`, then engine_gemm into the image's
-/// [out_c, pixels] plane of `out`. `cols` and `act` are caller-owned,
-/// grow-only scratch; `quire_pool` as for engine_gemm.
+/// The session's per-image conv lowering: for each of `batch` images in
+/// `x`, im2col into `cols` (skipped when `elide_im2col`: a 1x1/s1/p0 input
+/// slice [C, H*W] already IS the patch matrix), encode_conv_panel into
+/// `act`, then engine_gemm into the image's [out_c, pixels] plane of `out`.
+/// `cols` and `act` are caller-owned, grow-only scratch; `quire_pool` as for
+/// engine_gemm.
 void engine_conv2d(const float* x, std::size_t batch, const tensor::Conv2dGeom& geom,
-                   const EncodedTensor& w, const EncodedTensor& bias, AccumMode mode,
-                   const EngineLuts& luts, posit::Quire* quire_pool, bool elide_im2col,
-                   tensor::Tensor& cols, EncodedTensor& act, float* out);
+                   const posit::PackedPositTensor& w, const posit::PackedPositTensor& bias,
+                   AccumMode mode, const EngineLuts& luts, posit::Quire* quire_pool,
+                   bool elide_im2col, tensor::Tensor& cols, posit::PackedPositTensor& act,
+                   float* out);
 
 /// Bytes of the calling thread's block-decode + encode scratch (capacity,
 /// grow-only). Scratch, not model footprint: PositSession::panel_bytes()

@@ -9,6 +9,7 @@
 
 namespace pdnn::quant {
 
+using posit::PackedPositTensor;
 using posit::PositSpec;
 using posit::Unpacked;
 using tensor::Tensor;
@@ -64,10 +65,10 @@ EngineLuts resolve_luts(const PositSpec& spec, AccumMode mode) {
   return luts;
 }
 
-void engine_gemm(const EncodedTensor& a, const EncodedTensor& w, const EncodedTensor& bias,
-                 std::size_t rows, std::size_t k, std::size_t cols, AccumMode mode, float* out,
-                 std::size_t row_stride, std::size_t col_stride, const EngineLuts& luts,
-                 posit::Quire* quire_pool) {
+void engine_gemm(const PackedPositTensor& a, const PackedPositTensor& w,
+                 const PackedPositTensor& bias, std::size_t rows, std::size_t k, std::size_t cols,
+                 AccumMode mode, float* out, std::size_t row_stride, std::size_t col_stride,
+                 const EngineLuts& luts, posit::Quire* quire_pool) {
   const PositSpec spec = w.spec;
   const std::size_t tiles = (rows + kActTile - 1) / kActTile;
   // Which operand forms this (mode, luts) pairing actually reads: the LUT
@@ -113,7 +114,7 @@ void engine_gemm(const EncodedTensor& a, const EncodedTensor& w, const EncodedTe
       const Unpacked* wrow = scratch.w_ops.data();
       if (need_ops) posit::decode_unpacked(wcodes, k, spec, scratch.w_ops.data());
       const std::uint32_t bcode =
-          !bias.empty() ? posit::unpack_one(bias.packed.data(), o, bias.spec) : 0u;
+          bias.count != 0 ? posit::unpack_one(bias.packed.data(), o, bias.spec) : 0u;
       for (std::size_t r = 0; r < rows; ++r) {
         const Unpacked* arow = a_ops_buf + r * k;
         const std::uint32_t* acodes = a_codes_buf + r * k;
@@ -147,7 +148,7 @@ void engine_gemm(const EncodedTensor& a, const EncodedTensor& w, const EncodedTe
             }
             break;
         }
-        if (!bias.empty()) {
+        if (bias.count != 0) {
           acc = luts.add != nullptr ? luts.add->at(acc, bcode) : posit::add(acc, bcode, spec);
         }
         out[r * row_stride + o * col_stride] = static_cast<float>(posit::to_double(acc, spec));
@@ -157,7 +158,7 @@ void engine_gemm(const EncodedTensor& a, const EncodedTensor& w, const EncodedTe
 }
 
 void encode_conv_panel(const float* cols, std::size_t patch, std::size_t pixels,
-                       const PositSpec& spec, EncodedTensor& panel) {
+                       const PositSpec& spec, PackedPositTensor& panel) {
   panel.spec = spec;
   panel.shape = {pixels, patch};
   panel.count = pixels * patch;
@@ -177,9 +178,9 @@ void encode_conv_panel(const float* cols, std::size_t patch, std::size_t pixels,
 }
 
 void engine_conv2d(const float* x, std::size_t batch, const tensor::Conv2dGeom& geom,
-                   const EncodedTensor& w, const EncodedTensor& bias, AccumMode mode,
+                   const PackedPositTensor& w, const PackedPositTensor& bias, AccumMode mode,
                    const EngineLuts& luts, posit::Quire* quire_pool, bool elide_im2col,
-                   Tensor& cols, EncodedTensor& act, float* out) {
+                   Tensor& cols, PackedPositTensor& act, float* out) {
   const std::size_t pixels = geom.out_h() * geom.out_w();
   const std::size_t patch = geom.patch();
   if (!elide_im2col) cols.resize({patch, pixels});
@@ -198,18 +199,6 @@ void engine_conv2d(const float* x, std::size_t batch, const tensor::Conv2dGeom& 
 }  // namespace detail
 
 namespace {
-
-/// Transient per-thread quire pool for the free-function entry points (the
-/// session plans its arenas once at compile instead).
-std::vector<posit::Quire> make_quire_pool(const PositSpec& spec, AccumMode mode) {
-  std::vector<posit::Quire> pool;
-  if (mode == AccumMode::kQuire) {
-    const int threads = detail::engine_threads();
-    pool.reserve(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t) pool.emplace_back(spec);
-  }
-  return pool;
-}
 
 // ---------------------------------------------------------------------------
 // Retained scalar reference path (pre-engine implementation, verbatim
@@ -252,15 +241,8 @@ std::uint32_t dot(const std::uint32_t* a, const std::uint32_t* b, std::size_t co
 
 }  // namespace
 
-EncodedTensor encode_pack(const Tensor& t, const PositSpec& spec) {
-  EncodedTensor e;
-  e.shape = t.shape();
-  encode_pack_into(t.data(), t.numel(), spec, e);
-  return e;
-}
-
 void encode_pack_into(const float* src, std::size_t count, const PositSpec& spec,
-                      EncodedTensor& out) {
+                      PackedPositTensor& out) {
   out.spec = spec;
   out.count = count;
   // Parallel encode into the code scratch, serial bit-pack (see
@@ -273,70 +255,6 @@ void encode_pack_into(const float* src, std::size_t count, const PositSpec& spec
   }
   out.packed.assign(posit::packed_capacity(count, spec), 0u);
   posit::pack_codes(codes.data(), 0, count, spec, out.packed.data());
-}
-
-Tensor posit_linear(const Tensor& x, const EncodedTensor& w, const EncodedTensor& bias,
-                    AccumMode mode) {
-  if (x.shape().rank() != 2 || w.shape.rank() != 2) {
-    throw std::invalid_argument("posit_linear: rank mismatch");
-  }
-  const std::size_t n = x.shape()[0], in = x.shape()[1], out = w.shape[0];
-  if (w.shape[1] != in) throw std::invalid_argument("posit_linear: shape mismatch");
-  if (!bias.empty() && bias.numel() != out) {
-    throw std::invalid_argument("posit_linear: bias shape mismatch");
-  }
-  if (!bias.empty() && !(bias.spec == w.spec)) {
-    throw std::invalid_argument("posit_linear: bias/weight spec mismatch");
-  }
-  const EncodedTensor xe = encode_pack(x, w.spec);
-  const detail::EngineLuts luts = detail::resolve_luts(w.spec, mode);
-  std::vector<posit::Quire> pool = make_quire_pool(w.spec, mode);
-  Tensor y({n, out});
-  detail::engine_gemm(xe, w, bias, n, in, out, mode, y.data(), out, 1, luts, pool.data());
-  return y;
-}
-
-Tensor posit_linear(const Tensor& x, const Tensor& w, const Tensor& bias, const PositSpec& spec,
-                    AccumMode mode) {
-  const EncodedTensor we = encode_pack(w, spec);
-  EncodedTensor be;
-  be.spec = spec;
-  if (bias.numel() > 0) be = encode_pack(bias, spec);
-  return posit_linear(x, we, be, mode);
-}
-
-Tensor posit_conv2d(const Tensor& x, const EncodedTensor& w, const EncodedTensor& bias,
-                    const tensor::Conv2dGeom& geom, AccumMode mode) {
-  geom.validate();
-  const PositSpec spec = w.spec;
-  const std::size_t batch = x.shape()[0];
-  const std::size_t oh = geom.out_h(), ow = geom.out_w();
-  const std::size_t patch = geom.patch();
-  if (w.numel() != geom.out_c * patch) throw std::invalid_argument("posit_conv2d: weight mismatch");
-  if (!bias.empty() && bias.numel() != geom.out_c) {
-    throw std::invalid_argument("posit_conv2d: bias shape mismatch");
-  }
-  if (!bias.empty() && !(bias.spec == spec)) {
-    throw std::invalid_argument("posit_conv2d: bias/weight spec mismatch");
-  }
-
-  const detail::EngineLuts luts = detail::resolve_luts(spec, mode);
-  std::vector<posit::Quire> pool = make_quire_pool(spec, mode);
-  Tensor out({batch, geom.out_c, oh, ow});
-  Tensor cols;
-  EncodedTensor panel;
-  detail::engine_conv2d(x.data(), batch, geom, w, bias, mode, luts, pool.data(),
-                        /*elide_im2col=*/false, cols, panel, out.data());
-  return out;
-}
-
-Tensor posit_conv2d(const Tensor& x, const Tensor& w, const Tensor& bias,
-                    const tensor::Conv2dGeom& geom, const PositSpec& spec, AccumMode mode) {
-  const EncodedTensor we = encode_pack(w, spec);
-  EncodedTensor be;
-  be.spec = spec;
-  if (bias.numel() > 0) be = encode_pack(bias, spec);
-  return posit_conv2d(x, we, be, geom, mode);
 }
 
 // ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ namespace {
 struct Binding {
   nn::Param* param = nullptr;
   std::uint64_t version = 0;
-  EncodedTensor panel;
+  posit::PackedPositTensor panel;
 };
 
 /// The posit-side state attached to one plan step: resolved format and
@@ -79,8 +79,8 @@ struct StepState {
   std::vector<std::uint32_t> bn_scale, bn_mean, bn_shift;
 
   // steady-state scratch (grow-only)
-  Tensor cols;        // conv im2col columns
-  EncodedTensor act;  // encoded activation panel
+  Tensor cols;                   // conv im2col columns
+  posit::PackedPositTensor act;  // encoded activation panel
 };
 
 }  // namespace
@@ -128,10 +128,17 @@ struct PositSession::Impl final : exec::Backend {
 
   void bind(Binding& b, nn::Param& p, const PositSpec& spec) {
     b.param = &p;
-    b.version = p.version;
-    b.panel = encode_pack(p.value, spec);
-    ++encodes;
+    encode(b, spec);
     ++bound;
+  }
+
+  /// (Re)encode a bound parameter into its existing panel storage.
+  void encode(Binding& b, const PositSpec& spec) {
+    const Tensor& value = b.param->value;
+    b.version = b.param->version;
+    b.panel.shape = value.shape();
+    encode_pack_into(value.data(), value.numel(), spec, b.panel);
+    ++encodes;
   }
 
   /// (Re)derive the per-channel BN constants exactly as the per-layer engine
@@ -197,11 +204,7 @@ void PositSession::Impl::compile_step(const exec::Step& step, StepState& s) {
       }
       resolve_accum();
       bind(s.weight, step.conv->weight(), s.spec);
-      if (step.conv->has_bias()) {
-        bind(s.bias, step.conv->bias(), s.spec);
-      } else {
-        s.bias.panel.spec = s.spec;
-      }
+      if (step.conv->has_bias()) bind(s.bias, step.conv->bias(), s.spec);
       break;
     case exec::OpKind::kBatchNorm:
       // The per-element transform is one fma: dispatch its table when the BN
@@ -230,11 +233,7 @@ void PositSession::Impl::refresh(bool force) {
     const exec::Step& step = plan().steps[i];
     StepState& s = state[i];
     for (Binding* b : {&s.weight, &s.bias}) {
-      if (b->param != nullptr && (force || b->param->version != b->version)) {
-        b->version = b->param->version;
-        b->panel = encode_pack(b->param->value, s.spec);
-        ++encodes;
-      }
+      if (b->param != nullptr && (force || b->param->version != b->version)) encode(*b, s.spec);
     }
     if (step.bn != nullptr && (force || step.bn->gamma().version != s.gamma_version ||
                                step.bn->beta().version != s.beta_version ||

@@ -12,8 +12,8 @@
 //     fold every intermediate tensor onto lifetime-shared arena buffers,
 //     then resolves each step's (PositSpec, AccumMode) from SessionConfig,
 //     pre-encodes every weight/bias/BN constant into session-owned
-//     EncodedTensor panels, resolves the n <= 8 LUT kernels, and plans
-//     per-thread quire arenas plus per-step scratch (im2col columns,
+//     posit::PackedPositTensor panels, resolves the n <= 8 LUT kernels, and
+//     plans per-thread quire arenas plus per-step scratch (im2col columns,
 //     activation panels).
 //   * run() executes the compiled plan through exec::PlanRunner, the exec
 //     layer's one step interpreter, with posit per-op kernels. In steady state (shapes repeat, no
@@ -25,9 +25,10 @@
 // exec::FloatBackend executes the identical plan in FP32 — the session is
 // one of two pluggable backends over one lowering and one interpreter.
 //
-// Outputs are bit-identical to chaining the per-layer engine entry points
-// (and hence to the scalar reference) at every spec, accumulation mode, and
-// thread count.
+// The session is the only way to run the posit engine GEMM; a single layer
+// is a one-layer session. Every linear and conv step is bit-identical to the
+// scalar reference (posit_linear_reference / posit_conv2d_reference) at
+// every spec, accumulation mode, and thread count.
 //
 // BN constants re-encode whenever gamma/beta versions or the BN's
 // stats_version change — a training forward that only moves the running

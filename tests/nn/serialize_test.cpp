@@ -1,7 +1,11 @@
 // serialize_test.cpp — checkpoint save/load, FP32 and posit-compressed.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "data/synthetic.hpp"
 #include "nn/resnet.hpp"
@@ -13,6 +17,44 @@ namespace {
 
 using tensor::Rng;
 using tensor::Tensor;
+
+template <typename T>
+void put(std::string& out, const T& v) {
+  out.append(reinterpret_cast<const char*>(&v), sizeof(T));
+}
+
+/// The posit checkpoint writer as it stood before it moved onto the
+/// posit/packed.hpp codec, kept verbatim as the format oracle: every code
+/// rounded nearest-even, then written bit by bit, LSB-first.
+std::string bitwise_posit_checkpoint(Sequential& net, const posit::PositSpec& spec) {
+  std::string out("PDNNP001", 8);
+  const auto params = net.params();
+  put(out, static_cast<std::uint64_t>(params.size()));
+  for (const Param* p : params) {
+    put(out, static_cast<std::uint32_t>(p->name.size()));
+    out += p->name;
+    const auto rank = static_cast<std::uint32_t>(p->value.shape().rank());
+    put(out, rank);
+    for (std::uint32_t d = 0; d < rank; ++d) {
+      put(out, static_cast<std::uint64_t>(p->value.shape()[d]));
+    }
+    put(out, static_cast<std::uint32_t>(spec.n));
+    put(out, static_cast<std::uint32_t>(spec.es));
+    std::vector<std::uint8_t> buf((p->value.numel() * static_cast<std::size_t>(spec.n) + 7) / 8, 0);
+    for (std::size_t i = 0; i < p->value.numel(); ++i) {
+      const std::uint32_t code =
+          posit::from_double(p->value[i], spec, posit::RoundMode::kNearestEven) & spec.mask();
+      const std::size_t bit0 = i * static_cast<std::size_t>(spec.n);
+      for (int b = 0; b < spec.n; ++b) {
+        const std::size_t bit = bit0 + static_cast<std::size_t>(b);
+        if ((code >> b) & 1u) buf[bit / 8] |= static_cast<std::uint8_t>(1u << (bit % 8));
+      }
+    }
+    put(out, static_cast<std::uint64_t>(buf.size()));
+    out.append(reinterpret_cast<const char*>(buf.data()), buf.size());
+  }
+  return out;
+}
 
 TEST(Serialize, Fp32RoundTripBitExact) {
   Rng rng(1);
@@ -122,6 +164,64 @@ TEST(Serialize, FileRoundTrip) {
     }
   }
   EXPECT_THROW(load_parameters_file("/nonexistent/nope.bin", *b), std::runtime_error);
+}
+
+TEST(Serialize, PositCheckpointBytesMatchBitwiseWriter) {
+  // The codec-backed writer must keep the on-disk format byte for byte. The
+  // odd-width (13,1) packs codes across byte boundaries, and the MLP's
+  // odd-sized tensors end mid-byte.
+  Rng rng(8);
+  auto net = mlp(3, 7, 5, 2, rng);
+  for (const posit::PositSpec spec : {posit::PositSpec{8, 1}, posit::PositSpec{13, 1},
+                                      posit::PositSpec{16, 2}}) {
+    std::stringstream ss;
+    save_parameters_posit(ss, *net, spec);
+    EXPECT_EQ(ss.str(), bitwise_posit_checkpoint(*net, spec)) << spec.to_string();
+  }
+}
+
+/// Byte offset of the first parameter's u32 n field in a posit checkpoint.
+std::size_t first_spec_offset(Sequential& net) {
+  const Param& p = *net.params().front();
+  return 8 + 8 + 4 + p.name.size() + 4 + 8 * p.value.shape().rank();
+}
+
+std::string loads_with(Sequential& net, const std::string& bytes) {
+  std::stringstream ss(bytes);
+  try {
+    load_parameters_posit(ss, net);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "loaded";
+}
+
+TEST(Serialize, CorruptPositCheckpointThrowsRuntimeError) {
+  Rng rng(9);
+  auto net = mlp(2, 4, 2, 1, rng);
+  std::stringstream ss;
+  save_parameters_posit(ss, *net, posit::PositSpec{8, 1});
+  const std::string good = ss.str();
+  ASSERT_EQ(loads_with(*net, good), "loaded");
+
+  const std::size_t at = first_spec_offset(*net);
+  const auto patched = [&](std::size_t offset, std::uint64_t value, std::size_t width) {
+    std::string bytes = good;
+    std::memcpy(bytes.data() + offset, &value, width);
+    return bytes;
+  };
+  // A spec outside PositSpec's limits is a malformed stream, not a bad
+  // argument: the loader reports it like every other corruption.
+  EXPECT_EQ(loads_with(*net, patched(at, 0, 4)), "checkpoint: bad posit format");
+  EXPECT_EQ(loads_with(*net, patched(at, 33, 4)), "checkpoint: bad posit format");
+  EXPECT_EQ(loads_with(*net, patched(at + 4, 7, 4)), "checkpoint: bad posit format");
+
+  std::uint64_t payload = 0;
+  std::memcpy(&payload, good.data() + at + 8, sizeof(payload));
+  EXPECT_EQ(loads_with(*net, patched(at + 8, payload + 1, 8)),
+            "checkpoint: payload size mismatch");
+  EXPECT_EQ(loads_with(*net, good.substr(0, at + 16 + payload / 2)),
+            "checkpoint: truncated posit payload");
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // packed_test.cpp — bit-packed posit tensors (the model-size claim).
 #include <gtest/gtest.h>
 
-#include <random>
+#include <limits>
 
 #include "posit/packed.hpp"
 #include "tensor/random.hpp"
@@ -18,30 +18,19 @@ TEST_P(PackedFormatTest, RoundTripEqualsQuantizedValues) {
   const PositSpec s = spec();
   tensor::Rng rng(11);
   const tensor::Tensor t = tensor::Tensor::randn({257}, rng);  // odd count: cross-byte packing
-  const PackedPositTensor packed = PackedPositTensor::pack(t, s, RoundMode::kNearestEven);
-  const tensor::Tensor back = packed.unpack();
-  ASSERT_EQ(back.numel(), t.numel());
-  for (std::size_t i = 0; i < t.numel(); ++i) {
-    const double want = to_double(from_double(t[i], s), s);
-    ASSERT_EQ(back[i], static_cast<float>(want)) << i;
+  // The round mode is the caller's: nearest-even (the engine's encode) and
+  // toward-zero (Algorithm 1's storage rounding) pack different codes.
+  for (const RoundMode mode : {RoundMode::kNearestEven, RoundMode::kTowardZero}) {
+    const PackedPositTensor packed = pack(t, s, mode);
+    EXPECT_EQ(packed.count, t.numel());
+    EXPECT_EQ(packed.packed.size(), packed_capacity(t.numel(), s));
+    const tensor::Tensor back = unpack(packed);
+    ASSERT_EQ(back.shape(), t.shape());
+    for (std::size_t i = 0; i < t.numel(); ++i) {
+      const double want = to_double(from_double(t[i], s, mode), s);
+      ASSERT_EQ(back[i], static_cast<float>(want)) << i;
+    }
   }
-}
-
-TEST_P(PackedFormatTest, CodesSurviveSetGet) {
-  const PositSpec s = spec();
-  PackedPositTensor packed(s, {100});
-  std::mt19937_64 rng(13);
-  std::vector<std::uint32_t> codes(100);
-  for (std::size_t i = 0; i < 100; ++i) {
-    codes[i] = static_cast<std::uint32_t>(rng()) & s.mask();
-    packed.set_code(i, codes[i]);
-  }
-  for (std::size_t i = 0; i < 100; ++i) ASSERT_EQ(packed.code_at(i), codes[i]) << i;
-  // Overwrite a middle element; neighbors must be untouched.
-  packed.set_code(50, s.maxpos_code());
-  EXPECT_EQ(packed.code_at(49), codes[49]);
-  EXPECT_EQ(packed.code_at(50), s.maxpos_code());
-  EXPECT_EQ(packed.code_at(51), codes[51]);
 }
 
 INSTANTIATE_TEST_SUITE_P(FormatSweep, PackedFormatTest,
@@ -53,29 +42,35 @@ INSTANTIATE_TEST_SUITE_P(FormatSweep, PackedFormatTest,
                                   std::to_string(info.param.second);
                          });
 
+double ratio_vs_fp32(const PackedPositTensor& p) {
+  return static_cast<double>(p.payload_bytes()) / (static_cast<double>(p.count) * sizeof(float));
+}
+
 TEST(PackedSize, PaperModelSizeClaim) {
   // Section IV: 8-bit posit -> 25% of FP32 model size; 16-bit -> 50%.
   tensor::Rng rng(17);
   const tensor::Tensor model = tensor::Tensor::randn({40000}, rng, 0.05f);
-  const PackedPositTensor p8 = PackedPositTensor::pack(model, PositSpec{8, 1});
-  const PackedPositTensor p16 = PackedPositTensor::pack(model, PositSpec{16, 1});
-  EXPECT_NEAR(p8.ratio_vs_fp32(), 0.25, 1e-4);
-  EXPECT_NEAR(p16.ratio_vs_fp32(), 0.50, 1e-4);
+  EXPECT_NEAR(ratio_vs_fp32(pack(model, PositSpec{8, 1}, RoundMode::kTowardZero)), 0.25, 1e-4);
+  EXPECT_NEAR(ratio_vs_fp32(pack(model, PositSpec{16, 1}, RoundMode::kTowardZero)), 0.50, 1e-4);
 }
 
 TEST(PackedSize, OddWidthsPackTightly) {
-  const PackedPositTensor p13(PositSpec{13, 1}, {1000});
+  const PackedPositTensor p13 =
+      pack(tensor::Tensor({1000}), PositSpec{13, 1}, RoundMode::kNearestEven);
   // 13000 bits = 1625 bytes exactly.
-  EXPECT_EQ(p13.byte_size(), 1625u);
+  EXPECT_EQ(p13.payload_bytes(), 1625u);
 }
 
 TEST(PackedSize, NarUnpacksToZeroInFloats) {
-  PackedPositTensor p(PositSpec{8, 1}, {2});
-  p.set_code(0, PositSpec{8, 1}.nar_code());
-  p.set_code(1, from_double(2.0, PositSpec{8, 1}));
-  const tensor::Tensor t = p.unpack();
-  EXPECT_EQ(t[0], 0.0f);
-  EXPECT_EQ(t[1], 2.0f);
+  const PositSpec s{8, 1};
+  tensor::Tensor t({2});
+  t[0] = std::numeric_limits<float>::quiet_NaN();
+  t[1] = 2.0f;
+  const PackedPositTensor p = pack(t, s, RoundMode::kNearestEven);
+  ASSERT_EQ(unpack_one(p.packed.data(), 0, s), s.nar_code());
+  const tensor::Tensor back = unpack(p);
+  EXPECT_EQ(back[0], 0.0f);
+  EXPECT_EQ(back[1], 2.0f);
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
-// posit_engine_test.cpp — the decode-once engine against the retained scalar
-// reference: exact bit-equality over the full spec grid and every
-// accumulation mode, thread-count invariance, and the engine edge cases
-// (empty batches, missing bias, 1x1 windows, degenerate geometry).
+// posit_engine_test.cpp — the decode-once engine, run as one-layer
+// PositSessions, against the retained scalar reference: exact bit-equality
+// over the full spec grid and every accumulation mode, thread-count
+// invariance, and the engine edge cases (empty batches, missing bias, 1x1
+// windows under both conv lowerings, degenerate geometry).
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <cstdlib>
+#include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -16,12 +19,14 @@
 #include "quant/posit_inference.hpp"
 #include "quant/posit_session.hpp"
 #include "support/bits.hpp"
+#include "support/posit_layer.hpp"
 #include "tensor/ops.hpp"
 
 namespace pdnn::quant {
 namespace {
 
 using test_support::bit_identical;
+using test_support::posit_layer;
 using posit::PositSpec;
 using tensor::Rng;
 using tensor::Tensor;
@@ -49,8 +54,7 @@ TEST(PositEngine, LinearBitIdenticalToScalarReferenceAcrossSpecGridAndModes) {
   for (const PositSpec& spec : spec_grid()) {
     for (const AccumMode mode : mode_grid()) {
       const Tensor ref = posit_linear_reference(x, w, bias, spec, mode);
-      const Tensor got = posit_linear(x, w, bias, spec, mode);
-      EXPECT_TRUE(bit_identical(got, ref))
+      EXPECT_TRUE(bit_identical(posit_layer(w, bias, spec, mode).run(x), ref))
           << spec.to_string() << " mode " << static_cast<int>(mode);
     }
   }
@@ -63,7 +67,7 @@ TEST(PositEngine, LinearWithoutBiasMatchesReference) {
   const Tensor none;
   for (const PositSpec& spec : spec_grid()) {
     for (const AccumMode mode : mode_grid()) {
-      EXPECT_TRUE(bit_identical(posit_linear(x, w, none, spec, mode),
+      EXPECT_TRUE(bit_identical(posit_layer(w, none, spec, mode).run(x),
                                 posit_linear_reference(x, w, none, spec, mode)))
           << spec.to_string() << " mode " << static_cast<int>(mode);
     }
@@ -73,17 +77,21 @@ TEST(PositEngine, LinearWithoutBiasMatchesReference) {
 TEST(PositEngine, ConvBitIdenticalToScalarReferenceWithBiasAndRectKernel) {
   Rng rng(47);
   // Rectangular 3x2 window, stride 2, pad 1: exercises the kernel_w plumbing
-  // end to end, plus the per-channel bias.
+  // end to end, with the per-channel bias and without one (with_bias=false:
+  // no bias panel is bound and the GEMM adds none).
   tensor::Conv2dGeom g{3, 9, 8, 4, 3, 2, 1, 2};
   const Tensor x = Tensor::randn({2, 3, 9, 8}, rng);
   const Tensor w = Tensor::randn({4, 3, 3, 2}, rng, 0.3f);
   const Tensor bias = Tensor::randn({4}, rng, 0.2f);
-  for (const PositSpec& spec : spec_grid()) {
-    for (const AccumMode mode : mode_grid()) {
-      const Tensor ref = posit_conv2d_reference(x, w, bias, g, spec, mode);
-      const Tensor got = posit_conv2d(x, w, bias, g, spec, mode);
-      EXPECT_TRUE(bit_identical(got, ref))
-          << spec.to_string() << " mode " << static_cast<int>(mode);
+  const Tensor none;
+  for (const Tensor* b : {&bias, &none}) {
+    for (const PositSpec& spec : spec_grid()) {
+      for (const AccumMode mode : mode_grid()) {
+        const Tensor ref = posit_conv2d_reference(x, w, *b, g, spec, mode);
+        EXPECT_TRUE(bit_identical(posit_layer(w, *b, spec, mode, g).run(x), ref))
+            << spec.to_string() << " mode " << static_cast<int>(mode) << " bias "
+            << b->numel();
+      }
     }
   }
 }
@@ -97,11 +105,13 @@ TEST(PositEngine, ThreadedRunsBitIdenticalToSerial) {
   const int restore = omp_get_max_threads();
   for (const PositSpec& spec : {PositSpec{8, 1}, PositSpec{16, 1}, PositSpec{32, 2}}) {
     for (const AccumMode mode : mode_grid()) {
+      // Compiled with one thread, so the quire arenas grow when the team does.
       omp_set_num_threads(1);
-      const Tensor serial = posit_linear(x, w, bias, spec, mode);
+      test_support::PositLayer layer = posit_layer(w, bias, spec, mode);
+      const Tensor serial = layer.run(x);
       for (const int threads : {2, 4}) {
         omp_set_num_threads(threads);
-        EXPECT_TRUE(bit_identical(posit_linear(x, w, bias, spec, mode), serial))
+        EXPECT_TRUE(bit_identical(layer.run(x), serial))
             << spec.to_string() << " mode " << static_cast<int>(mode) << " threads " << threads;
       }
     }
@@ -164,13 +174,13 @@ TEST(PositEngine, ZeroBatchYieldsWellFormedEmptyOutputs) {
   const Tensor bias = Tensor::randn({4}, rng);
   const Tensor none;
   for (const AccumMode mode : mode_grid()) {
-    const Tensor y = posit_linear(Tensor({0, 8}), w, bias, PositSpec{16, 1}, mode);
+    const Tensor y = posit_layer(w, bias, PositSpec{16, 1}, mode).run(Tensor({0, 8}));
     EXPECT_EQ(y.shape(), (tensor::Shape{0, 4}));
     EXPECT_EQ(y.numel(), 0u);
 
     const tensor::Conv2dGeom g{3, 6, 6, 4, 3, 1, 1};
     const Tensor wc = Tensor::randn({4, 3, 3, 3}, rng);
-    const Tensor yc = posit_conv2d(Tensor({0, 3, 6, 6}), wc, none, g, PositSpec{8, 1}, mode);
+    const Tensor yc = posit_layer(wc, none, PositSpec{8, 1}, mode, g).run(Tensor({0, 3, 6, 6}));
     EXPECT_EQ(yc.shape(), (tensor::Shape{0, 4, 6, 6}));
   }
   // Whole-network: an empty batch flows through every layer kind.
@@ -182,6 +192,30 @@ TEST(PositEngine, ZeroBatchYieldsWellFormedEmptyOutputs) {
   EXPECT_EQ(y.shape(), (tensor::Shape{0, 3}));
 }
 
+/// Sets PDNN_PLAN_PASSES for one scope (PlanOptions::defaults() reads it at
+/// every compile) and restores the caller's value, so a test can compile
+/// both lowerings whatever the suite runs under.
+class ScopedPlanPasses {
+ public:
+  explicit ScopedPlanPasses(const char* value) {
+    if (const char* old = std::getenv(kVar)) saved_ = old;
+    setenv(kVar, value, 1);
+  }
+  ~ScopedPlanPasses() {
+    if (saved_) {
+      setenv(kVar, saved_->c_str(), 1);
+    } else {
+      unsetenv(kVar);
+    }
+  }
+  ScopedPlanPasses(const ScopedPlanPasses&) = delete;
+  ScopedPlanPasses& operator=(const ScopedPlanPasses&) = delete;
+
+ private:
+  static constexpr const char* kVar = "PDNN_PLAN_PASSES";
+  std::optional<std::string> saved_;
+};
+
 TEST(PositEngine, OneByOneConvMatchesReference) {
   Rng rng(71);
   const tensor::Conv2dGeom g{3, 5, 7, 4, /*kernel=*/1, /*stride=*/1, /*pad=*/0};
@@ -190,9 +224,16 @@ TEST(PositEngine, OneByOneConvMatchesReference) {
   const Tensor bias = Tensor::randn({4}, rng, 0.2f);
   for (const PositSpec& spec : {PositSpec{8, 1}, PositSpec{16, 1}}) {
     for (const AccumMode mode : mode_grid()) {
-      EXPECT_TRUE(bit_identical(posit_conv2d(x, w, bias, g, spec, mode),
-                                posit_conv2d_reference(x, w, bias, g, spec, mode)))
-          << spec.to_string() << " mode " << static_cast<int>(mode);
+      const Tensor ref = posit_conv2d_reference(x, w, bias, g, spec, mode);
+      // Passes on: the input slice is the patch matrix (im2col elided).
+      // Passes off: the generic im2col lowering.
+      for (const bool elide : {true, false}) {
+        const ScopedPlanPasses passes(elide ? "1" : "0");
+        test_support::PositLayer layer = posit_layer(w, bias, spec, mode, g);
+        ASSERT_EQ(layer.session.plan().steps.front().elide_im2col, elide);
+        EXPECT_TRUE(bit_identical(layer.run(x), ref))
+            << spec.to_string() << " mode " << static_cast<int>(mode) << " elide " << elide;
+      }
     }
   }
 }
@@ -202,10 +243,12 @@ TEST(PositEngine, DegenerateGeometryThrowsInsteadOfUnderflowing) {
   const Tensor x = Tensor::randn({1, 1, 2, 2}, rng);
   const Tensor w = Tensor::randn({1, 1, 5, 5}, rng);
   const Tensor none;
-  // 5x5 window on an unpadded 2x2 input: out_h would underflow size_t.
+  // 5x5 window on an unpadded 2x2 input: out_h would underflow size_t. The
+  // session learns H/W at run(), where the plan's shape inference validates.
   const tensor::Conv2dGeom window{1, 2, 2, 1, 5, 1, 0};
-  EXPECT_THROW(posit_conv2d(x, w, none, window, PositSpec{8, 1}, AccumMode::kQuire),
-               std::invalid_argument);
+  test_support::PositLayer layer =
+      posit_layer(w, none, PositSpec{8, 1}, AccumMode::kQuire, window);
+  EXPECT_THROW(layer.run(x), std::invalid_argument);
   EXPECT_THROW(posit_conv2d_reference(x, w, none, window, PositSpec{8, 1}, AccumMode::kQuire),
                std::invalid_argument);
   const tensor::Conv2dGeom stride0{1, 2, 2, 1, 1, 0, 0};

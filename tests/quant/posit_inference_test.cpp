@@ -9,12 +9,14 @@
 #include "nn/resnet.hpp"
 #include "quant/posit_inference.hpp"
 #include "quant/posit_session.hpp"
+#include "support/posit_layer.hpp"
 #include "train/trainer.hpp"
 
 namespace pdnn::quant {
 namespace {
 
 using posit::PositSpec;
+using test_support::posit_layer;
 using tensor::Rng;
 using tensor::Tensor;
 
@@ -28,7 +30,7 @@ TEST(PositLinear, QuireMatchesDoubleReferenceOnExactCase) {
     w[i] = static_cast<float>(2 - static_cast<int>(i));  // 2..-3
   }
   const Tensor bias = Tensor::zeros({2});
-  const Tensor y = posit_linear(x, w, bias, PositSpec{16, 1}, AccumMode::kQuire);
+  const Tensor y = posit_layer(w, bias, PositSpec{16, 1}, AccumMode::kQuire).run(x);
   const Tensor ref = tensor::matmul(x, tensor::transpose(w));
   for (std::size_t i = 0; i < y.numel(); ++i) EXPECT_EQ(y[i], ref[i]) << i;
 }
@@ -45,7 +47,7 @@ TEST(PositLinear, AllAccumulationModesCloseToFp32) {
     return y;
   }();
   for (const AccumMode mode : {AccumMode::kQuire, AccumMode::kSerial, AccumMode::kFma}) {
-    const Tensor y = posit_linear(x, w, bias, PositSpec{16, 1}, mode);
+    const Tensor y = posit_layer(w, bias, PositSpec{16, 1}, mode).run(x);
     for (std::size_t i = 0; i < y.numel(); ++i) {
       EXPECT_NEAR(y[i], ref[i], std::fabs(ref[i]) * 0.02 + 0.02)
           << "mode " << static_cast<int>(mode) << " idx " << i;
@@ -65,8 +67,8 @@ TEST(PositLinear, QuireIsMoreAccurateThanSerial) {
   for (std::size_t i = 0; i < dim; ++i) ref += static_cast<double>(x[i]) * w[i];
 
   const PositSpec spec{8, 1};  // coarse: differences show clearly
-  const float q = posit_linear(x, w, none, spec, AccumMode::kQuire).at(0, 0);
-  const float s = posit_linear(x, w, none, spec, AccumMode::kSerial).at(0, 0);
+  const float q = posit_layer(w, none, spec, AccumMode::kQuire).run(x).at(0, 0);
+  const float s = posit_layer(w, none, spec, AccumMode::kSerial).run(x).at(0, 0);
   // Quantization of inputs perturbs ref; compare against the quire result of
   // the quantized operands, which is the correctly-rounded answer by
   // construction: serial must be at least as far from it as zero.
@@ -86,7 +88,7 @@ TEST(PositConv, MatchesFp32OnExactWeights) {
   for (std::size_t i = 0; i < w.numel(); ++i) w[i] = static_cast<float>((static_cast<int>(i) % 5) - 2) * 0.25f;
   const Tensor ref = tensor::conv2d_forward(x, w, g);
   const Tensor none;
-  const Tensor y = posit_conv2d(x, w, none, g, PositSpec{16, 1}, AccumMode::kQuire);
+  const Tensor y = posit_layer(w, none, PositSpec{16, 1}, AccumMode::kQuire, g).run(x);
   for (std::size_t i = 0; i < y.numel(); ++i) {
     // Inputs/weights exact; quire sum exact; only the final rounding differs.
     EXPECT_NEAR(y[i], ref[i], std::fabs(ref[i]) * 0.001 + 1e-4) << i;

@@ -382,7 +382,7 @@ TEST(PositSession, ThreadCountInvariance) {
 TEST(PositSession, SteadyStateRunPerformsZeroHeapAllocations) {
   // The Backend contract: repeated shapes and no weight mutation touch no
   // heap — for every accumulation mode, a LUT-backed and a LUT-less format,
-  // and (with OpenMP) a grown team.
+  // and (with OpenMP) a grown team. Re-encoding weights touches none either.
   Rng rng(149);
   nn::ResNetConfig rc;
   rc.blocks_per_stage = 1;
@@ -415,6 +415,16 @@ TEST(PositSession, SteadyStateRunPerformsZeroHeapAllocations) {
             << "steady-state run() must not touch the heap: posit(" << spec.n << "," << spec.es
             << ") mode " << static_cast<int>(mode) << " threads " << threads;
         EXPECT_TRUE(bit_identical(session.run(x), want));
+        // A re-encode (here forced for every panel) writes each weight panel
+        // into its existing storage; the first one settles the encode scratch.
+        session.invalidate();
+        session.run(x);
+        const std::uint64_t before_reencode = g_heap_allocs.load();
+        session.invalidate();
+        EXPECT_TRUE(bit_identical(session.run(x), want));
+        EXPECT_EQ(g_heap_allocs.load(), before_reencode)
+            << "re-encoding must reuse the panels' storage: posit(" << spec.n << "," << spec.es
+            << ") mode " << static_cast<int>(mode) << " threads " << threads;
       }
     }
   }
