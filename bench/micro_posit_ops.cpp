@@ -9,6 +9,7 @@
 #include "posit/unpacked.hpp"
 #include "quant/posit_transform.hpp"
 #include "tensor/random.hpp"
+#include "tensor/tensor.hpp"
 
 namespace {
 
@@ -64,7 +65,8 @@ void BM_TransformAlgorithm1(benchmark::State& state) {
   tensor::Tensor t = tensor::Tensor::randn({4096}, rng, 0.05f);
   for (auto _ : state) {
     tensor::Tensor copy = t;
-    quant::transform_inplace(copy, spec);
+    quant::transform_span(copy.data(), copy.numel(), spec, 0, posit::RoundMode::kTowardZero,
+                          nullptr);
     benchmark::DoNotOptimize(copy.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 4096);
@@ -77,7 +79,8 @@ void BM_TransformScaled(benchmark::State& state) {
   tensor::Tensor t = tensor::Tensor::randn({4096}, rng, 0.05f);
   for (auto _ : state) {
     tensor::Tensor copy = t;
-    quant::transform_scaled_inplace(copy, spec, -4);
+    quant::transform_span(copy.data(), copy.numel(), spec, -4, posit::RoundMode::kTowardZero,
+                          nullptr);
     benchmark::DoNotOptimize(copy.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 4096);

@@ -45,19 +45,25 @@ int main() {
               posit::minpos_value(p81));
 
   // --- 4. Algorithm 1: the paper's quantization operator -------------------
+  // transform_span applies P(x / Sf) * Sf in place over a float span; shift 0
+  // with round-toward-zero is Algorithm 1 itself.
+  const auto tz = posit::RoundMode::kTowardZero;
   const float x = 0.0137f;
-  std::printf("P_{8,1}(%g) = %g (round toward zero)\n", x, quant::posit_transform(x, p81));
+  float px = x;
+  quant::transform_span(&px, 1, p81, /*shift=*/0, tz, nullptr);
+  std::printf("P_{8,1}(%g) = %g (round toward zero)\n", x, px);
 
   // --- 5. Eq. (2)/(3): layer-wise scaling ----------------------------------
   tensor::Rng rng(1);
   tensor::Tensor w = tensor::Tensor::randn({1000}, rng, 0.01f);
   const int shift = quant::scale_shift(w);  // center + sigma
+  float raw = w[0], scaled = w[0];
+  quant::transform_span(&raw, 1, p81, 0, tz, nullptr);
+  quant::transform_span(&scaled, 1, p81, shift, tz, nullptr);
   std::printf("tensor with stddev 0.01: Eq.2 shift = %d (Sf = 2^%d)\n", shift, shift);
-  std::printf("P(x) alone:      %g -> %g\n", static_cast<double>(w[0]),
-              static_cast<double>(quant::posit_transform(w[0], p81)));
+  std::printf("P(x) alone:      %g -> %g\n", static_cast<double>(w[0]), static_cast<double>(raw));
   std::printf("P(x/Sf)*Sf:      %g -> %g  (finer grid where the data lives)\n",
-              static_cast<double>(w[0]),
-              static_cast<double>(quant::posit_transform_scaled(w[0], p81, shift)));
+              static_cast<double>(w[0]), static_cast<double>(scaled));
 
   // --- 6. compiled inference: one ExecPlan, pluggable backends -------------
   // exec::GraphBuilder lowers the module graph once into a linearized plan,

@@ -182,7 +182,8 @@ void FloatBackend::refresh() {
         nn::Param& w = s.linear->weight();
         if (force || !st.bound || w.version != st.version) {
           if (quant) {
-            st.qweight = policy_->quantize_weight(w.value, s.name, nn::LayerClass::kLinear);
+            st.qweight = w.value;
+            policy_->quantize(st.qweight, w.name, nn::LayerClass::kLinear, nn::TensorRole::kWeight);
           }
           // Grow-only resize + transpose_into: weight updates between
           // training steps re-derive the panel without reallocating.
@@ -214,7 +215,8 @@ void FloatBackend::refresh() {
           }
         } else if (quant) {
           if (force || !st.bound || w.version != st.version) {
-            st.qweight = policy_->quantize_weight(w.value, s.name, nn::LayerClass::kConv);
+            st.qweight = w.value;
+            policy_->quantize(st.qweight, w.name, nn::LayerClass::kConv, nn::TensorRole::kWeight);
             st.version = w.version;
             st.bound = true;
           }
@@ -229,7 +231,8 @@ void FloatBackend::refresh() {
         nn::Param& g = s.bn->gamma();
         if (quant) {
           if (force || !st.bound || g.version != st.gamma_version) {
-            st.qgamma = policy_->quantize_weight(g.value, s.name, nn::LayerClass::kBn);
+            st.qgamma = g.value;
+            policy_->quantize(st.qgamma, g.name, nn::LayerClass::kBn, nn::TensorRole::kWeight);
             st.gamma_version = g.version;
             st.bound = true;
           }
@@ -285,7 +288,9 @@ const Tensor& FloatBackend::run_impl(const Tensor& x) {
       case OpKind::kResidualJoin: exec_join(in, *skip, out); break;
     }
     // A_p = P(A); step.cls is each layer's class, the conv family for the join.
-    if (quant && fig3_hooked(s.op)) policy_->quantize_activation(out, s.name, s.cls);
+    if (quant && fig3_hooked(s.op)) {
+      policy_->quantize(out, s.name, s.cls, nn::TensorRole::kActivation);
+    }
   });
 }
 
@@ -428,7 +433,9 @@ const Tensor& FloatBackend::train_forward(const Tensor& x) {
       case OpKind::kResidualJoin: exec_join_train(ts, in, *skip, out); break;
     }
     // A_p = P(A) after the masks are recorded, as the eager join does.
-    if (quant && fig3_hooked(s.op)) policy_->quantize_activation(out, s.name, s.cls);
+    if (quant && fig3_hooked(s.op)) {
+      policy_->quantize(out, s.name, s.cls, nn::TensorRole::kActivation);
+    }
   });
   train_out_shape_ = out.shape();
   train_input_ = &x;
@@ -565,7 +572,7 @@ const Tensor& FloatBackend::run_backward(const Tensor& grad_out) {
     const Tensor* ep = &runner_.slot(g.gin, grad_out);
     if (quant && fig3_hooked(s.op)) {
       ts.eq = *ep;  // reuses eq's storage once it has seen this shape
-      policy_->quantize_error(ts.eq, s.name, s.cls);
+      policy_->quantize(ts.eq, s.name, s.cls, nn::TensorRole::kError);
       ep = &ts.eq;
     }
     const Tensor& e = *ep;
@@ -595,9 +602,11 @@ const Tensor& FloatBackend::run_backward(const Tensor& grad_out) {
         break;
     }
     if (quant && ts.wgrad >= 0) {
-      policy_->quantize_gradient(grads_[static_cast<std::size_t>(ts.wgrad)], s.name, s.cls);
+      policy_->quantize(grads_[static_cast<std::size_t>(ts.wgrad)], s.name, s.cls,
+                        nn::TensorRole::kGradient);
       if (ts.bgrad >= 0) {
-        policy_->quantize_gradient(grads_[static_cast<std::size_t>(ts.bgrad)], s.name, s.cls);
+        policy_->quantize(grads_[static_cast<std::size_t>(ts.bgrad)], s.name, s.cls,
+                          nn::TensorRole::kGradient);
       }
     }
   }

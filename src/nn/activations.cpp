@@ -10,7 +10,7 @@ Tensor Tanh::forward(const Tensor& x, bool training) {
   Tensor out = x;
   out.apply([](float v) { return std::tanh(v); });
   if (training) cached_output_ = out;
-  if (quantizing()) policy_->quantize_activation(out, name_, LayerClass::kLinear);
+  if (quantizing()) policy_->quantize(out, name_, LayerClass::kLinear, TensorRole::kActivation);
   return out;
 }
 
@@ -27,7 +27,7 @@ Tensor Sigmoid::forward(const Tensor& x, bool training) {
   Tensor out = x;
   out.apply([](float v) { return 1.0f / (1.0f + std::exp(-v)); });
   if (training) cached_output_ = out;
-  if (quantizing()) policy_->quantize_activation(out, name_, LayerClass::kLinear);
+  if (quantizing()) policy_->quantize(out, name_, LayerClass::kLinear, TensorRole::kActivation);
   return out;
 }
 

@@ -38,8 +38,10 @@ Tensor Conv2d::forward(const Tensor& x, bool training) {
   geom_ = tensor::Conv2dGeom{in_c_, x.shape()[2], x.shape()[3], out_c_, kernel_, stride_, pad_,
                              kernel_w_};
   // Fig. 3a: W_p = P(W); the quantized weight is also what backward sees.
-  cached_qweight_ = quantizing() ? policy_->quantize_weight(weight_.value, name_, LayerClass::kConv)
-                                 : weight_.value;
+  cached_qweight_ = weight_.value;
+  if (quantizing()) {
+    policy_->quantize(cached_qweight_, weight_.name, LayerClass::kConv, TensorRole::kWeight);
+  }
   Tensor out = tensor::conv2d_forward(x, cached_qweight_, geom_);
   if (with_bias_) {
     // Each output channel owns its slice across the batch — same parallel
@@ -57,14 +59,14 @@ Tensor Conv2d::forward(const Tensor& x, bool training) {
   }
   if (training) cached_input_ = x;
   // Fig. 3a: A_p = P(A) on the output.
-  if (quantizing()) policy_->quantize_activation(out, name_, LayerClass::kConv);
+  if (quantizing()) policy_->quantize(out, name_, LayerClass::kConv, TensorRole::kActivation);
   return out;
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out) {
   // Fig. 3b: E_p = P(E) on the incoming error.
   Tensor e = grad_out;
-  if (quantizing()) policy_->quantize_error(e, name_, LayerClass::kConv);
+  if (quantizing()) policy_->quantize(e, name_, LayerClass::kConv, TensorRole::kError);
   if (with_bias_) {
     // db[c] = sum over batch and plane of the (quantized) error.
     const std::size_t n = e.shape()[0];
@@ -82,8 +84,8 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   Tensor grad_in = tensor::conv2d_backward(cached_input_, cached_qweight_, e, geom_, weight_.grad);
   // Fig. 3b: dW_p = P(dW).
   if (quantizing()) {
-    policy_->quantize_gradient(weight_.grad, name_, LayerClass::kConv);
-    if (with_bias_) policy_->quantize_gradient(bias_.grad, name_, LayerClass::kConv);
+    policy_->quantize(weight_.grad, name_, LayerClass::kConv, TensorRole::kGradient);
+    if (with_bias_) policy_->quantize(bias_.grad, name_, LayerClass::kConv, TensorRole::kGradient);
   }
   return grad_in;
 }
@@ -114,8 +116,8 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool training) {
 
   // Fig. 3a applied to BN: the BN "weight" (gamma) is quantized with the BN
   // format before use; the output activation is quantized after.
-  Tensor qgamma = quantizing() ? policy_->quantize_weight(gamma_.value, name_, LayerClass::kBn)
-                               : gamma_.value;
+  Tensor qgamma = gamma_.value;
+  if (quantizing()) policy_->quantize(qgamma, gamma_.name, LayerClass::kBn, TensorRole::kWeight);
 
   Tensor out(x.shape());
   if (training) {
@@ -162,13 +164,13 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool training) {
   // Training rewrote every running-stat slot above; a single bump after the
   // parallel loop keeps the version monotonic without per-channel contention.
   if (training) stats_version_ = next_param_version();
-  if (quantizing()) policy_->quantize_activation(out, name_, LayerClass::kBn);
+  if (quantizing()) policy_->quantize(out, name_, LayerClass::kBn, TensorRole::kActivation);
   return out;
 }
 
 Tensor BatchNorm2d::backward(const Tensor& grad_out) {
   Tensor e = grad_out;
-  if (quantizing()) policy_->quantize_error(e, name_, LayerClass::kBn);
+  if (quantizing()) policy_->quantize(e, name_, LayerClass::kBn, TensorRole::kError);
 
   const std::size_t n = cached_shape_[0], c = cached_shape_[1];
   const std::size_t plane = cached_shape_[2] * cached_shape_[3];
@@ -204,8 +206,8 @@ Tensor BatchNorm2d::backward(const Tensor& grad_out) {
     }
   }
   if (quantizing()) {
-    policy_->quantize_gradient(gamma_.grad, name_, LayerClass::kBn);
-    policy_->quantize_gradient(beta_.grad, name_, LayerClass::kBn);
+    policy_->quantize(gamma_.grad, name_, LayerClass::kBn, TensorRole::kGradient);
+    policy_->quantize(beta_.grad, name_, LayerClass::kBn, TensorRole::kGradient);
   }
   return grad_in;
 }
@@ -263,21 +265,23 @@ Linear::Linear(std::string name, std::size_t in_features, std::size_t out_featur
 }
 
 Tensor Linear::forward(const Tensor& x, bool training) {
-  cached_qweight_ = quantizing() ? policy_->quantize_weight(weight_.value, name_, LayerClass::kLinear)
-                                 : weight_.value;
+  cached_qweight_ = weight_.value;
+  if (quantizing()) {
+    policy_->quantize(cached_qweight_, weight_.name, LayerClass::kLinear, TensorRole::kWeight);
+  }
   if (training) cached_input_ = x;
   Tensor out = tensor::matmul(x, tensor::transpose(cached_qweight_));
   const std::size_t n = out.shape()[0];
 #pragma omp parallel for schedule(static) if (n > 1 && n * out_f_ > 16384)
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < out_f_; ++j) out.at(i, j) += bias_.value[j];
-  if (quantizing()) policy_->quantize_activation(out, name_, LayerClass::kLinear);
+  if (quantizing()) policy_->quantize(out, name_, LayerClass::kLinear, TensorRole::kActivation);
   return out;
 }
 
 Tensor Linear::backward(const Tensor& grad_out) {
   Tensor e = grad_out;
-  if (quantizing()) policy_->quantize_error(e, name_, LayerClass::kLinear);
+  if (quantizing()) policy_->quantize(e, name_, LayerClass::kLinear, TensorRole::kError);
   // dW = dY^T X ; db = colsum(dY) ; dX = dY W
   Tensor dw = tensor::matmul(tensor::transpose(e), cached_input_);
   weight_.grad += dw;
@@ -286,8 +290,8 @@ Tensor Linear::backward(const Tensor& grad_out) {
     for (std::size_t j = 0; j < out_f_; ++j) bias_.grad[j] += e.at(i, j);
   Tensor grad_in = tensor::matmul(e, cached_qweight_);
   if (quantizing()) {
-    policy_->quantize_gradient(weight_.grad, name_, LayerClass::kLinear);
-    policy_->quantize_gradient(bias_.grad, name_, LayerClass::kLinear);
+    policy_->quantize(weight_.grad, name_, LayerClass::kLinear, TensorRole::kGradient);
+    policy_->quantize(bias_.grad, name_, LayerClass::kLinear, TensorRole::kGradient);
   }
   return grad_in;
 }
@@ -379,13 +383,13 @@ Tensor ResidualBlock::forward(const Tensor& x, bool training) {
     }
   }
   // The residual add produced new values: quantize the block output.
-  if (quantizing()) policy_->quantize_activation(h, name_, LayerClass::kConv);
+  if (quantizing()) policy_->quantize(h, name_, LayerClass::kConv, TensorRole::kActivation);
   return h;
 }
 
 Tensor ResidualBlock::backward(const Tensor& grad_out) {
   Tensor g = grad_out;
-  if (quantizing()) policy_->quantize_error(g, name_, LayerClass::kConv);
+  if (quantizing()) policy_->quantize(g, name_, LayerClass::kConv, TensorRole::kError);
   const std::size_t numel = g.numel();
 #pragma omp parallel for schedule(static) if (numel > 16384)
   for (std::size_t i = 0; i < numel; ++i) {

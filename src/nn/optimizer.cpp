@@ -23,7 +23,7 @@ void SgdMomentum::step() {
       p.value[j] -= cfg_.lr * v[j];
     }
     if (policy_ != nullptr && policy_->active()) {
-      policy_->quantize_updated_weight(p.value, p.name, p.layer_class);
+      policy_->quantize(p.value, p.name, p.layer_class, TensorRole::kUpdatedWeight);
     }
     p.mark_updated();
   }

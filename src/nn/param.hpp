@@ -2,7 +2,8 @@
 //
 // The paper applies different posit formats to different tensors (Table III
 // footnotes): CONV weights/activations vs BN parameters, forward vs backward.
-// LayerClass and TensorRole identify each hook site so a precision policy can
+// LayerClass and TensorRole identify each hook site, the two arguments of
+// PrecisionPolicy::quantize() besides the name, so a precision policy can
 // route every tensor to its (n, es) format and layer-wise scale factor.
 #pragma once
 
@@ -23,10 +24,11 @@ enum class LayerClass {
 
 /// The role a tensor plays in the Fig. 3 dataflow.
 enum class TensorRole {
-  kWeight,      ///< W   — forward pass & weight update (es = 1 per paper)
-  kActivation,  ///< A   — forward pass (es = 1)
-  kError,       ///< E   — backward input gradient (es = 2)
-  kGradient,    ///< dW  — weight gradient (es = 2)
+  kWeight,         ///< W   — forward pass, cached for backward (es = 1 per paper)
+  kActivation,     ///< A   — forward pass (es = 1)
+  kError,          ///< E   — backward input gradient (es = 2)
+  kGradient,       ///< dW  — weight gradient (es = 2)
+  kUpdatedWeight,  ///< W   — stored weight after the optimizer step, Fig. 3c (es = 1)
 };
 
 const char* to_string(LayerClass c);
@@ -72,6 +74,7 @@ inline const char* to_string(TensorRole r) {
     case TensorRole::kActivation: return "activation";
     case TensorRole::kError: return "error";
     case TensorRole::kGradient: return "gradient";
+    case TensorRole::kUpdatedWeight: return "updated_weight";
   }
   return "?";
 }

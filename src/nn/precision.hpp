@@ -1,10 +1,14 @@
 // precision.hpp — the numeric-precision hook interface (Fig. 3 of the paper).
 //
-// The network calls these hooks at exactly the points where Fig. 3 inserts the
-// posit transformation P(.):
-//   forward:  W_p = P(W) before the conv;  A_p = P(A) on each layer output
-//   backward: E_p = P(E) on the incoming error; dW_p = P(dW) after computing
-//   update:   W_p = P(W) on the updated weight
+// The network calls quantize() at exactly the points where Fig. 3 inserts the
+// posit transformation P(.), naming the site by its TensorRole:
+//   forward:  W_p = P(W) before the conv (kWeight); A_p = P(A) on each layer
+//             output (kActivation)
+//   backward: E_p = P(E) on the incoming error (kError); dW_p = P(dW) after
+//             computing it (kGradient)
+//   update:   W_p = P(W) on the updated weight (kUpdatedWeight)
+// P(W) sites copy the weight into their own cache and quantize the copy, so
+// the same W_p feeds backward (Fig. 3b shows the backward conv consuming W_p).
 // The default policy is a no-op, i.e. FP32 training (the baseline row of
 // Table III). quant/QuantPolicy implements the paper's posit policy.
 #pragma once
@@ -17,48 +21,14 @@ class PrecisionPolicy {
  public:
   virtual ~PrecisionPolicy() = default;
 
-  /// False during the FP32 warm-up phase: every hook becomes a no-op.
+  /// False during the FP32 warm-up phase: the call sites skip quantize().
   virtual bool active() const { return false; }
 
-  /// W_p = P(W / Sf) * Sf applied before forward; the same W_p is reused in
-  /// backward (Fig. 3b shows the backward conv consuming W_p).
-  virtual tensor::Tensor quantize_weight(const tensor::Tensor& w, const std::string& layer,
-                                         LayerClass cls) {
-    (void)layer;
-    (void)cls;
-    return w;
-  }
-
-  /// A_p = P(A) applied in place to a layer's output activation.
-  virtual void quantize_activation(tensor::Tensor& a, const std::string& layer, LayerClass cls) {
-    (void)a;
-    (void)layer;
-    (void)cls;
-  }
-
-  /// E_p = P(E) applied in place to the error entering a layer's backward.
-  virtual void quantize_error(tensor::Tensor& e, const std::string& layer, LayerClass cls) {
-    (void)e;
-    (void)layer;
-    (void)cls;
-  }
-
-  /// dW_p = P(dW) applied in place to a freshly computed weight gradient.
-  virtual void quantize_gradient(tensor::Tensor& g, const std::string& layer, LayerClass cls) {
-    (void)g;
-    (void)layer;
-    (void)cls;
-  }
-
-  /// W_p = P(W) applied in place after the optimizer step (Fig. 3c).
-  virtual void quantize_updated_weight(tensor::Tensor& w, const std::string& layer, LayerClass cls) {
-    (void)w;
-    (void)layer;
-    (void)cls;
-  }
+  /// Applies P(.) in place to `t`. `name` is the parameter's name for the
+  /// kWeight/kUpdatedWeight sites (e.g. "conv1.weight") and the layer's name
+  /// otherwise; `cls` and `role` pick the format.
+  virtual void quantize(tensor::Tensor& /*t*/, const std::string& /*name*/, LayerClass /*cls*/,
+                        TensorRole /*role*/) {}
 };
-
-/// The FP32 baseline: all hooks no-ops.
-class Fp32Policy final : public PrecisionPolicy {};
 
 }  // namespace pdnn::nn

@@ -1,57 +1,17 @@
 #include "quant/float_policy.hpp"
 
-#include <cmath>
-
 namespace pdnn::quant {
 
-using tensor::Tensor;
+using nn::TensorRole;
 
-void FpPolicy::transform(Tensor& t, const FpSpec& spec) {
-  int shift = 0;
-  if (cfg_.scale_mode != ScaleMode::kNone) shift = scale_shift(t, cfg_.sigma);
-  float* p = t.data();
-  const std::size_t n = t.numel();
-  if (shift == 0) {
-    for (std::size_t i = 0; i < n; ++i) p[i] = fp_quantize(p[i], spec, cfg_.round_mode, &rng_);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      const float scaled = std::ldexp(p[i], -shift);
-      p[i] = std::ldexp(fp_quantize(scaled, spec, cfg_.round_mode, &rng_), shift);
-    }
-  }
-}
-
-Tensor FpPolicy::quantize_weight(const Tensor& w, const std::string& layer, nn::LayerClass cls) {
-  (void)layer;
-  (void)cls;
-  Tensor q = w;
-  transform(q, cfg_.forward);
-  return q;
-}
-
-void FpPolicy::quantize_activation(Tensor& a, const std::string& layer, nn::LayerClass cls) {
-  (void)layer;
-  (void)cls;
-  transform(a, cfg_.forward);
-}
-
-void FpPolicy::quantize_error(Tensor& e, const std::string& layer, nn::LayerClass cls) {
-  (void)layer;
-  (void)cls;
-  transform(e, cfg_.backward);
-}
-
-void FpPolicy::quantize_gradient(Tensor& g, const std::string& layer, nn::LayerClass cls) {
-  (void)layer;
-  (void)cls;
-  transform(g, cfg_.backward);
-}
-
-void FpPolicy::quantize_updated_weight(Tensor& w, const std::string& layer, nn::LayerClass cls) {
-  (void)layer;
-  (void)cls;
-  if (!cfg_.quantize_weight_update) return;  // FP32 master weights
-  transform(w, cfg_.update);
+void FpPolicy::quantize(tensor::Tensor& t, const std::string& /*name*/, nn::LayerClass /*cls*/,
+                        TensorRole role) {
+  const bool backward = role == TensorRole::kError || role == TensorRole::kGradient;
+  const bool update = role == TensorRole::kUpdatedWeight;
+  if (update && !cfg_.quantize_weight_update) return;  // FP32 master weights
+  const FpSpec& spec = update ? cfg_.update : backward ? cfg_.backward : cfg_.forward;
+  const int shift = cfg_.scale_mode == ScaleMode::kNone ? 0 : scale_shift(t, cfg_.sigma);
+  fp_quantize_span(t.data(), t.numel(), spec, shift, cfg_.round_mode, &rng_);
 }
 
 }  // namespace pdnn::quant

@@ -1,8 +1,9 @@
 // float_policy.hpp — reduced-precision FLOAT training policy (the baseline).
 //
-// Mirrors QuantPolicy's use of the Fig. 3 hook points but quantizes to small
-// IEEE-like floats instead of posits, reproducing the training schemes the
-// paper compares against in Section II-A:
+// Mirrors QuantPolicy's use of the Fig. 3 hook (one quantize() override that
+// picks the format from the TensorRole) but quantizes to small IEEE-like
+// floats with fp_quantize_span instead of posits, reproducing the training
+// schemes the paper compares against in Section II-A:
 //   * Micikevicius et al. FP16: half precision compute, FP32 master weights
 //     (quantize_weight_update = false), dynamic per-tensor scaling standing in
 //     for their loss-scaling;
@@ -51,18 +52,14 @@ class FpPolicy final : public nn::PrecisionPolicy {
   void activate() { active_ = true; }
   void deactivate() { active_ = false; }
 
-  tensor::Tensor quantize_weight(const tensor::Tensor& w, const std::string& layer,
-                                 nn::LayerClass cls) override;
-  void quantize_activation(tensor::Tensor& a, const std::string& layer, nn::LayerClass cls) override;
-  void quantize_error(tensor::Tensor& e, const std::string& layer, nn::LayerClass cls) override;
-  void quantize_gradient(tensor::Tensor& g, const std::string& layer, nn::LayerClass cls) override;
-  void quantize_updated_weight(tensor::Tensor& w, const std::string& layer, nn::LayerClass cls) override;
+  /// Forward format for kWeight/kActivation, backward for kError/kGradient,
+  /// update for kUpdatedWeight (skipped with FP32 master weights).
+  void quantize(tensor::Tensor& t, const std::string& name, nn::LayerClass cls,
+                nn::TensorRole role) override;
 
   const FpPolicyConfig& config() const { return cfg_; }
 
  private:
-  void transform(tensor::Tensor& t, const FpSpec& spec);
-
   FpPolicyConfig cfg_;
   bool active_ = false;
   posit::RoundingRng rng_;

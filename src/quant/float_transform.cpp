@@ -1,5 +1,6 @@
 #include "quant/float_transform.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace pdnn::quant {
@@ -12,13 +13,11 @@ double FpSpec::max_value() const {
 double FpSpec::min_subnormal() const { return std::ldexp(1.0, min_exp() - man_bits); }
 
 float fp_quantize(float x, const FpSpec& spec, posit::RoundMode mode, posit::RoundingRng* rng) {
-  if (x == 0.0f || std::isnan(x)) return x == x ? 0.0f : 0.0f;
+  if (x == 0.0f || std::isnan(x)) return 0.0f;
   if (std::isinf(x)) return std::copysign(static_cast<float>(spec.max_value()), x);
 
   const double mag = std::fabs(static_cast<double>(x));
-  int e = 0;
-  const double m = std::frexp(mag, &e);  // m in [0.5,1)
-  const int exp = e - 1;
+  const int exp = std::ilogb(mag);  // exact: mag is a nonzero finite double
 
   // Position of the unit-in-last-place: man_bits below the leading one for
   // normals, pinned at min_exp - man_bits in the subnormal range.
@@ -49,16 +48,15 @@ float fp_quantize(float x, const FpSpec& spec, posit::RoundMode mode, posit::Rou
   if (round_up) units += 1.0;
 
   double result = std::ldexp(units, ulp_exp);
-  (void)m;
   if (result > spec.max_value()) result = spec.max_value();  // saturate
   return std::copysign(static_cast<float>(result), x);
 }
 
-void fp_quantize_inplace(tensor::Tensor& t, const FpSpec& spec, posit::RoundMode mode,
-                         posit::RoundingRng* rng) {
-  float* p = t.data();
-  const std::size_t n = t.numel();
-  for (std::size_t i = 0; i < n; ++i) p[i] = fp_quantize(p[i], spec, mode, rng);
+void fp_quantize_span(float* p, std::size_t n, const FpSpec& spec, int shift,
+                      posit::RoundMode mode, posit::RoundingRng* rng) {
+  for (std::size_t i = 0; i < n; ++i) {
+    p[i] = std::ldexp(fp_quantize(std::ldexp(p[i], -shift), spec, mode, rng), shift);
+  }
 }
 
 }  // namespace pdnn::quant

@@ -7,8 +7,9 @@
 // float formats at matched bit widths.
 #pragma once
 
+#include <cstddef>
+
 #include "posit/rounding.hpp"
-#include "tensor/tensor.hpp"
 
 namespace pdnn::quant {
 
@@ -38,9 +39,9 @@ struct FpSpec {
 float fp_quantize(float x, const FpSpec& spec, posit::RoundMode mode = posit::RoundMode::kNearestEven,
                   posit::RoundingRng* rng = nullptr);
 
-/// Element-wise in-place quantization.
-void fp_quantize_inplace(tensor::Tensor& t, const FpSpec& spec,
-                         posit::RoundMode mode = posit::RoundMode::kNearestEven,
-                         posit::RoundingRng* rng = nullptr);
+/// Eq. (3) with a float format, in place: p[i] = Q(p[i] / Sf) * Sf with
+/// Sf = 2^shift, both scalings done in float.
+void fp_quantize_span(float* p, std::size_t n, const FpSpec& spec, int shift,
+                      posit::RoundMode mode, posit::RoundingRng* rng);
 
 }  // namespace pdnn::quant

@@ -1,5 +1,8 @@
-// policy.hpp — the paper's posit training policy, wired into the Fig. 3 hooks.
+// policy.hpp — the paper's posit training policy, wired into the Fig. 3 hook.
 //
+// Every Fig. 3 site calls the one PrecisionPolicy::quantize(t, name, cls,
+// role) hook; QuantPolicy picks the format from (cls, role), the shift from
+// the scale mode, and runs quant::transform_span once over the tensor.
 // Format assignment follows Section III-B "Adjust Dynamic Range" and the
 // Table III footnotes:
 //   * weights & activations (forward, update): es = 1
@@ -68,27 +71,25 @@ class QuantPolicy final : public nn::PrecisionPolicy {
   /// Only meaningful in ScaleMode::kCalibrated.
   void calibrate(nn::Module& net);
 
-  tensor::Tensor quantize_weight(const tensor::Tensor& w, const std::string& layer,
-                                 nn::LayerClass cls) override;
-  void quantize_activation(tensor::Tensor& a, const std::string& layer, nn::LayerClass cls) override;
-  void quantize_error(tensor::Tensor& e, const std::string& layer, nn::LayerClass cls) override;
-  void quantize_gradient(tensor::Tensor& g, const std::string& layer, nn::LayerClass cls) override;
-  void quantize_updated_weight(tensor::Tensor& w, const std::string& layer, nn::LayerClass cls) override;
+  /// P(x / Sf) * Sf with the (cls, role) format and the role's Eq. (2)
+  /// shift. Under kCalibrated, the kWeight and kUpdatedWeight sites look up
+  /// the frozen shift by `name`, the parameter's name.
+  void quantize(tensor::Tensor& t, const std::string& name, nn::LayerClass cls,
+                nn::TensorRole role) override;
 
   const QuantConfig& config() const { return cfg_; }
   /// Number of element transforms performed since construction (diagnostics).
   std::size_t transforms_performed() const { return transforms_; }
-  /// Calibrated shift for a layer's weight, if frozen.
-  std::optional<int> calibrated_shift(const std::string& layer) const;
+  /// Calibrated shift for a parameter, if frozen.
+  std::optional<int> calibrated_shift(const std::string& param) const;
 
  private:
   const PositSpec& format_of(nn::LayerClass cls, nn::TensorRole role) const;
-  int shift_of(const tensor::Tensor& t, const std::string& layer, nn::TensorRole role);
-  void transform(tensor::Tensor& t, const PositSpec& spec, int shift);
+  int shift_of(const tensor::Tensor& t, const std::string& name, nn::TensorRole role) const;
 
   QuantConfig cfg_;
   bool active_ = false;
-  std::map<std::string, int> weight_shifts_;  // layer -> frozen shift
+  std::map<std::string, int> weight_shifts_;  // parameter name -> frozen shift
   posit::RoundingRng rng_;
   std::size_t transforms_ = 0;
 };

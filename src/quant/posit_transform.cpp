@@ -29,15 +29,14 @@ double posit_transform_reference(double x, const PositSpec& spec) {
 namespace {
 
 /// Pure integer implementation for the common case: normal float input and a
-/// format whose dynamic range stays inside normal floats (all n <= 16
-/// configs). Truncates mantissa/exponent bits directly in the float encoding.
+/// format whose dynamic range, scaled by Sf, stays inside normal floats (all
+/// n <= 16 configs at moderate shifts; the caller checks that once per span).
+/// Truncates mantissa/exponent bits directly in the float encoding.
 inline bool transform_bits_fast(float x, const PositSpec& spec, int shift, float* out) {
   std::uint32_t bits;
   std::memcpy(&bits, &x, sizeof(bits));
   const std::uint32_t biased = (bits >> 23) & 0xFFu;
   if (biased == 0u || biased == 0xFFu) return false;  // zero/subnormal/inf/nan: slow path
-  // Result exponents must stay in the normal float range.
-  if (spec.min_scale() + shift < -126 || spec.max_scale() + shift > 127) return false;
   const int exp = static_cast<int>(biased) - 127;
   const int exp_eff = exp - shift;  // exponent of x / Sf
   if (exp_eff < spec.min_scale()) {
@@ -67,96 +66,39 @@ inline bool transform_bits_fast(float x, const PositSpec& spec, int shift, float
   return true;
 }
 
-/// Direct float-bit implementation of Algorithm 1 (no double round trips).
-inline float transform_bits(float x, const PositSpec& spec) {
-  float fast = 0.0f;
-  if (transform_bits_fast(x, spec, 0, &fast)) return fast;
-  if (x == 0.0f) return 0.0f;
-  if (std::isnan(x)) return 0.0f;
-  if (std::isinf(x)) return std::copysign(std::ldexp(1.0f, spec.max_scale()), x);  // clip
-  int exp = 0;
-  const float mag = std::fabs(x);
-  // frexp handles subnormals; m in [0.5, 1) so the true exponent is exp-1.
-  const float m = std::frexp(mag, &exp);
-  exp -= 1;
-
-  if (exp < spec.min_scale()) {
-    return 0.0f;  // Algorithm 1 lines 3-4: |x| < minpos flushes to zero
+/// Every input the fast path declines, in double, where x / Sf is exact for
+/// any float x and shift. The flush below minpos (Algorithm 1 lines 3-4)
+/// holds in every mode, for a fair rounding comparison.
+[[gnu::noinline]] float transform_slow(float x, const PositSpec& spec, int shift,
+                                      posit::RoundMode mode, posit::RoundingRng* rng) {
+  if (mode == posit::RoundMode::kTowardZero) {
+    if (std::isnan(x)) return 0.0f;
+    if (std::isinf(x)) {  // clip: maxpos * Sf
+      return static_cast<float>(std::copysign(std::ldexp(posit::maxpos_value(spec), shift), x));
+    }
   }
-  if (exp >= spec.max_scale()) {
-    // Clip to maxpos (maxpos itself has exp == max_scale, f == 0).
-    return std::copysign(std::ldexp(1.0f, spec.max_scale()), x);
-  }
-
-  const int k = exp >> spec.es;  // floor division by 2^es
-  const int e = exp - k * (1 << spec.es);  // k can be negative: no left shift
-
-  const int rb = k >= 0 ? k + 2 : -k + 1;
-  const int eb = std::max(std::min(spec.n - 1 - rb, spec.es), 0);
-  const int fb = std::max(spec.n - 1 - rb - eb, 0);
-
-  // Truncate the exponent's low (es - eb) bits toward zero (line 18).
-  const int pe = (e >> (spec.es - eb)) << (spec.es - eb);
-
-  // Truncate the mantissa to fb bits (line 19). m in [0.5,1): mantissa
-  // f = 2m - 1 carries 23 explicit bits in a float; keep the top fb of them.
-  float pf;
-  if (fb >= 24) {
-    pf = 2.0f * m - 1.0f;  // the float mantissa fits entirely
-  } else {
-    const float scaled = std::ldexp(2.0f * m - 1.0f, fb);
-    pf = std::ldexp(std::floor(scaled), -fb);
-  }
-  return std::copysign(std::ldexp(1.0f + pf, k * (1 << spec.es) + pe), x);
+  const double scaled = std::ldexp(static_cast<double>(x), -shift);
+  const double q = std::fabs(scaled) < posit::minpos_value(spec)
+                       ? 0.0
+                       : posit::to_double(posit::from_double(scaled, spec, mode, rng), spec);
+  return static_cast<float>(std::ldexp(q, shift));
 }
 
 }  // namespace
 
-float posit_transform(float x, const PositSpec& spec) { return transform_bits(x, spec); }
-
-void transform_inplace(tensor::Tensor& t, const PositSpec& spec) {
-  float* p = t.data();
-  const std::size_t n = t.numel();
-  for (std::size_t i = 0; i < n; ++i) p[i] = transform_bits(p[i], spec);
-}
-
-float posit_transform_scaled(float x, const PositSpec& spec, int shift) {
-  float fast = 0.0f;
-  if (transform_bits_fast(x, spec, shift, &fast)) return fast;
-  const float scaled = std::ldexp(x, -shift);              // x / Sf, exact
-  return std::ldexp(transform_bits(scaled, spec), shift);  // P(x/Sf) * Sf, exact
-}
-
-void transform_scaled_inplace(tensor::Tensor& t, const PositSpec& spec, int shift) {
-  if (shift == 0) {
-    transform_inplace(t, spec);
-    return;
-  }
-  float* p = t.data();
-  const std::size_t n = t.numel();
-  for (std::size_t i = 0; i < n; ++i) p[i] = posit_transform_scaled(p[i], spec, shift);
-}
-
-void transform_inplace_rounded(tensor::Tensor& t, const PositSpec& spec, posit::RoundMode mode,
-                               posit::RoundingRng* rng, int shift) {
-  if (mode == posit::RoundMode::kTowardZero) {
-    transform_scaled_inplace(t, spec, shift);
-    return;
-  }
-  const double minpos = posit::minpos_value(spec);
-  float* p = t.data();
-  const std::size_t n = t.numel();
+void transform_span(float* p, std::size_t n, const PositSpec& spec, int shift,
+                    posit::RoundMode mode, posit::RoundingRng* rng) {
+  // The fast path's results must keep normal float exponents.
+  const bool fast = mode == posit::RoundMode::kTowardZero && spec.min_scale() + shift >= -126 &&
+                    spec.max_scale() + shift <= 127;
+  // A copy the out-of-line slow path cannot reach, so the fast path keeps the
+  // format in registers instead of reloading it after every slow call.
+  const PositSpec local = spec;
   for (std::size_t i = 0; i < n; ++i) {
-    const double scaled = std::ldexp(static_cast<double>(p[i]), -shift);
-    double q;
-    if (std::fabs(scaled) < minpos) {
-      // Keep Algorithm 1's flush-to-zero semantics for a fair rounding-mode
-      // comparison; only the rounding of in-range values changes.
-      q = 0.0;
-    } else {
-      q = posit::to_double(posit::from_double(scaled, spec, mode, rng), spec);
-    }
-    p[i] = static_cast<float>(std::ldexp(q, shift));
+    float q;
+    p[i] = fast && transform_bits_fast(p[i], local, shift, &q)
+               ? q
+               : transform_slow(p[i], spec, shift, mode, rng);
   }
 }
 

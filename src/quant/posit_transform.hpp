@@ -9,15 +9,17 @@
 // Known paper typo: line 17 reads fb = min{n-1-rb-eb, 0}; a width cannot be
 // negative, and Table I confirms the intent is max{., 0}. We implement max.
 //
-// Two implementations are provided: a literal transcription of Algorithm 1
-// (reference, double-mediated) and a fast float-bit path used in training
-// loops. They are bit-identical (see tests/quant/transform_test.cpp), and both
-// agree with posit::from_double(kTowardZero) + to_double modulo the underflow
-// rule above.
+// `posit_transform_reference` is a literal, double-mediated transcription of
+// Algorithm 1 and serves as the oracle. `transform_span` is the one kernel behind
+// every PrecisionPolicy::quantize site: Eq. (3)'s P(x / Sf) * Sf over a float
+// span, under any posit::RoundMode. tests/quant/transform_test.cpp sweeps every float
+// exponent through it against the reference (toward zero) and the codec
+// (other modes).
 #pragma once
 
+#include <cstddef>
+
 #include "posit/codec.hpp"
-#include "tensor/tensor.hpp"
 
 namespace pdnn::quant {
 
@@ -26,21 +28,15 @@ using posit::PositSpec;
 /// Literal Algorithm 1: returns the real value of the posit px.
 double posit_transform_reference(double x, const PositSpec& spec);
 
-/// Fast path for training loops (identical results on float inputs).
-float posit_transform(float x, const PositSpec& spec);
-
-/// Element-wise in-place transform of a tensor: A_p = P(A).
-void transform_inplace(tensor::Tensor& t, const PositSpec& spec);
-
-/// Eq. (3): px = P(x / Sf) * Sf with Sf = 2^shift (exact power-of-two scaling).
-float posit_transform_scaled(float x, const PositSpec& spec, int shift);
-
-/// Element-wise in-place Eq. (3) over a tensor.
-void transform_scaled_inplace(tensor::Tensor& t, const PositSpec& spec, int shift);
-
-/// Variants with selectable rounding (ablation benches); the paper's choice is
-/// round-toward-zero because it is the cheapest in hardware (Section III-A).
-void transform_inplace_rounded(tensor::Tensor& t, const PositSpec& spec, posit::RoundMode mode,
-                               posit::RoundingRng* rng, int shift);
+/// Eq. (3) in place: p[i] = P(p[i] / Sf) * Sf with Sf = 2^shift, for i < n.
+///
+/// Every mode keeps Algorithm 1's flush: |x / Sf| < minpos becomes +0 (so
+/// does -0), and magnitudes clip to maxpos * Sf. kTowardZero is the paper's
+/// choice (cheapest in hardware, Section III-A); kNearestEven and kStochastic
+/// serve the ablation benches, and only kStochastic draws from `rng`.
+/// Non-finite inputs: toward zero maps NaN to +0 and +/-Inf to +/-maxpos * Sf;
+/// the rounded modes map both to NaN (the codec's NaR).
+void transform_span(float* p, std::size_t n, const PositSpec& spec, int shift,
+                    posit::RoundMode mode, posit::RoundingRng* rng);
 
 }  // namespace pdnn::quant

@@ -109,11 +109,12 @@ TEST(FpPolicy, MasterWeightModeSkipsUpdateQuantization) {
   w[1] = 0.1f;
   w[2] = -2.0f;
   tensor::Tensor master = w;
-  policy.quantize_updated_weight(master, "fc", nn::LayerClass::kLinear);
+  policy.quantize(master, "fc.weight", nn::LayerClass::kLinear, nn::TensorRole::kUpdatedWeight);
   for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(master[i], w[i]) << "FP32 master copy untouched";
 
   // But the forward weight view IS quantized.
-  const tensor::Tensor fwd = policy.quantize_weight(w, "fc", nn::LayerClass::kLinear);
+  tensor::Tensor fwd = w;
+  policy.quantize(fwd, "fc.weight", nn::LayerClass::kLinear, nn::TensorRole::kWeight);
   EXPECT_NE(fwd[0], w[0]);
 }
 
@@ -123,7 +124,7 @@ TEST(FpPolicy, Fp8ConfigQuantizesCoarsely) {
   tensor::Rng rng(9);
   tensor::Tensor a = tensor::Tensor::randn({256}, rng);
   const tensor::Tensor src = a;
-  policy.quantize_activation(a, "conv", nn::LayerClass::kConv);
+  policy.quantize(a, "conv", nn::LayerClass::kConv, nn::TensorRole::kActivation);
   // 2 mantissa bits: values collapse onto a coarse grid; error nonzero.
   double err = 0.0;
   for (std::size_t i = 0; i < a.numel(); ++i) err += std::fabs(a[i] - src[i]);
@@ -131,7 +132,7 @@ TEST(FpPolicy, Fp8ConfigQuantizesCoarsely) {
   // Idempotent under the same policy transform (dynamic shift recomputed on
   // already-quantized data can differ by at most re-rounding to same grid).
   tensor::Tensor again = a;
-  policy.quantize_activation(again, "conv", nn::LayerClass::kConv);
+  policy.quantize(again, "conv", nn::LayerClass::kConv, nn::TensorRole::kActivation);
   double drift = 0.0;
   for (std::size_t i = 0; i < a.numel(); ++i) drift += std::fabs(again[i] - a[i]);
   EXPECT_NEAR(drift, 0.0, 1e-6);

@@ -9,11 +9,13 @@
 #include "nn/serialize.hpp"
 #include "quant/float_policy.hpp"
 #include "quant/policy.hpp"
+#include "support/transform_one.hpp"
 #include "train/trainer.hpp"
 
 namespace pdnn::quant {
 namespace {
 
+using test_support::transform_one;
 using tensor::Rng;
 
 data::TrainTest small_task() {
@@ -73,7 +75,7 @@ TEST(QuantIntegration, ResNetPositCifar8RecipeLearns) {
       const float v = p->value[i];
       bool on_grid = false;
       for (int s = center - 2; s <= center + 2 && !on_grid; ++s) {
-        on_grid = v == posit_transform_scaled(v, PositSpec{8, 1}, s);
+        on_grid = v == transform_one(v, PositSpec{8, 1}, s);
       }
       ASSERT_TRUE(on_grid) << p->name << "[" << i << "] = " << v;
     }

@@ -8,17 +8,20 @@
 #include "nn/resnet.hpp"
 #include "quant/policy.hpp"
 #include "quant/stats_collector.hpp"
+#include "support/transform_one.hpp"
 #include "train/trainer.hpp"
 
 namespace pdnn::quant {
 namespace {
 
 using nn::LayerClass;
+using nn::TensorRole;
+using test_support::transform_one;
 using tensor::Rng;
 using tensor::Tensor;
 
 bool representable(float v, const PositSpec& s) {
-  return v == posit_transform(v, s);
+  return v == transform_one(v, s);
 }
 
 TEST(QuantPolicy, InactiveUntilActivated) {
@@ -40,8 +43,9 @@ TEST(QuantPolicy, RoutesConvVsBnFormats) {
   // A value representable in (16,1) but not (8,1): needs > 4 fraction bits.
   Tensor t({1});
   t[0] = 1.0f + 1.0f / 64.0f;  // 6 fraction bits
-  Tensor conv_q = p.quantize_weight(t, "conv1", LayerClass::kConv);
-  Tensor bn_q = p.quantize_weight(t, "bn1", LayerClass::kBn);
+  Tensor conv_q = t, bn_q = t;
+  p.quantize(conv_q, "conv1.weight", LayerClass::kConv, TensorRole::kWeight);
+  p.quantize(bn_q, "bn1.weight", LayerClass::kBn, TensorRole::kWeight);
   EXPECT_NE(conv_q[0], t[0]) << "posit(8,1) must truncate 6 fraction bits";
   EXPECT_EQ(bn_q[0], t[0]) << "posit(16,1) holds 6 fraction bits exactly";
 }
@@ -60,8 +64,9 @@ TEST(QuantPolicy, ForwardEs1BackwardEs2DynamicRange) {
   Tensor as_weight = tiny;
   Tensor as_error = tiny;
   // Route both through the policy.
-  Tensor wq = p.quantize_weight(as_weight, "conv1", LayerClass::kConv);
-  p.quantize_error(as_error, "conv1", LayerClass::kConv);
+  Tensor wq = as_weight;
+  p.quantize(wq, "conv1.weight", LayerClass::kConv, TensorRole::kWeight);
+  p.quantize(as_error, "conv1", LayerClass::kConv, TensorRole::kError);
   EXPECT_EQ(wq[0], 0.0f) << "below (8,1) minpos: flushed";
   EXPECT_NE(as_error[0], 0.0f) << "within (8,2) range: kept";
 }
@@ -73,7 +78,7 @@ TEST(QuantPolicy, OutputsAreRepresentable) {
   p.activate();
   Rng rng(61);
   Tensor t = Tensor::randn({512}, rng, 0.5f);
-  p.quantize_activation(t, "conv1", LayerClass::kConv);
+  p.quantize(t, "conv1", LayerClass::kConv, TensorRole::kActivation);
   for (std::size_t i = 0; i < t.numel(); ++i) {
     ASSERT_TRUE(representable(t[i], PositSpec{8, 1})) << t[i];
   }
@@ -89,7 +94,7 @@ TEST(QuantPolicy, ScaledOutputsAreScaledRepresentable) {
   Rng rng(62);
   Tensor t = Tensor::randn({512}, rng, 0.01f);
   const int shift = scale_shift(t, cfg.sigma);
-  p.quantize_activation(t, "conv1", LayerClass::kConv);
+  p.quantize(t, "conv1", LayerClass::kConv, TensorRole::kActivation);
   for (std::size_t i = 0; i < t.numel(); ++i) {
     const float unscaled = std::ldexp(t[i], -shift);
     ASSERT_TRUE(representable(unscaled, PositSpec{8, 1})) << t[i];
@@ -107,8 +112,8 @@ TEST(QuantPolicy, DynamicScalingReducesError) {
   Rng rng(63);
   const Tensor src = Tensor::randn({4096}, rng, 0.015f);
   Tensor a = src, b = src;
-  pw.quantize_activation(a, "l", LayerClass::kConv);
-  pn.quantize_activation(b, "l", LayerClass::kConv);
+  pw.quantize(a, "l", LayerClass::kConv, TensorRole::kActivation);
+  pn.quantize(b, "l", LayerClass::kConv, TensorRole::kActivation);
   double mse_with = 0.0, mse_without = 0.0;
   for (std::size_t i = 0; i < src.numel(); ++i) {
     mse_with += (a[i] - src[i]) * static_cast<double>(a[i] - src[i]);
@@ -136,7 +141,7 @@ TEST(QuantPolicy, CountsTransforms) {
   QuantPolicy p;
   p.activate();
   Tensor t({10});
-  p.quantize_activation(t, "l", LayerClass::kConv);
+  p.quantize(t, "l", LayerClass::kConv, TensorRole::kActivation);
   EXPECT_EQ(p.transforms_performed(), 10u);
 }
 
@@ -201,7 +206,7 @@ TEST(QuantizedTraining, WeightsAreOnPositGridAfterTraining) {
   for (nn::Param* p : net->params()) {
     const PositSpec s = p->layer_class == nn::LayerClass::kBn ? cfg.bn.forward : cfg.linear.forward;
     for (std::size_t i = 0; i < p->value.numel(); ++i) {
-      ASSERT_EQ(p->value[i], posit_transform(p->value[i], s)) << p->name << "[" << i << "]";
+      ASSERT_EQ(p->value[i], transform_one(p->value[i], s)) << p->name << "[" << i << "]";
     }
   }
 }
