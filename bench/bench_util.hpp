@@ -1,7 +1,7 @@
 // bench_util.hpp — helpers shared by the perf-tracking benches
-// (bench_gemm, bench_posit): best-of timing, OpenMP thread control, host
-// metadata for BENCH headers, and the minimal JSON readback used by
-// --check-regression. The scanners only parse
+// (bench_gemm, bench_posit, bench_serve, bench_train): best-of timing,
+// OpenMP thread control, host metadata for every BENCH header, and the
+// minimal JSON readback used by --check-regression. The scanners only parse
 // the flat one-object-per-line results arrays these benches themselves
 // write; a structural change to that format must update every bench through
 // this single header.

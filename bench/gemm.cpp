@@ -342,7 +342,9 @@ int main(int argc, char** argv) {
     std::cerr << "FAIL: cannot open " << out_path << " for writing\n";
     return 1;
   }
-  out << "{\n  \"bench\": \"gemm\",\n  \"threads_available\": " << hw_threads
+  out << "{\n  \"bench\": \"gemm\",\n  "
+      << pdnn::benchutil::host_json(pdnn::tensor::gemm_kernel_vectorized())
+      << ",\n  \"threads_available\": " << hw_threads
       << ",\n  \"kernel_vectorized\": "
       << (pdnn::tensor::gemm_kernel_vectorized() ? "true" : "false")
       << ",\n  \"blocking\": {\"MR\": " << GemmBlocking::MR << ", \"NR\": " << GemmBlocking::NR

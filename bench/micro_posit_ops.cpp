@@ -148,53 +148,72 @@ BENCHMARK(BM_QuireAccumulateDot)
     ->Args({32, 2, 0})
     ->Args({32, 2, 1});
 
-/// One output's rounded dot product of length k over Gaussian operands (the
-/// engine's n > 8 kFma / kSerial inner loop): the coded per-term chain the
-/// engine used to run (/accum=0: the sum re-decoded from its code, added in
-/// 128 bits and re-packed every term) vs posit::RoundedAccum (/accum=1: the
-/// sum stays unpacked, packed once). Same codes out; items/s is MAC/s.
-/// k = 144 and 576 are the ResNet-8 stage-3 patch lengths.
+/// Four outputs' rounded dot products of length k over Gaussian operands —
+/// four activation rows against one weight row, the engine's n > 8 kFma /
+/// kSerial inner loop. /accum=0: the coded per-term chain (the sum
+/// re-decoded from its code, added in 128 bits and re-packed every term).
+/// /accum=1/simd=0: posit::RoundedAccum, one output at a time (the sum
+/// stays unpacked, packed once). /accum=1/simd=1: the AVX2 lane kernel, the
+/// four outputs in one vector as exact doubles. Same values out; items/s is
+/// MAC/s. k = 144 and 576 are the ResNet-8 stage-3 patch lengths.
 template <bool kFmaChain>
 void rounded_chain(benchmark::State& state) {
   const posit::PositSpec spec{static_cast<int>(state.range(0)), static_cast<int>(state.range(1))};
   const auto k = static_cast<std::size_t>(state.range(2));
   const bool accum = state.range(3) != 0;
-  tensor::Rng rng(17);
-  std::vector<posit::Unpacked> a(k), b(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    a[i] = posit::decode_unpacked(posit::from_double(rng.normal(), spec), spec);
-    b[i] = posit::decode_unpacked(posit::from_double(0.3 * rng.normal(), spec), spec);
+  const bool lanes = state.range(4) != 0;
+  if (lanes && !posit::simd::available()) {
+    state.SkipWithError("AVX2 unavailable");
+    return;
   }
+  constexpr std::size_t kOut = posit::simd::kLanes;
+  tensor::Rng rng(17);
+  std::vector<posit::Unpacked> a(kOut * k), b(k);
+  for (auto& u : a) u = posit::decode_unpacked(posit::from_double(rng.normal(), spec), spec);
+  for (auto& u : b) u = posit::decode_unpacked(posit::from_double(0.3 * rng.normal(), spec), spec);
+  std::vector<double> tile(kOut * k), w(k);
+  posit::simd::fill_lane_tile(a.data(), kOut, k, tile.data());
+  posit::simd::fill_lane_row(b.data(), k, w.data());
   posit::RoundedAccum racc(spec);
   for (auto _ : state) {
-    std::uint32_t acc = 0;
-    if (accum) {
-      racc.clear();
-      if (kFmaChain) {
-        racc.fma_dot(a.data(), b.data(), k);
-      } else {
-        racc.serial_dot(a.data(), b.data(), k);
-      }
-      acc = racc.to_posit();
-    } else {
-      for (std::size_t i = 0; i < k; ++i) {
-        acc = kFmaChain ? posit::fma(a[i], b[i], acc, spec)
-                        : posit::add(acc, posit::mul(a[i], b[i], spec), spec);
-      }
+    if (lanes) {
+      double sums[kOut];
+      posit::simd::rounded_chains_avx2(tile.data(), 1, w.data(), k, spec, kFmaChain, nullptr, sums);
+      benchmark::DoNotOptimize(sums);
+      continue;
     }
-    benchmark::DoNotOptimize(acc);
+    for (std::size_t r = 0; r < kOut; ++r) {
+      const posit::Unpacked* row = a.data() + r * k;
+      std::uint32_t acc = 0;
+      if (accum) {
+        racc.clear();
+        if (kFmaChain) {
+          racc.fma_dot(row, b.data(), k);
+        } else {
+          racc.serial_dot(row, b.data(), k);
+        }
+        acc = racc.to_posit();
+      } else {
+        for (std::size_t i = 0; i < k; ++i) {
+          acc = kFmaChain ? posit::fma(row[i], b[i], acc, spec)
+                          : posit::add(acc, posit::mul(row[i], b[i], spec), spec);
+        }
+      }
+      benchmark::DoNotOptimize(acc);
+    }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(k));
+                          static_cast<std::int64_t>(kOut * k));
 }
 
 void chain_args(benchmark::internal::Benchmark* bm) {
-  bm->ArgNames({"n", "es", "k", "accum"});
+  bm->ArgNames({"n", "es", "k", "accum", "simd"});
   for (const int k : {144, 576}) {
-    for (const int accum : {0, 1}) {
-      bm->Args({16, 1, k, accum});
-      bm->Args({32, 2, k, accum});
-    }
+    bm->Args({16, 1, k, 0, 0});
+    bm->Args({32, 2, k, 0, 0});
+    bm->Args({16, 1, k, 1, 0});
+    bm->Args({32, 2, k, 1, 0});
+    bm->Args({16, 1, k, 1, 1});  // (32,2) has 28-bit significands: no lane kernel
   }
 }
 

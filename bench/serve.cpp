@@ -45,8 +45,10 @@
 #include "exec/fault_injection.hpp"
 #include "exec/float_backend.hpp"
 #include "nn/resnet.hpp"
+#include "posit/simd.hpp"
 #include "quant/posit_session.hpp"
 #include "serve/engine.hpp"
+#include "tensor/gemm_kernel.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/random.hpp"
 
@@ -522,7 +524,12 @@ int main(int argc, char** argv) {
     std::cerr << "FAIL: cannot open " << out_path << " for writing\n";
     return 2;
   }
-  out << "{\n  \"bench\": \"serve\",\n  \"net\": \"mlp16x32x4\",\n  \"max_batch\": "
+  // Both backends are timed: avx2 means the float GEMM and the posit
+  // kernels both dispatched their AVX2 paths.
+  out << "{\n  \"bench\": \"serve\",\n  "
+      << pdnn::benchutil::host_json(pdnn::tensor::gemm_kernel_vectorized() &&
+                                    pdnn::posit::simd::enabled())
+      << ",\n  \"net\": \"mlp16x32x4\",\n  \"max_batch\": "
       << cfg.max_batch << ",\n  \"batch_timeout_us\": 100,\n  \"results\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];

@@ -31,6 +31,7 @@
 #include "bench_util.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/resnet.hpp"
+#include "tensor/gemm_kernel.hpp"
 #include "tensor/ops.hpp"
 #include "train/trainer.hpp"
 
@@ -308,7 +309,9 @@ int main(int argc, char** argv) {
     std::cerr << "FAIL: cannot open " << out_path << " for writing\n";
     return 2;
   }
-  out << "{\n  \"bench\": \"train\",\n  \"results\": [\n";
+  out << "{\n  \"bench\": \"train\",\n  "
+      << pdnn::benchutil::host_json(pdnn::tensor::gemm_kernel_vectorized())
+      << ",\n  \"results\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     out << "    {\"net\": \"" << r.net << "\", \"path\": \"" << r.path

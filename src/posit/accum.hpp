@@ -25,6 +25,16 @@
 //
 // Every step is bit-identical to the coded chains (tests/posit/accum_test.cpp
 // checks each prefix of long adversarial chains at n = 3..32, es = 0..3).
+//
+// Which kernel runs: on an AVX2 host (posit::simd::enabled(), so neither
+// PDNN_NO_AVX2=1 nor force_disable) the engine runs a spec with
+// posit::simd::rounded_lanes_supported() — n - 2 - es <= 26 and scales within
+// +-480, e.g. (12..16, any es <= 3), (24,2), (28,0), (29,1) — on
+// simd::rounded_chains_avx2, four outputs per vector carried as exact
+// doubles and rounded by this class's rule (tests/posit/accum_test.cpp drives
+// every stream through it against this class). Wider significands such as
+// (32,·), and every spec on a host without AVX2, run here: RoundedAccum is
+// the scalar fallback and the kernel's oracle.
 #pragma once
 
 #include <cstddef>

@@ -1,7 +1,9 @@
 #include "posit/simd.hpp"
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
+#include <cstring>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -37,6 +39,27 @@ bool enabled() { return available() && !g_force_disabled.load(std::memory_order_
 
 void force_disable(bool disable) { g_force_disabled.store(disable, std::memory_order_relaxed); }
 
+unsigned fill_lane_tile(const Unpacked* rows, std::size_t nrows, std::size_t k, double* tile) {
+  unsigned nar = 0;
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    const Unpacked* row = rows + l * k;
+    for (std::size_t i = 0; i < k; ++i) {
+      tile[i * kLanes + l] = l < nrows ? lane_value(row[i]) : 0.0;
+      if (l < nrows && row[i].is_nar()) nar |= 1u << l;
+    }
+  }
+  return nar;
+}
+
+bool fill_lane_row(const Unpacked* row, std::size_t k, double* out) {
+  bool nar = false;
+  for (std::size_t i = 0; i < k; ++i) {
+    out[i] = lane_value(row[i]);
+    nar = nar || row[i].is_nar();
+  }
+  return nar;
+}
+
 #ifdef PDNN_POSIT_X86
 
 namespace {
@@ -52,8 +75,8 @@ __attribute__((target("avx2"))) inline __m256i bit_position(__m256i isolated) {
 
 }  // namespace
 
-__attribute__((target("avx2"))) void decode_unpacked8_avx2(const std::uint32_t* codes,
-                                                           const PositSpec& spec, Unpacked* out) {
+__attribute__((target("avx2"), aligned(64))) void decode_unpacked8_avx2(
+    const std::uint32_t* codes, const PositSpec& spec, Unpacked* out) {
   const __m256i zero = _mm256_setzero_si256();
   const __m256i one = _mm256_set1_epi32(1);
   const __m256i maskv = _mm256_set1_epi32(static_cast<int>(spec.mask()));
@@ -140,7 +163,7 @@ __attribute__((target("avx2"))) void decode_unpacked8_avx2(const std::uint32_t* 
                       _mm256_permute2x128_si256(lo_pairs, hi_pairs, 0x31));
 }
 
-__attribute__((target("avx2"))) std::size_t accumulate_limbs_avx2(
+__attribute__((target("avx2"), aligned(64))) std::size_t accumulate_limbs_avx2(
     const Unpacked* a, const Unpacked* b, std::size_t count, long base, std::uint64_t* pos_limbs,
     std::uint64_t* neg_limbs, std::size_t bank1_offset, std::uint32_t* flags_or) {
   const std::size_t head = count & ~static_cast<std::size_t>(7);
@@ -230,6 +253,223 @@ __attribute__((target("avx2"))) std::size_t accumulate_limbs_avx2(
   return head;
 }
 
+
+namespace {
+
+/// The lanes RoundedAccum hands to round_slow (saturation and
+/// truncated-exponent scales): the exact value v + e (|e| <= half an ulp of
+/// v, v != 0) rebuilt in 64 bits as RoundedAccum::add builds its sums — v's
+/// significand topped at bit 61, e aligned below it with its lost bits
+/// folded into a sticky bit 0 — then round_pack, as a double again.
+double round_lane_exact(const PositSpec& spec, double v, double e) {
+  const auto fields = [](double x, std::uint64_t* sig, int* lsb) {
+    std::uint64_t b;
+    std::memcpy(&b, &x, sizeof b);
+    *sig = (b & ((std::uint64_t{1} << 52) - 1)) | (std::uint64_t{1} << 52);
+    *lsb = static_cast<int>((b >> 52) & 0x7FF) - 1075;
+  };
+  std::uint64_t mag;
+  int lsb;
+  fields(v, &mag, &lsb);
+  mag <<= 9;
+  const int base = lsb - 9;
+  if (e != 0.0) {
+    std::uint64_t esig;
+    int elsb;
+    fields(e, &esig, &elsb);
+    const int sh = base - elsb;  // >= 44: e sits below v's last bit
+    const std::uint64_t y =
+        sh >= 64 ? 1u : (esig >> sh) | ((esig & ((std::uint64_t{1} << sh) - 1)) != 0 ? 1u : 0u);
+    mag = std::signbit(e) == std::signbit(v) ? mag + y : mag - y;
+  }
+  const int msb = 63 - __builtin_clzll(mag);
+  const std::uint32_t code = round_pack(spec, std::signbit(v), base + msb, mag, msb, false,
+                                        RoundMode::kNearestEven, nullptr);
+  return lane_value(decode_unpacked(code, spec));
+}
+
+/// What rounding a lane needs of the spec, in 64-bit lanes. The regime
+/// arithmetic runs in the low dword of each lane (high dwords stay zero).
+struct LaneFormat {
+  __m256i abs_mask, one, ex_bias, d_pos, d_neg, d_fw0, ex_neg;
+  __m128i kk_shift;
+  PositSpec spec;
+
+  __attribute__((target("avx2"))) static __m256i low_dword(int v) {
+    return _mm256_set1_epi64x(static_cast<long long>(static_cast<std::uint32_t>(v)));
+  }
+
+  __attribute__((target("avx2"))) explicit LaneFormat(const PositSpec& s) : spec(s) {
+    // (scale + 2048) >> es == k + k0 as an unsigned shift of the biased
+    // exponent field; the dropped bit count is 52 - fw = regime length +
+    // 53 - n + es, the regime length max(k + 2, 1 - k).
+    const int k0 = 2048 >> s.es;
+    const int d_off = 53 - s.n + s.es;
+    abs_mask = _mm256_set1_epi64x(0x7FFFFFFFFFFFFFFFll);
+    one = _mm256_set1_epi64x(1);
+    ex_bias = _mm256_set1_epi64x(static_cast<long long>(2048 - 1023) << 52);
+    kk_shift = _mm_cvtsi32_si128(52 + s.es);
+    d_pos = low_dword(2 - k0 + d_off);
+    d_neg = low_dword(k0 + 1 + d_off);
+    d_fw0 = _mm256_set1_epi64x(52);
+    ex_neg = _mm256_set1_epi64x(1022);
+  }
+};
+
+/// v's posit grid: `unit` is the weight of the last stored fraction bit
+/// (2^d in v's bit pattern, d = 52 - fw), `low` masks the bits below it.
+/// d > 52 (fw < 0) marks the saturation and truncated-exponent scales
+/// RoundedAccum leaves to round_pack; zero lanes get unit == 0.
+struct Grid {
+  __m256i mag, d, unit, low, rem, half;
+};
+
+__attribute__((target("avx2"), always_inline)) inline Grid grid(__m256i bits,
+                                                                const LaneFormat& f) {
+  Grid g;
+  g.mag = _mm256_and_si256(bits, f.abs_mask);
+  const __m256i kk = _mm256_srl_epi64(_mm256_add_epi64(g.mag, f.ex_bias), f.kk_shift);
+  g.d = _mm256_max_epi32(_mm256_add_epi32(kk, f.d_pos), _mm256_sub_epi32(f.d_neg, kk));
+  g.unit = _mm256_sllv_epi64(f.one, g.d);
+  g.low = _mm256_sub_epi64(g.unit, f.one);
+  g.rem = _mm256_and_si256(bits, g.low);
+  g.half = _mm256_srli_epi64(g.unit, 1);
+  return g;
+}
+
+/// Non-zero lanes outside the inline band.
+__attribute__((target("avx2"), always_inline)) inline __m256i out_of_band(const Grid& g,
+                                                                         const LaneFormat& f) {
+  return _mm256_andnot_si256(_mm256_cmpeq_epi64(g.mag, _mm256_setzero_si256()),
+                             _mm256_cmpgt_epi64(g.d, f.d_fw0));
+}
+
+/// The TwoSum error of v = s + p: v + e == s + p exactly.
+__attribute__((target("avx2"), always_inline)) inline __m256d two_sum_error(__m256d s, __m256d p,
+                                                                           __m256d v) {
+  const __m256d pv = _mm256_sub_pd(v, s);
+  return _mm256_add_pd(_mm256_sub_pd(s, _mm256_sub_pd(v, pv)), _mm256_sub_pd(p, pv));
+}
+
+/// Lanes where v cut to nearest must round up, ties included: a tie of v
+/// goes the way e points, and an exact tie (e == 0) to the even code. The
+/// code LSB is the last fraction bit (the bit at unit); with no fraction
+/// bit (d == 52, the bit is the exponent field's LSB) it is the exponent
+/// LSB, i.e. that bit inverted, or for es == 0 the regime terminator, set
+/// exactly when the scale is negative.
+__attribute__((target("avx2"), always_inline)) inline __m256i round_up(__m256i bits, __m256d e,
+                                                                      const Grid& g,
+                                                                      const LaneFormat& f) {
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i even = _mm256_cmpeq_epi64(_mm256_and_si256(bits, g.unit), zero);
+  const __m256i fw0 = _mm256_cmpeq_epi64(g.d, f.d_fw0);
+  const __m256i even_code =
+      f.spec.es != 0
+          ? _mm256_xor_si256(even, fw0)
+          : _mm256_blendv_epi8(even, _mm256_cmpgt_epi64(_mm256_srli_epi64(g.mag, 52), f.ex_neg),
+                               fw0);
+  // A tie stays down when e is zero and the code even, or e points the
+  // other way (its sign differs from v's).
+  const __m256i ezero = _mm256_castpd_si256(_mm256_cmp_pd(e, _mm256_setzero_pd(), _CMP_EQ_OQ));
+  const __m256i against = _mm256_cmpgt_epi64(zero, _mm256_xor_si256(_mm256_castpd_si256(e), bits));
+  const __m256i stay =
+      _mm256_or_si256(_mm256_and_si256(ezero, even_code), _mm256_andnot_si256(ezero, against));
+  return _mm256_or_si256(_mm256_cmpgt_epi64(g.rem, g.half),
+                         _mm256_andnot_si256(stay, _mm256_cmpeq_epi64(g.rem, g.half)));
+}
+
+/// round(s + p) for exact lane values, every case: round_up on the TwoSum
+/// pair (v, e), out-of-band lanes through round_lane_exact.
+__attribute__((target("avx2"), noinline)) __m256d add_round_full(__m256d s, __m256d p,
+                                                                  const LaneFormat& f) {
+  const __m256d v = _mm256_add_pd(s, p);
+  const __m256d e = two_sum_error(s, p, v);
+  const __m256i bits = _mm256_castpd_si256(v);
+  const Grid g = grid(bits, f);
+  __m256d r = _mm256_castsi256_pd(_mm256_add_epi64(
+      _mm256_andnot_si256(g.low, bits), _mm256_and_si256(round_up(bits, e, g, f), g.unit)));
+  const int slow = _mm256_movemask_pd(_mm256_castsi256_pd(out_of_band(g, f)));
+  if (slow != 0) {
+    alignas(32) double rv[4], vv[4], ev[4];
+    _mm256_store_pd(rv, r);
+    _mm256_store_pd(vv, v);
+    _mm256_store_pd(ev, e);
+    for (int l = 0; l < 4; ++l) {
+      if (((slow >> l) & 1) != 0) rv[l] = round_lane_exact(f.spec, vv[l], ev[l]);
+    }
+    r = _mm256_load_pd(rv);
+  }
+  return r;
+}
+
+/// round(s + p) on the common path: v = s + p cut to nearest on its grid.
+/// That is the answer unless a lane sits exactly halfway (then e or the
+/// code parity decides) or outside the band; add_round_full redoes such
+/// steps. Ties are rare in an fma chain (the exact product's tail decides);
+/// the serial chain's s + round(a*b) meets more of them, and still runs
+/// faster with the branch than with round_up inline.
+__attribute__((target("avx2"), always_inline)) inline __m256d add_round(__m256d s, __m256d p,
+                                                                       const LaneFormat& f) {
+  const __m256i bits = _mm256_castpd_si256(_mm256_add_pd(s, p));
+  const Grid g = grid(bits, f);
+  const __m256i redo = _mm256_andnot_si256(
+      _mm256_cmpeq_epi64(g.mag, _mm256_setzero_si256()),
+      _mm256_or_si256(_mm256_cmpgt_epi64(g.d, f.d_fw0), _mm256_cmpeq_epi64(g.rem, g.half)));
+  if (_mm256_movemask_pd(_mm256_castsi256_pd(redo)) != 0) return add_round_full(s, p, f);
+  const __m256i up = _mm256_cmpgt_epi64(g.rem, g.half);
+  return _mm256_castsi256_pd(
+      _mm256_add_epi64(_mm256_andnot_si256(g.low, bits), _mm256_and_si256(up, g.unit)));
+}
+
+/// kVecs row tiles (at a, a + k * kLanes, ...) against w: the chains of
+/// independent tiles interleave, so one tile's latency hides behind the
+/// other's work.
+template <int kVecs, bool kFused>
+__attribute__((target("avx2"), always_inline)) inline void chain_tiles(
+    const double* a, const double* w, std::size_t k, const LaneFormat& f, const double* bias,
+    double* out) {
+  const __m256d zero = _mm256_setzero_pd();
+  __m256d s[kVecs];
+  for (int t = 0; t < kVecs; ++t) s[t] = zero;
+  for (std::size_t i = 0; i < k; ++i) {
+    const __m256d wi = _mm256_broadcast_sd(w + i);
+    for (int t = 0; t < kVecs; ++t) {
+      __m256d p = _mm256_mul_pd(_mm256_loadu_pd(a + t * k * kLanes + i * kLanes), wi);
+      if (!kFused) p = add_round(zero, p, f);  // the product rounds first, on its own
+      s[t] = add_round(s[t], p, f);
+    }
+  }
+  for (int t = 0; t < kVecs; ++t) {
+    if (bias != nullptr) s[t] = add_round(s[t], _mm256_broadcast_sd(bias), f);
+    _mm256_storeu_pd(out + t * kLanes, s[t]);
+  }
+}
+
+template <bool kFused>
+__attribute__((target("avx2"), always_inline)) inline void chain_all(
+    const double* a, std::size_t tiles, const double* w, std::size_t k, const LaneFormat& f,
+    const double* bias, double* out) {
+  const std::size_t stride = k * kLanes;
+  std::size_t t = 0;
+  for (; t + 2 <= tiles; t += 2) {
+    chain_tiles<2, kFused>(a + t * stride, w, k, f, bias, out + t * kLanes);
+  }
+  if (t < tiles) chain_tiles<1, kFused>(a + t * stride, w, k, f, bias, out + t * kLanes);
+}
+
+}  // namespace
+
+__attribute__((target("avx2"), aligned(64))) void rounded_chains_avx2(
+    const double* a, std::size_t tiles, const double* w, std::size_t k, const PositSpec& spec,
+    bool fused, const double* bias, double* out) {
+  const LaneFormat f(spec);
+  if (fused) {
+    chain_all<true>(a, tiles, w, k, f, bias, out);
+  } else {
+    chain_all<false>(a, tiles, w, k, f, bias, out);
+  }
+}
+
 #else  // !PDNN_POSIT_X86 — never dispatched to (available() is false).
 
 void decode_unpacked8_avx2(const std::uint32_t* codes, const PositSpec& spec, Unpacked* out) {
@@ -240,6 +480,9 @@ std::size_t accumulate_limbs_avx2(const Unpacked*, const Unpacked*, std::size_t,
                                   std::uint64_t*, std::uint64_t*, std::size_t, std::uint32_t*) {
   return 0;
 }
+
+void rounded_chains_avx2(const double*, std::size_t, const double*, std::size_t, const PositSpec&,
+                         bool, const double*, double*) {}
 
 #endif
 

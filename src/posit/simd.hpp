@@ -1,8 +1,8 @@
 // simd.hpp — runtime-dispatched AVX2 kernels for the posit engine hot path.
 //
-// Two kernels live behind the dispatcher, both bit-identical to their scalar
-// references by construction (and pinned by the exhaustive oracle tests in
-// tests/posit/pack_codec_test.cpp):
+// Three kernels live behind the dispatcher, each bit-identical to its scalar
+// reference by construction (and pinned by the oracle tests in
+// tests/posit/pack_codec_test.cpp and tests/posit/accum_test.cpp):
 //
 //   * decode_unpacked8_avx2 — batch-of-8 posit decode: eight n-bit codes in,
 //     eight Unpacked lanes out. The regime parse is branch-free: the leading
@@ -24,6 +24,19 @@
 //     chains short instead. The folded register state matches the scalar
 //     loop exactly (every deposit is an exact add mod 2^width, so neither
 //     grouping nor bank splitting can change a bit).
+//   * rounded_chains_avx2 — the fma and serial chains (posit/accum.hpp) for
+//     four outputs per __m256d, one output per lane, each lane in its own
+//     ascending-k term order. Where rounded_lanes_supported(spec) holds
+//     (n - 2 - es <= 26, scales within +-480) a significand has at most 26
+//     bits, so every product is exact in a double and no value overflows or
+//     goes subnormal: a lane carries its running sum as the exact double
+//     value of the posit. Per term the exact sum s + p is the pair (v, e) of a TwoSum, and
+//     v's bit pattern is cut to the posit's fraction width at v's scale
+//     (exponent -> regime length -> fraction width) with round-to-nearest,
+//     ties to the even code, e deciding the ties of v — RoundedAccum::round's
+//     rule as lane masks. Lanes whose scale leaves the band RoundedAccum
+//     rounds inline (saturation and truncated-exponent regimes) are rebuilt
+//     from (v, e) and sent through round_pack one at a time.
 //
 // Dispatch mirrors tensor/gemm_kernel.cpp: __builtin_cpu_supports("avx2")
 // resolved once, with two overrides — the PDNN_NO_AVX2=1 environment
@@ -67,5 +80,52 @@ void decode_unpacked8_avx2(const std::uint32_t* codes, const PositSpec& spec, Un
 std::size_t accumulate_limbs_avx2(const Unpacked* a, const Unpacked* b, std::size_t count,
                                   long base, std::uint64_t* pos_limbs, std::uint64_t* neg_limbs,
                                   std::size_t bank1_offset, std::uint32_t* flags_or);
+
+/// The lane kernel's domain: significands (hidden bit included) of at most
+/// 26 bits, so a product of two operands is exact in a double, and scales
+/// within +-480, so products (and TwoSum errors, down to 2^-1010) stay
+/// normal doubles. Holds for every es <= 3 format the engine runs but
+/// (32,3) and wider significands.
+constexpr bool rounded_lanes_supported(const PositSpec& spec) {
+  return spec.n - 2 - spec.es <= 26 && spec.max_scale() <= 480;
+}
+
+/// Row tiles of the lane kernel: four operand rows, stored k-major
+/// (tile[i * 4 + lane] is term i of row `lane`).
+inline constexpr std::size_t kLanes = 4;
+
+/// The exact value of an operand as a double; 0.0 for zero and NaR (the
+/// caller tracks NaR, which absorbs a whole chain, on its own). Exact under
+/// rounded_lanes_supported(): sig has at most 26 bits and |lsb_weight| stays
+/// below 510.
+inline double lane_value(const Unpacked& u) {
+  if (u.flags != 0) return 0.0;
+  const auto pow2 = static_cast<std::uint64_t>(1023 + u.lsb_weight) << 52;
+  double scale;
+  __builtin_memcpy(&scale, &pow2, sizeof scale);
+  const double mag = static_cast<double>(u.sig) * scale;
+  return u.neg != 0 ? -mag : mag;
+}
+
+/// Fill one row tile from `rows` contiguous operand rows of length k
+/// (rows <= kLanes; the missing lanes are zero rows). Returns bit l set when
+/// row l holds a NaR.
+unsigned fill_lane_tile(const Unpacked* rows, std::size_t nrows, std::size_t k, double* tile);
+
+/// out[i] = lane_value(row[i]) for i < k; returns true when the row holds a
+/// NaR.
+bool fill_lane_row(const Unpacked* row, std::size_t k, double* out);
+
+/// Run `tiles` row tiles (tile t at a + t * k * kLanes) against one operand
+/// row w[0..k): out[t * kLanes + l] is the rounded chain of tile t's row l
+/// — fused: s = round(a*w + s) (RoundedAccum::fma_dot), else s = round(s +
+/// round(a*w)) (serial_dot) — as the exact double of its posit, then, when
+/// `bias` is non-null, round(s + *bias) (posit::add). Every a, w and *bias
+/// must be an exact posit value (lane_value) of `spec`, and
+/// rounded_lanes_supported(spec) must hold. Bit-identical to RoundedAccum
+/// lane by lane; NaR is the caller's (see fill_lane_tile). Caller must check
+/// enabled().
+void rounded_chains_avx2(const double* a, std::size_t tiles, const double* w, std::size_t k,
+                         const PositSpec& spec, bool fused, const double* bias, double* out);
 
 }  // namespace pdnn::posit::simd

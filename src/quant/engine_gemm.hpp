@@ -37,8 +37,10 @@ inline int engine_thread_id() {
 /// formats; all pointers null otherwise). `mul`+`add` drive serial
 /// accumulation, `fma` the fma chain, and `add` alone every bias add in any
 /// mode. Results are bit-identical to the arithmetic routines by
-/// construction. Without its tables a serial/fma chain runs on
-/// posit::RoundedAccum (the sum stays unpacked, packed once per output).
+/// construction. Without its tables a serial/fma chain runs four outputs
+/// per AVX2 vector as exact doubles (posit::simd::rounded_chains_avx2) where
+/// the spec and host allow it, else on posit::RoundedAccum (the sum stays
+/// unpacked, packed once per output).
 struct EngineLuts {
   const posit::MulLut* mul = nullptr;
   const posit::AddLut* add = nullptr;
@@ -59,7 +61,8 @@ EngineLuts resolve_luts(const posit::PositSpec& spec, AccumMode mode);
 /// scratch first (kActTile-row slices, team-parallel), then each weight row
 /// into its streaming thread's O(k) scratch as the column loop reaches it.
 /// Resident panel memory is the packed payload; the decoded activation panel
-/// is per-call working scratch.
+/// (and, for the lane kernel, its 4-row double tiles) is per-call working
+/// scratch.
 ///
 /// Threading is over output columns with one quire (or rounded accumulator)
 /// per thread. Each output is accumulated start-to-finish by a single thread
@@ -92,9 +95,9 @@ void engine_conv2d(const float* x, std::size_t batch, const tensor::Conv2dGeom& 
                    bool elide_im2col, tensor::Tensor& cols, posit::PackedPositTensor& act,
                    float* out);
 
-/// Bytes of the calling thread's block-decode + encode scratch (capacity,
-/// grow-only). Scratch, not model footprint: PositSession::panel_bytes()
-/// deliberately excludes it.
+/// Bytes of the calling thread's block-decode + encode scratch, lane-kernel
+/// double tiles included (capacity, grow-only). Scratch, not model
+/// footprint: PositSession::panel_bytes() deliberately excludes it.
 std::size_t engine_scratch_bytes();
 
 }  // namespace pdnn::quant::detail

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "posit/accum.hpp"
+#include "posit/simd.hpp"
 #include "quant/engine_gemm.hpp"
 #include "tensor/ops.hpp"
 
@@ -20,17 +21,25 @@ namespace {
 
 /// Per-thread block-decode scratch for the packed panels. The calling
 /// thread's instance holds the whole activation panel for the duration of
-/// one GEMM (codes plus, when the mode consumes them, unpacked lanes —
-/// transient per-call working set, rebuilt from the packed panel each call);
-/// each team thread's instance holds the single weight row it is currently
-/// streaming. Grow-only and thread-local, so the steady-state cost is
-/// bounded by the largest shapes this thread has seen — scratch, not model
-/// footprint (engine_scratch_bytes() reports it).
+/// one GEMM (codes plus, when the mode consumes them, unpacked lanes — or,
+/// for the AVX2 rounded chains, 4-row double tiles and each tile's NaR rows
+/// — transient per-call working set, rebuilt from the packed panel each
+/// call); each team thread's instance holds the single weight row it is
+/// currently streaming (for the lane kernel also that row as doubles, the
+/// column's outputs, and one lane tile's operands on their way to doubles).
+/// Grow-only and thread-local, so the steady-state cost is bounded by the
+/// largest shapes this thread has seen — scratch, not model footprint
+/// (engine_scratch_bytes() reports it).
 struct DecodeScratch {
   std::vector<std::uint32_t> a_codes;
   std::vector<std::uint32_t> w_codes;
   std::vector<Unpacked> a_ops;
   std::vector<Unpacked> w_ops;
+  std::vector<double> a_lanes;
+  std::vector<unsigned> a_nar;
+  std::vector<Unpacked> tile_ops;
+  std::vector<double> w_lanes;
+  std::vector<double> out_lanes;
 };
 thread_local DecodeScratch tl_scratch;
 
@@ -46,7 +55,9 @@ std::size_t engine_scratch_bytes() {
   const DecodeScratch& s = tl_scratch;
   return (s.a_codes.capacity() + s.w_codes.capacity() + tl_encode_codes.capacity()) *
              sizeof(std::uint32_t) +
-         (s.a_ops.capacity() + s.w_ops.capacity()) * sizeof(Unpacked);
+         (s.a_ops.capacity() + s.w_ops.capacity() + s.tile_ops.capacity()) * sizeof(Unpacked) +
+         (s.a_lanes.capacity() + s.w_lanes.capacity() + s.out_lanes.capacity()) * sizeof(double) +
+         s.a_nar.capacity() * sizeof(unsigned);
 }
 
 EngineLuts resolve_luts(const PositSpec& spec, AccumMode mode) {
@@ -78,6 +89,13 @@ void engine_gemm(const PackedPositTensor& a, const PackedPositTensor& w,
   const bool lut_serial = mode == AccumMode::kSerial && luts.mul != nullptr && luts.add != nullptr;
   const bool lut_fma = mode == AccumMode::kFma && luts.fma != nullptr;
   const bool need_ops = !(lut_serial || lut_fma);
+  // Rounded chains without a LUT run four outputs per AVX2 vector where the
+  // spec's values are exact doubles (posit/simd.hpp), on RoundedAccum
+  // otherwise: both bit-identical to the coded chains.
+  const bool lanes = mode != AccumMode::kQuire && need_ops && posit::simd::enabled() &&
+                     posit::simd::rounded_lanes_supported(spec);
+  static_assert(kActTile % posit::simd::kLanes == 0, "activation tiles split into lane tiles");
+  const std::size_t lane_tiles = (rows + posit::simd::kLanes - 1) / posit::simd::kLanes;
   // Phase split keeps every panel value's decode to exactly once per call:
   // the activation panel is block-decoded (kActTile-row slices, in parallel)
   // into the calling thread's scratch, then the GEMM parallelizes over
@@ -86,27 +104,47 @@ void engine_gemm(const PackedPositTensor& a, const PackedPositTensor& w,
   // starts — the region below only reads them through raw pointers.
   DecodeScratch& host = tl_scratch;
   host.a_codes.resize(rows * k);
-  if (need_ops) host.a_ops.resize(rows * k);
+  if (need_ops && !lanes) host.a_ops.resize(rows * k);
   std::uint32_t* const a_codes_buf = host.a_codes.data();
-  Unpacked* const a_ops_buf = need_ops ? host.a_ops.data() : nullptr;
+  Unpacked* const a_ops_buf = need_ops && !lanes ? host.a_ops.data() : nullptr;
+  if (lanes) {
+    host.a_lanes.resize(lane_tiles * posit::simd::kLanes * k);
+    host.a_nar.resize(lane_tiles);
+  }
+  double* const a_lanes_buf = lanes ? host.a_lanes.data() : nullptr;
+  unsigned* const a_nar_buf = lanes ? host.a_nar.data() : nullptr;
+  const float nar_out = static_cast<float>(posit::to_double(spec.nar_code(), spec));
 #pragma omp parallel
   {
     posit::Quire* quire = mode == AccumMode::kQuire ? &quire_pool[engine_thread_id()] : nullptr;
-    // Rounded chains without a LUT (n > 8): the running sum stays unpacked
-    // and is packed once per output (posit/accum.hpp).
+    // Rounded chains without a LUT off the lane kernel: the running sum
+    // stays unpacked and is packed once per output (posit/accum.hpp).
     posit::RoundedAccum racc(spec);
+    DecodeScratch& scratch = tl_scratch;
+    if (lanes) scratch.tile_ops.resize(posit::simd::kLanes * k);
 #pragma omp for schedule(static)
     for (std::size_t tile = 0; tile < tiles; ++tile) {
       const std::size_t r0 = tile * kActTile;
       const std::size_t r1 = std::min(rows, r0 + kActTile);
       posit::unpack_codes(a.packed.data(), r0 * k, (r1 - r0) * k, a.spec, a_codes_buf + r0 * k);
-      if (need_ops) {
+      if (a_ops_buf != nullptr) {
         posit::decode_unpacked(a_codes_buf + r0 * k, (r1 - r0) * k, a.spec, a_ops_buf + r0 * k);
       }
+      // The lane tiles of these rows, each decoded on its way to doubles; a
+      // ragged last tile gets zero lanes.
+      for (std::size_t r = r0; lanes && r < r1; r += posit::simd::kLanes) {
+        const std::size_t n = std::min(posit::simd::kLanes, r1 - r);
+        posit::decode_unpacked(a_codes_buf + r * k, n * k, a.spec, scratch.tile_ops.data());
+        a_nar_buf[r / posit::simd::kLanes] =
+            posit::simd::fill_lane_tile(scratch.tile_ops.data(), n, k, a_lanes_buf + r * k);
+      }
     }  // implicit barrier: the whole panel is decoded before any dot reads it
-    DecodeScratch& scratch = tl_scratch;
     scratch.w_codes.resize(k);
     if (need_ops) scratch.w_ops.resize(k);
+    if (lanes) {
+      scratch.w_lanes.resize(k);
+      scratch.out_lanes.resize(lane_tiles * posit::simd::kLanes);
+    }
 #pragma omp for schedule(static)
     for (std::size_t o = 0; o < cols; ++o) {
       posit::unpack_codes(w.packed.data(), o * k, k, spec, scratch.w_codes.data());
@@ -115,6 +153,26 @@ void engine_gemm(const PackedPositTensor& a, const PackedPositTensor& w,
       if (need_ops) posit::decode_unpacked(wcodes, k, spec, scratch.w_ops.data());
       const std::uint32_t bcode =
           bias.count != 0 ? posit::unpack_one(bias.packed.data(), o, bias.spec) : 0u;
+      if (lanes) {
+        // Each output as the exact double of its posit, bias added in the
+        // same domain; static_cast<float> of it is the float to_double of
+        // the code would give. NaR in a row, the weight row or the bias
+        // makes the output NaR whatever the order.
+        const Unpacked bu = posit::decode_unpacked(bcode, spec);
+        const double bvalue = posit::simd::lane_value(bu);
+        const bool col_nar = posit::simd::fill_lane_row(wrow, k, scratch.w_lanes.data()) ||
+                             (bias.count != 0 && bu.is_nar());
+        double* const sums = scratch.out_lanes.data();
+        posit::simd::rounded_chains_avx2(a_lanes_buf, lane_tiles, scratch.w_lanes.data(), k, spec,
+                                         mode == AccumMode::kFma,
+                                         bias.count != 0 ? &bvalue : nullptr, sums);
+        for (std::size_t r = 0; r < rows; ++r) {
+          const unsigned tile_nar = a_nar_buf[r / posit::simd::kLanes];
+          const bool nar = col_nar || ((tile_nar >> (r % posit::simd::kLanes)) & 1u) != 0;
+          out[r * row_stride + o * col_stride] = nar ? nar_out : static_cast<float>(sums[r]);
+        }
+        continue;
+      }
       for (std::size_t r = 0; r < rows; ++r) {
         const Unpacked* arow = a_ops_buf + r * k;
         const std::uint32_t* acodes = a_codes_buf + r * k;

@@ -10,15 +10,24 @@
 // saturation at +-maxpos, sums near minpos, magnitudes far enough apart to
 // take the sticky alignment, and the truncated-exponent band. Each stream
 // also asserts that it actually reached the case it was built for.
+//
+// Every stream also runs through the AVX2 lane kernel
+// (posit::simd::rounded_chains_avx2, four chains per vector) at every spec
+// it supports: in each of the eight lane positions of two row tiles, the
+// other lanes fed different operand streams, in both modes and with a bias
+// add — each lane must reproduce RoundedAccum on its own row.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <random>
 #include <utility>
 #include <vector>
 
 #include "posit/accum.hpp"
 #include "posit/arith.hpp"
+#include "posit/simd.hpp"
 
 namespace pdnn::posit {
 namespace {
@@ -64,6 +73,130 @@ void tally(std::uint32_t prev, std::uint32_t acc, const PositSpec& spec, Reached
   if (truncated_band(acc, spec)) ++r.truncated;
 }
 
+/// A lane result as the code it denotes (lane results are exact posit
+/// values, so the encode is exact); NaR rows as the NaR code.
+std::uint32_t lane_code(double v, bool nar, const PositSpec& spec) {
+  return nar ? spec.nar_code() : from_double(v, spec);
+}
+
+/// Bits of a double: a lane's zero must be +0.0, as to_double(0) is.
+std::uint64_t bits_of(double v) {
+  std::uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+/// RoundedAccum's codes for every prefix length in `cuts` (ascending) of
+/// the chain row[i] * b[i], in one pass.
+std::vector<std::uint32_t> prefix_codes(const PositSpec& spec, const std::vector<Unpacked>& row,
+                                        const std::vector<Unpacked>& b,
+                                        const std::vector<std::size_t>& cuts, bool fused) {
+  RoundedAccum acc(spec);
+  std::vector<std::uint32_t> codes;
+  std::size_t done = 0;
+  for (const std::size_t m : cuts) {
+    if (fused) {
+      acc.fma_dot(row.data() + done, b.data() + done, m - done);
+    } else {
+      acc.serial_dot(row.data() + done, b.data() + done, m - done);
+    }
+    done = m;
+    codes.push_back(acc.to_posit());
+  }
+  return codes;
+}
+
+/// The lane kernel over `terms` at every lane position of two row tiles.
+/// All rows share the stream's b operands as the broadcast weight row; the
+/// stream's a operands sit in row `pos`, and the other rows hold its a
+/// rotated (row 1 of each tile) or Gaussian codes. Each row is checked
+/// against RoundedAccum on its own operands, at a few prefix lengths, in
+/// both modes, through the two-tile loop and (for `pos`'s tile) the
+/// one-tile loop, plus a bias add on the whole chain.
+void check_lanes(const PositSpec& spec, const Terms& terms, const char* stream) {
+  if (!simd::enabled() || !simd::rounded_lanes_supported(spec)) return;
+  constexpr std::size_t kRows = 2 * simd::kLanes;
+  const std::size_t len = terms.size();
+  std::mt19937_64 rng((static_cast<std::uint64_t>(spec.n) << 8) ^ spec.es ^ len);
+  std::vector<Unpacked> b(len);
+  for (std::size_t i = 0; i < len; ++i) b[i] = decode_unpacked(terms[i].second, spec);
+  // rows[j]: row j's operands, j < kRows; rows[kRows]: the stream's own.
+  std::vector<std::vector<Unpacked>> rows(kRows + 1, std::vector<Unpacked>(len));
+  for (std::size_t j = 0; j <= kRows; ++j) {
+    for (std::size_t i = 0; i < len; ++i) {
+      const std::uint32_t code =
+          j == kRows ? terms[i].first
+          : j % simd::kLanes == 1
+              ? terms[(i + j * len / kRows) % len].first
+              : from_double(std::normal_distribution<double>(0.0, 1.0)(rng), spec);
+      rows[j][i] = decode_unpacked(code, spec);
+    }
+  }
+  const std::uint32_t bias_code = terms[len / 2].first;
+  const Unpacked bias = decode_unpacked(bias_code, spec);
+  const double bias_value = simd::lane_value(bias);
+
+  std::vector<std::size_t> cuts = {1, 3, len / 2, len};
+  const auto outside = [&](std::size_t m) { return m == 0 || m > len; };
+  cuts.erase(std::remove_if(cuts.begin(), cuts.end(), outside), cuts.end());
+  std::sort(cuts.begin(), cuts.end());
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+  // want[fused][j][c]: RoundedAccum on rows[j] at prefix cuts[c].
+  std::vector<std::vector<std::uint32_t>> want[2];
+  for (const bool fused : {false, true}) {
+    for (const auto& row : rows) want[fused].push_back(prefix_codes(spec, row, b, cuts, fused));
+  }
+
+  std::vector<Unpacked> block;
+  std::vector<double> tiles, w;
+  for (std::size_t pos = 0; pos < kRows; ++pos) {
+    // Row r of the two tiles: the stream at `pos`, rows[r] elsewhere.
+    const auto source = [&](std::size_t r) { return r == pos ? kRows : r; };
+    for (std::size_t c = 0; c < cuts.size(); ++c) {
+      const std::size_t m = cuts[c];
+      block.resize(kRows * m);
+      for (std::size_t r = 0; r < kRows; ++r) {
+        std::copy_n(rows[source(r)].begin(), m, block.begin() + static_cast<std::ptrdiff_t>(r * m));
+      }
+      tiles.assign(kRows * m, 0.0);
+      w.assign(m, 0.0);
+      const unsigned nar = simd::fill_lane_tile(block.data(), simd::kLanes, m, tiles.data()) |
+                           simd::fill_lane_tile(block.data() + simd::kLanes * m, simd::kLanes, m,
+                                                tiles.data() + simd::kLanes * m)
+                               << simd::kLanes;
+      const bool w_nar = simd::fill_lane_row(b.data(), m, w.data());
+      for (const bool fused : {true, false}) {
+        for (const bool with_bias : {false, true}) {
+          if (with_bias && m != len) continue;
+          const double* bp = with_bias ? &bias_value : nullptr;
+          double two[kRows], one[kRows];
+          simd::rounded_chains_avx2(tiles.data(), 2, w.data(), m, spec, fused, bp, two);
+          const std::size_t own = pos / simd::kLanes * simd::kLanes;  // pos's tile
+          std::copy_n(two, kRows, one);
+          simd::rounded_chains_avx2(tiles.data() + own * m, 1, w.data(), m, spec, fused, bp,
+                                    one + own);
+          for (std::size_t r = 0; r < kRows; ++r) {
+            std::uint32_t expect = want[fused][source(r)][c];
+            if (with_bias) expect = add(expect, bias_code, spec);
+            const bool row_nar = ((nar >> r) & 1) != 0 || w_nar || (with_bias && bias.is_nar());
+            EXPECT_EQ(row_nar, expect == spec.nar_code())
+                << spec.to_string() << " " << stream << " NaR flag, row " << r;
+            const std::uint32_t got = lane_code(two[r], row_nar, spec);
+            if (got != expect || bits_of(two[r]) != bits_of(one[r]) ||
+                (!row_nar && bits_of(two[r]) != bits_of(to_double(expect, spec)))) {
+              ADD_FAILURE() << spec.to_string() << " " << stream << (fused ? " fma" : " serial")
+                            << (with_bias ? "+bias" : "") << " lane pos " << pos << " row " << r
+                            << " prefix " << m << ": got " << got << " (one tile "
+                            << lane_code(one[r], row_nar, spec) << ") want " << expect;
+              return;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 /// Runs both chains over `terms` step by step against the coded oracle and
 /// the dot-loop entry points against the final oracle code. Returns what the
 /// oracle chains reached.
@@ -100,6 +233,7 @@ Reached check_chains(const PositSpec& spec, const Terms& terms, const char* stre
   dot.clear();
   dot.serial_dot(a.data(), b.data(), a.size());
   EXPECT_EQ(dot.to_posit(), serial_code) << spec.to_string() << " " << stream << " serial_dot";
+  check_lanes(spec, terms, stream);
   return reached;
 }
 
@@ -314,6 +448,55 @@ TEST(RoundedAccum, TruncatedExponentBand) {
     }
     const Reached r = check_chains(spec, t, "truncated exponent");
     EXPECT_GT(r.truncated, 0) << spec.to_string();
+  }
+}
+
+TEST(RoundedAccum, TiesOfTheDoubleSumGoTheWayTheTwoSumErrorPoints) {
+  // The lane kernel rounds v = fl(s + p) and lets the TwoSum error e break
+  // v's exact ties. That needs an exact sum wider than a double: at
+  // posit(29,1) s in [2, 4) keeps 25 fraction bits (its guard is 2^-25),
+  // and p = 81 * 1657009 * 2^-52 = (2^27 + 1) * 2^-52 = 2^-25 + 2^-52 puts a
+  // bit 27 places below the guard. v = s + 2^-25 is a tie with e = +2^-52:
+  // the sum must round up from an even s. With p = 511 * 262657 * 2^-52 =
+  // 2^-25 - 2^-52, v is again a tie, now with e = -2^-52: it must round
+  // down from an odd s.
+  const PositSpec spec{29, 1};
+  const auto code = [&](double v) {
+    const std::uint32_t c = from_double(v, spec);
+    EXPECT_EQ(to_double(c, spec), v) << "not a posit(29,1) value: " << v;
+    return c;
+  };
+  const std::uint32_t one = code(1.0);
+  const double s_even = 2.0, s_odd = 2.0 + std::ldexp(1.0, -24);
+  const Terms up = {{code(s_even), one},
+                    {code(std::ldexp(81.0, -26)), code(std::ldexp(1657009.0, -26))}};
+  const Terms down = {{code(s_odd), one},
+                      {code(std::ldexp(511.0, -26)), code(std::ldexp(262657.0, -26))}};
+  check_chains(spec, up, "double-sum tie, e up");
+  check_chains(spec, down, "double-sum tie, e down");
+  EXPECT_EQ(fma(up[1].first, up[1].second, code(s_even), spec), code(2.0 + std::ldexp(1.0, -24)));
+  EXPECT_EQ(fma(down[1].first, down[1].second, code(s_odd), spec), code(s_odd));
+}
+
+TEST(RoundedAccum, TruncatedBandMidpointWithATinyTail) {
+  // Just above the inline band one exponent bit is cut off: codes there are
+  // 2^T/2 and 2^(T+1), and 2^T = 2^(fast_hi + 2) is their bit-string
+  // midpoint. minpos, then a product of exactly 2^T: the exact sum 2^T +
+  // minpos rounds up, yet when the two lie more than a double apart v =
+  // 2^T is a tie and only e = minpos says which way.
+  for (const PositSpec& spec : chain_specs()) {
+    if (spec.es == 0) continue;
+    const int t = (spec.n - 2 - spec.es) * (1 << spec.es) + 1;
+    if (t >= spec.max_scale()) continue;
+    const std::uint32_t lo = from_double(std::ldexp(1.0, t / 2), spec);
+    const std::uint32_t hi = from_double(std::ldexp(1.0, t - t / 2), spec);
+    if (to_double(lo, spec) * to_double(hi, spec) != std::ldexp(1.0, t)) continue;
+    const std::uint32_t one = from_double(1.0, spec);
+    for (const bool negative : {false, true}) {
+      const std::uint32_t minpos = negative ? neg(spec.minpos_code(), spec) : spec.minpos_code();
+      check_chains(spec, {{minpos, one}, {lo, hi}}, "truncated midpoint");
+      check_chains(spec, {{minpos, one}, {neg(lo, spec), hi}}, "truncated midpoint, negated");
+    }
   }
 }
 

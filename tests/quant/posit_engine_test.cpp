@@ -2,10 +2,14 @@
 // PositSessions, against the retained scalar reference: exact bit-equality
 // over the full spec grid and every accumulation mode, thread-count
 // invariance, and the engine edge cases (empty batches, missing bias, 1x1
-// windows under both conv lowerings, degenerate geometry).
+// windows under both conv lowerings, degenerate geometry). The rounded
+// chains above n = 8 run four outputs per AVX2 vector (posit/simd.hpp) or,
+// forced scalar, on RoundedAccum; their edge cases run under both.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
@@ -16,6 +20,7 @@
 #endif
 
 #include "nn/resnet.hpp"
+#include "posit/simd.hpp"
 #include "quant/posit_inference.hpp"
 #include "quant/posit_session.hpp"
 #include "support/bits.hpp"
@@ -253,6 +258,125 @@ TEST(PositEngine, DegenerateGeometryThrowsInsteadOfUnderflowing) {
                std::invalid_argument);
   const tensor::Conv2dGeom stride0{1, 2, 2, 1, 1, 0, 0};
   EXPECT_THROW(stride0.validate(), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Rounded chains: the AVX2 lane kernel and its scalar fallback
+// ---------------------------------------------------------------------------
+
+/// Formats around the lane kernel's domain (n - 2 - es <= 26): LUT-backed
+/// n = 8, lane formats up to its edge — (28,0) and (29,1) carry 26-bit
+/// significands — and (32,2), which stays on RoundedAccum.
+const std::vector<PositSpec>& chain_grid() {
+  static const std::vector<PositSpec> grid = {
+      {8, 1}, {12, 1}, {16, 0}, {16, 1}, {16, 2}, {24, 2}, {28, 0}, {29, 1}, {29, 3}, {32, 2},
+  };
+  return grid;
+}
+
+/// Runs fn(scalar) with the posit SIMD kernels enabled (when the host has
+/// them) and forced to the scalar fallback.
+template <typename Fn>
+void for_each_kernel(Fn&& fn) {
+  for (const bool scalar : {false, true}) {
+    if (!scalar && !posit::simd::available()) continue;
+    posit::simd::force_disable(scalar);
+    fn(scalar);
+  }
+  posit::simd::force_disable(false);
+}
+
+/// Every chain_grid() spec in both rounded modes, on both kernels, against
+/// posit_linear_reference.
+void expect_chains_match_reference(const Tensor& x, const Tensor& w, const Tensor& bias,
+                                   const char* what) {
+  for (const PositSpec& spec : chain_grid()) {
+    for (const AccumMode mode : {AccumMode::kSerial, AccumMode::kFma}) {
+      const Tensor ref = posit_linear_reference(x, w, bias, spec, mode);
+      for_each_kernel([&](bool scalar) {
+        EXPECT_TRUE(bit_identical(posit_layer(w, bias, spec, mode).run(x), ref))
+            << what << " " << spec.to_string() << " mode " << static_cast<int>(mode)
+            << (scalar ? " scalar" : " avx2");
+      });
+    }
+  }
+}
+
+TEST(PositEngine, RoundedChainsMatchReferenceOnRaggedLaneTiles) {
+  // 1, 3 and 5 rows leave padded lanes in the last four-row tile, 17 rows a
+  // lone row after two tile pairs; k = 1 is a chain of one term.
+  Rng rng(79);
+  for (const std::size_t rows : {1, 3, 5, 17}) {
+    for (const std::size_t k : {1, 29}) {
+      const Tensor x = Tensor::randn({rows, k}, rng);
+      const Tensor w = Tensor::randn({6, k}, rng, 0.4f);
+      const Tensor bias = Tensor::randn({6}, rng, 0.2f);
+      const std::string what = "rows " + std::to_string(rows) + " k " + std::to_string(k);
+      expect_chains_match_reference(x, w, bias, what.c_str());
+      expect_chains_match_reference(x, w, Tensor(), (what + " no bias").c_str());
+    }
+  }
+}
+
+TEST(PositEngine, RoundedChainsMatchReferenceOnZeroHeavyReluPanels) {
+  // ReLU'd activations with most of the rest zeroed too, an all-zero row,
+  // and a weight row of zeros: long runs of zero terms, sums that stay
+  // exactly zero, and zero outputs that must come out +0.0.
+  Rng rng(83);
+  Tensor x = Tensor::randn({11, 48}, rng);
+  for (std::size_t i = 0; i < x.numel(); ++i) {
+    if (x[i] < 0.0f || i % 3 != 0) x[i] = 0.0f;
+  }
+  for (std::size_t i = 0; i < 48; ++i) x.at(6, i) = 0.0f;
+  Tensor w = Tensor::randn({5, 48}, rng, 0.4f);
+  for (std::size_t i = 0; i < 48; ++i) w.at(2, i) = 0.0f;
+  const Tensor bias = Tensor::randn({5}, rng, 0.2f);
+  expect_chains_match_reference(x, w, bias, "zero-heavy");
+  expect_chains_match_reference(x, w, Tensor(), "zero-heavy no bias");
+}
+
+TEST(PositEngine, NarActivationReachesOnlyItsOwnRow) {
+  Rng rng(89);
+  Tensor x = Tensor::randn({9, 40}, rng);
+  x.at(4, 17) = std::numeric_limits<float>::quiet_NaN();  // encodes as NaR
+  const Tensor w = Tensor::randn({7, 40}, rng, 0.4f);
+  const Tensor bias = Tensor::randn({7}, rng, 0.2f);
+  for (const PositSpec& spec : chain_grid()) {
+    for (const AccumMode mode : mode_grid()) {
+      const Tensor ref = posit_linear_reference(x, w, bias, spec, mode);
+      for_each_kernel([&](bool scalar) {
+        const Tensor y = posit_layer(w, bias, spec, mode).run(x);
+        const std::string ctx = spec.to_string() + " mode " +
+                                std::to_string(static_cast<int>(mode)) +
+                                (scalar ? " scalar" : " avx2");
+        EXPECT_TRUE(bit_identical(y, ref)) << ctx;
+        for (std::size_t r = 0; r < 9; ++r) {
+          for (std::size_t o = 0; o < 7; ++o) {
+            EXPECT_EQ(std::isnan(y.at(r, o)), r == 4) << ctx << " row " << r << " col " << o;
+          }
+        }
+      });
+    }
+  }
+}
+
+TEST(PositEngine, RoundedChainsMatchReferenceOnMaxposHeavyPanels) {
+  // Operands at and near maxpos (encodes saturate) mixed with ordinary
+  // ones: products far beyond maxpos, sums that saturate and climb back,
+  // and lanes in the saturation and truncated-exponent bands next to
+  // lanes that are not.
+  Rng rng(97);
+  Tensor x = Tensor::randn({10, 33}, rng);
+  Tensor w = Tensor::randn({6, 33}, rng, 0.5f);
+  for (std::size_t i = 0; i < x.numel(); ++i) {
+    const float sign = x[i] < 0.0f ? -1.0f : 1.0f;
+    if (i % 2 == 0) x[i] = sign * std::ldexp(1.0f, 20 + static_cast<int>(i % 90));
+  }
+  for (std::size_t i = 0; i < w.numel(); i += 3) {
+    w[i] = (w[i] < 0.0f ? -1.0f : 1.0f) * std::ldexp(1.0f, 10 + static_cast<int>(i % 40));
+  }
+  const Tensor bias = Tensor::randn({6}, rng, 1e6f);
+  expect_chains_match_reference(x, w, bias, "maxpos-heavy");
 }
 
 }  // namespace

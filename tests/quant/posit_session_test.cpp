@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #ifdef _OPENMP
@@ -17,6 +18,8 @@
 
 #include "nn/optimizer.hpp"
 #include "nn/resnet.hpp"
+#include "posit/simd.hpp"
+#include "quant/engine_gemm.hpp"
 #include "quant/posit_session.hpp"
 #include "support/bits.hpp"
 #include "support/heap_counter.hpp"
@@ -402,35 +405,83 @@ TEST(PositSession, SteadyStateRunPerformsZeroHeapAllocations) {
 #endif
     for (const PositSpec spec : {PositSpec{8, 1}, PositSpec{16, 1}}) {
       for (const AccumMode mode : mode_grid()) {
-        SessionConfig cfg;
-        cfg.spec = spec;
-        cfg.mode = mode;
-        PositSession session = PositSession::compile(*net, cfg);
-        session.run(x);
-        session.run(x);  // arena, scratch, quire pools, and OpenMP team settled
-        const Tensor want = session.run(x);
-        const std::uint64_t before = g_heap_allocs.load();
-        for (int r = 0; r < 5; ++r) session.run(x);
-        EXPECT_EQ(g_heap_allocs.load(), before)
-            << "steady-state run() must not touch the heap: posit(" << spec.n << "," << spec.es
-            << ") mode " << static_cast<int>(mode) << " threads " << threads;
-        EXPECT_TRUE(bit_identical(session.run(x), want));
-        // A re-encode (here forced for every panel) writes each weight panel
-        // into its existing storage; the first one settles the encode scratch.
-        session.invalidate();
-        session.run(x);
-        const std::uint64_t before_reencode = g_heap_allocs.load();
-        session.invalidate();
-        EXPECT_TRUE(bit_identical(session.run(x), want));
-        EXPECT_EQ(g_heap_allocs.load(), before_reencode)
-            << "re-encoding must reuse the panels' storage: posit(" << spec.n << "," << spec.es
-            << ") mode " << static_cast<int>(mode) << " threads " << threads;
+        // posit(16,1)'s rounded chains run on the AVX2 lane kernel, whose
+        // double tiles are grow-only scratch too, and forced scalar on
+        // RoundedAccum.
+        const bool lanes = spec.n > 8 && mode != AccumMode::kQuire && posit::simd::available();
+        const std::vector<bool> kernels = lanes ? std::vector<bool>{false, true}
+                                                : std::vector<bool>{false};
+        for (const bool scalar : kernels) {
+          posit::simd::force_disable(scalar);
+          SessionConfig cfg;
+          cfg.spec = spec;
+          cfg.mode = mode;
+          PositSession session = PositSession::compile(*net, cfg);
+          session.run(x);
+          session.run(x);  // arena, scratch, quire pools, and OpenMP team settled
+          const Tensor want = session.run(x);
+          const std::uint64_t before = g_heap_allocs.load();
+          for (int r = 0; r < 5; ++r) session.run(x);
+          EXPECT_EQ(g_heap_allocs.load(), before)
+              << "steady-state run() must not touch the heap: posit(" << spec.n << "," << spec.es
+              << ") mode " << static_cast<int>(mode) << " threads " << threads
+              << (scalar ? " scalar" : "");
+          EXPECT_TRUE(bit_identical(session.run(x), want));
+          // A re-encode (here forced for every panel) writes each weight panel
+          // into its existing storage; the first one settles the encode scratch.
+          session.invalidate();
+          session.run(x);
+          const std::uint64_t before_reencode = g_heap_allocs.load();
+          session.invalidate();
+          EXPECT_TRUE(bit_identical(session.run(x), want));
+          EXPECT_EQ(g_heap_allocs.load(), before_reencode)
+              << "re-encoding must reuse the panels' storage: posit(" << spec.n << "," << spec.es
+              << ") mode " << static_cast<int>(mode) << " threads " << threads
+              << (scalar ? " scalar" : "");
+          posit::simd::force_disable(false);
+        }
       }
     }
   }
 #ifdef _OPENMP
   omp_set_num_threads(restore);
 #endif
+}
+
+TEST(PositSession, EngineScratchCountsTheLaneKernelTiles) {
+  // The lane kernel's tiles are thread-local scratch: run one layer on a
+  // fresh thread (empty scratch) with the kernel on and forced off, and
+  // the difference engine_scratch_bytes() reports is exactly the tiles —
+  // 5 rows pad to two 4-row tiles of k = 40 doubles, one NaR mask per tile,
+  // one tile's decoded operands, the weight row as doubles, and one double
+  // per padded output row — less the decoded activation panel the scalar
+  // path keeps and the lane path skips.
+  if (!posit::simd::available()) GTEST_SKIP() << "no AVX2 lane kernel on this host";
+  Rng rng(157);
+  auto net = nn::mlp(40, 6, 6, 0, rng);
+  const Tensor x = Tensor::randn({5, 40}, rng);
+  SessionConfig cfg;
+  cfg.spec = {16, 1};
+  cfg.mode = AccumMode::kFma;
+  PositSession session = PositSession::compile(*net, cfg);
+  const auto scratch_after_run = [&](bool scalar) {
+    std::size_t bytes = 0;
+    std::thread([&] {
+#ifdef _OPENMP
+      omp_set_num_threads(1);
+#endif
+      posit::simd::force_disable(scalar);
+      session.run(x);
+      bytes = detail::engine_scratch_bytes();
+      posit::simd::force_disable(false);
+    }).join();
+    return bytes;
+  };
+  const std::size_t tiles = 2 * posit::simd::kLanes * 40 * sizeof(double) + 2 * sizeof(unsigned) +
+                            posit::simd::kLanes * 40 * sizeof(posit::Unpacked);
+  const std::size_t column = 40 * sizeof(double) + 2 * posit::simd::kLanes * sizeof(double);
+  const std::size_t panel = 5 * 40 * sizeof(posit::Unpacked);
+  EXPECT_EQ(scratch_after_run(false) + panel - scratch_after_run(true), tiles + column);
 }
 
 // ---------------------------------------------------------------------------
