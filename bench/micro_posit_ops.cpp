@@ -148,6 +148,63 @@ BENCHMARK(BM_QuireAccumulateDot)
     ->Args({32, 2, 0})
     ->Args({32, 2, 1});
 
+/// Four outputs' exact quire dot products of length k over ReLU'd Gaussian
+/// activations against one Gaussian weight row — the engine's kQuire inner
+/// loop. /simd=0: Quire::accumulate_dot + to_posit per output, forced onto
+/// the scalar deposit (the fallback PDNN_NO_AVX2 runs). /simd=1: the AVX2
+/// lane kernel, the four outputs in one vector of int64 limbs. Same codes
+/// out; items/s is MAC/s. k = 72, 144 and 576 are ResNet-8 patch lengths.
+void BM_QuireLanes(benchmark::State& state) {
+  const posit::PositSpec spec{static_cast<int>(state.range(0)), static_cast<int>(state.range(1))};
+  const auto k = static_cast<std::size_t>(state.range(2));
+  const bool lanes = state.range(3) != 0;
+  if (lanes && !posit::simd::available()) {
+    state.SkipWithError("AVX2 unavailable");
+    return;
+  }
+  posit::simd::force_disable(!lanes);
+  constexpr std::size_t kOut = posit::simd::kLanes;
+  tensor::Rng rng(23);
+  std::vector<posit::Unpacked> a(kOut * k), b(k);
+  for (auto& u : a) {
+    const double x = rng.normal();
+    u = posit::decode_unpacked(posit::from_double(x > 0.0 ? x : 0.0, spec), spec);
+  }
+  for (auto& u : b) u = posit::decode_unpacked(posit::from_double(0.3 * rng.normal(), spec), spec);
+  std::vector<std::int64_t> tile(kOut * k), w(k);
+  posit::simd::fill_quire_tile(a.data(), kOut, k, spec, tile.data());
+  posit::simd::fill_quire_row(b.data(), k, spec, w.data());
+  posit::Quire q(spec);
+  std::uint32_t codes[kOut];
+  for (auto _ : state) {
+    if (lanes) {
+      posit::simd::quire_lanes_avx2(tile.data(), 1, w.data(), k, spec, codes);
+    } else {
+      for (std::size_t r = 0; r < kOut; ++r) {
+        q.clear();
+        q.accumulate_dot(a.data() + r * k, b.data(), k);
+        codes[r] = q.to_posit();
+      }
+    }
+    benchmark::DoNotOptimize(codes);
+    benchmark::ClobberMemory();
+  }
+  posit::simd::force_disable(false);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kOut * k));
+}
+
+void quire_lane_args(benchmark::internal::Benchmark* bm) {
+  bm->ArgNames({"n", "es", "k", "simd"});
+  for (const int k : {72, 144, 576}) {
+    for (const int n : {8, 16}) {
+      bm->Args({n, 1, k, 0});
+      bm->Args({n, 1, k, 1});
+    }
+  }
+}
+BENCHMARK(BM_QuireLanes)->Apply(quire_lane_args);
+
 /// Four outputs' rounded dot products of length k over Gaussian operands —
 /// four activation rows against one weight row, the engine's n > 8 kFma /
 /// kSerial inner loop. /accum=0: the coded per-term chain (the sum

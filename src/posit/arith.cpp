@@ -51,9 +51,10 @@ std::uint32_t add_decoded(const Decoded& a, const Decoded& b, const PositSpec& s
     if (sum == 0) return 0u;  // exact cancellation
   }
 
-  // Normalize: locate the hidden bit.
-  int msb = 127;
-  while (((sum >> msb) & 1) == 0) --msb;
+  // Normalize: locate the hidden bit (sum != 0 here).
+  const auto sum_hi = static_cast<std::uint64_t>(sum >> 64);
+  const int msb = sum_hi != 0 ? 127 - __builtin_clzll(sum_hi)
+                              : 63 - __builtin_clzll(static_cast<std::uint64_t>(sum));
   const long scale = hi.scale + (msb - 65);
   return round_pack(spec, hi.neg, scale, sum, msb, false, mode, rng);
 }

@@ -35,21 +35,19 @@ Decoded decode(std::uint32_t code, const PositSpec& spec) {
   const std::uint32_t body = mag & (spec.sign_bit() - 1u);
 
   // Parse the regime: a run of identical bits starting at the MSB of the body,
-  // terminated by the opposite bit (or by the end of the word).
-  const int first = (body >> (body_bits - 1)) & 1u;
-  int run = 0;
-  int pos = body_bits - 1;
-  while (pos >= 0 && (((body >> pos) & 1u) == static_cast<std::uint32_t>(first))) {
-    ++run;
-    --pos;
-  }
-  // pos now indexes the terminating bit (or -1 if the run hit the end).
+  // terminated by the opposite bit (or by the end of the word). Aligned to
+  // the top of the word the run is a leading-zero count, as in
+  // decode_unpacked: the shifted-in zeros end an all-ones run (after
+  // inversion) and body >= 1 ends an all-zeros run, so clz caps at body_bits.
+  const std::uint32_t x = body << (32 - body_bits);
+  const bool first = (x >> 31) != 0;
+  const int run = first ? __builtin_clz(~x) : __builtin_clz(x);
   d.k = first ? (run - 1) : -run;
-  if (pos >= 0) --pos;  // skip the terminating bit
 
   // Exponent field: up to es bits. When fewer remain, the stored bits are the
   // HIGH bits of the exponent; missing low bits read as zero.
-  const int remaining_after_regime = pos + 1;
+  const int after_regime = body_bits - run - 1;  // bits below the terminator
+  const int remaining_after_regime = after_regime > 0 ? after_regime : 0;
   const int e_stored = remaining_after_regime < spec.es ? remaining_after_regime : spec.es;
   std::uint32_t e_bits = 0;
   if (e_stored > 0) {

@@ -7,6 +7,13 @@
 // paper, is this structure; the paper's own MAC instead converts to FP and
 // uses a conventional FP accumulator (see src/hw/posit_mac.*). Having both
 // lets the benches compare accumulation strategies.
+//
+// Quire is the oracle of the inference engine's kQuire mode and its
+// fallback. On an AVX2 host the engine runs (8,0), (8,1), (8,2), (16,0) and
+// (16,1) four outputs per vector on posit::simd::quire_lanes_avx2 (int64
+// limbs, one rounding per output, bit-identical to accumulate_dot +
+// to_posit); wider formats ((16,2), n = 32), a lone activation row, hosts
+// without AVX2 and PDNN_NO_AVX2=1 accumulate here.
 #pragma once
 
 #include <cstdint>

@@ -470,7 +470,211 @@ __attribute__((target("avx2"), aligned(64))) void rounded_chains_avx2(
   }
 }
 
+namespace {
+
+using u128 = unsigned __int128;
+
+/// One lane's quire, rounded once as Quire::to_posit rounds it: limbs[0..L-1)
+/// are carry-normalized into [0, 2^32), the top limb holds the signed rest,
+/// and the value is sum limbs[l] * 2^(32 l) units of minpos^2. With four
+/// limbs the value fits the signed 128-bit fold exactly while the top limb
+/// fits 32 bits; past that |value| >= 2^127 units, far above maxpos for
+/// every supported spec (max_scale <= 31), where round_pack saturates — and
+/// so does this.
+template <int L>
+std::uint32_t round_quire_lane(const std::int64_t* limbs, const PositSpec& spec) {
+  const std::int64_t top = limbs[L - 1];
+  if (L == 4 && top != static_cast<std::int32_t>(top)) {
+    return top > 0 ? spec.maxpos_code() : (~spec.maxpos_code() + 1u) & spec.mask();
+  }
+  u128 v = static_cast<u128>(static_cast<__int128>(top)) << (32 * (L - 1));
+  for (int l = 0; l + 1 < L; ++l) v += static_cast<u128>(limbs[l]) << (32 * l);
+  const bool negative = (v >> 127) != 0;
+  const u128 mag = negative ? -v : v;
+  if (mag == 0) return 0u;
+  const auto hi = static_cast<std::uint64_t>(mag >> 64);
+  const auto lo = static_cast<std::uint64_t>(mag);
+  const int msb = hi != 0 ? 127 - __builtin_clzll(hi) : 63 - __builtin_clzll(lo);
+  // 64 significand bits topped at bit 63, the rest sticky: Quire::to_posit's
+  // extraction, so round_pack sees the same (sig, sticky) and emits the same
+  // code.
+  std::uint64_t sig;
+  bool sticky = false;
+  if (msb >= 63) {
+    const int drop = msb - 63;
+    sig = static_cast<std::uint64_t>(mag >> drop);
+    sticky = drop != 0 && (mag & ((u128{1} << drop) - 1)) != 0;
+  } else {
+    sig = lo << (63 - msb);
+  }
+  return round_pack(spec, negative, msb + 2L * spec.min_scale(), sig, 63, sticky,
+                    RoundMode::kNearestEven, nullptr);
+}
+
+/// Arithmetic shift right by 32 of each int64 lane (AVX2 has no srai_epi64):
+/// the high dword moves down, its sign fills the high dword.
+__attribute__((target("avx2"), always_inline)) inline __m256i srai64_32(__m256i x) {
+  return _mm256_blend_epi32(_mm256_srli_epi64(x, 32), _mm256_srai_epi32(x, 31), 0xAA);
+}
+
+/// The row tiles against w one at a time, L limbs per lane. Per term the
+/// exact product (_mm256_mul_epi32 of the signed significands) shifts to its
+/// bit inside a limb and adds into the limb its position selects; every
+/// `flush` terms a carry pass keeps each limb's low 32 bits and moves the
+/// rest up one limb, so no limb overflows between passes. (Interleaving two
+/// tiles, as chain_tiles does, ran slower: the limbs alone fill the register
+/// file.)
+template <int L>
+__attribute__((target("avx2"), always_inline)) inline void quire_tiles(
+    const std::int64_t* a, std::size_t tiles, const std::int64_t* w, std::size_t k,
+    const PositSpec& spec, std::uint32_t* out) {
+  const std::size_t flush = quire_lanes_flush(spec);
+  const __m256i lo32 = _mm256_set1_epi64x(0xFFFFFFFFll);
+  const __m256i m31 = _mm256_set1_epi64x(31);
+  for (std::size_t t = 0; t < tiles; ++t, a += k * kLanes, out += kLanes) {
+    __m256i limb[L];
+    for (int l = 0; l < L; ++l) limb[l] = _mm256_setzero_si256();
+    for (std::size_t i0 = 0; i0 < k; i0 += flush) {
+      const std::size_t i1 = k - i0 > flush ? i0 + flush : k;
+      for (std::size_t i = i0; i < i1; ++i) {
+        const __m256i wv = _mm256_set1_epi64x(w[i]);
+        const __m256i av = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i * kLanes));
+        // Dword adds cannot carry across lanes: the high dwords sum the two
+        // offsets whatever the significands in the low dwords.
+        const __m256i pos = _mm256_srli_epi64(_mm256_add_epi32(av, wv), 32);
+        const __m256i chunk =
+            _mm256_sllv_epi64(_mm256_mul_epi32(av, wv), _mm256_and_si256(pos, m31));
+        if (L == 1) {
+          limb[0] = _mm256_add_epi64(limb[0], chunk);
+        } else {
+          const __m256i idx = _mm256_srli_epi64(pos, 5);
+          for (int l = 0; l < L; ++l) {
+            const __m256i hit = _mm256_cmpeq_epi64(idx, _mm256_set1_epi64x(l));
+            limb[l] = _mm256_add_epi64(limb[l], _mm256_and_si256(hit, chunk));
+          }
+        }
+      }
+      for (int l = 0; l + 1 < L; ++l) {
+        limb[l + 1] = _mm256_add_epi64(limb[l + 1], srai64_32(limb[l]));
+        limb[l] = _mm256_and_si256(limb[l], lo32);
+      }
+    }
+    alignas(32) std::int64_t lanes[L][kLanes];
+    for (int l = 0; l < L; ++l) _mm256_store_si256(reinterpret_cast<__m256i*>(lanes[l]), limb[l]);
+    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+      std::int64_t limbs[L];
+      for (int l = 0; l < L; ++l) limbs[l] = lanes[l][lane];
+      out[lane] = round_quire_lane<L>(limbs, spec);
+    }
+  }
+}
+
+}  // namespace
+
+__attribute__((target("avx2"), aligned(64))) void quire_lanes_avx2(
+    const std::int64_t* a, std::size_t tiles, const std::int64_t* w, std::size_t k,
+    const PositSpec& spec, std::uint32_t* out) {
+  const int limbs = quire_lane_limbs(spec);
+  if (limbs == 1) {
+    quire_tiles<1>(a, tiles, w, k, spec, out);
+  } else if (limbs == 2) {
+    quire_tiles<2>(a, tiles, w, k, spec, out);
+  } else {
+    quire_tiles<4>(a, tiles, w, k, spec, out);  // three limbs run as four
+  }
+}
+
+namespace {
+
+/// quire_lane_operand of u[0..4) as one vector; ORs the four flag bytes
+/// (bits 24..31 of each lane's low dword) into *flags.
+__attribute__((target("avx2"), always_inline)) inline __m256i quire_operands4(
+    const Unpacked* u, __m256i min_scale, __m256i* flags) {
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(u));
+  // Each lane: sig | lsb_weight << 32 | neg << 48 | flags << 56.
+  const __m256i hi = _mm256_srli_epi64(v, 32);
+  *flags = _mm256_or_si256(*flags, hi);
+  const __m256i finite = _mm256_cmpeq_epi64(_mm256_srli_epi64(v, 56), zero);
+  const __m256i negm = _mm256_sub_epi64(zero, _mm256_and_si256(_mm256_srli_epi64(v, 48),
+                                                                _mm256_set1_epi64x(1)));
+  const __m256i sig = _mm256_and_si256(v, _mm256_set1_epi64x(0xFFFFFFFFll));
+  const __m256i signed_sig = _mm256_and_si256(
+      _mm256_sub_epi64(_mm256_xor_si256(sig, negm), negm), _mm256_set1_epi64x(0xFFFFFFFFll));
+  const __m256i lsb = _mm256_srai_epi32(_mm256_slli_epi32(hi, 16), 16);
+  const __m256i offset = _mm256_slli_epi64(_mm256_sub_epi32(lsb, min_scale), 32);
+  return _mm256_and_si256(_mm256_or_si256(offset, signed_sig), finite);
+}
+
+/// Whether any flag byte ORed into `flags` holds the NaR bit.
+__attribute__((target("avx2"), always_inline)) inline bool any_nar(__m256i flags) {
+  const __m256i nar = _mm256_and_si256(flags, _mm256_set1_epi64x(Unpacked::kNarFlag << 24));
+  return _mm256_testz_si256(nar, nar) == 0;
+}
+
+__attribute__((target("avx2"))) std::size_t fill_quire_tile_avx2(const Unpacked* rows,
+                                                                  std::size_t k,
+                                                                  const PositSpec& spec,
+                                                                  std::int64_t* tile,
+                                                                  unsigned* nar) {
+  const __m256i min_scale = _mm256_set1_epi64x(static_cast<std::uint32_t>(spec.min_scale()));
+  __m256i flags[kLanes] = {_mm256_setzero_si256(), _mm256_setzero_si256(),
+                           _mm256_setzero_si256(), _mm256_setzero_si256()};
+  std::size_t i = 0;
+  for (; i + 4 <= k; i += 4) {
+    // Row l's terms i..i+3, transposed 4x4 into terms i..i+3 of the tile.
+    __m256i r[kLanes];
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      r[l] = quire_operands4(rows + l * k + i, min_scale, &flags[l]);
+    }
+    const __m256i lo01 = _mm256_unpacklo_epi64(r[0], r[1]);
+    const __m256i hi01 = _mm256_unpackhi_epi64(r[0], r[1]);
+    const __m256i lo23 = _mm256_unpacklo_epi64(r[2], r[3]);
+    const __m256i hi23 = _mm256_unpackhi_epi64(r[2], r[3]);
+    __m256i* out = reinterpret_cast<__m256i*>(tile + i * kLanes);
+    _mm256_storeu_si256(out, _mm256_permute2x128_si256(lo01, lo23, 0x20));
+    _mm256_storeu_si256(out + 1, _mm256_permute2x128_si256(hi01, hi23, 0x20));
+    _mm256_storeu_si256(out + 2, _mm256_permute2x128_si256(lo01, lo23, 0x31));
+    _mm256_storeu_si256(out + 3, _mm256_permute2x128_si256(hi01, hi23, 0x31));
+  }
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    if (any_nar(flags[l])) *nar |= 1u << l;
+  }
+  return i;
+}
+
+__attribute__((target("avx2"))) std::size_t fill_quire_row_avx2(const Unpacked* row,
+                                                                 std::size_t k,
+                                                                 const PositSpec& spec,
+                                                                 std::int64_t* out, bool* nar) {
+  const __m256i min_scale = _mm256_set1_epi64x(static_cast<std::uint32_t>(spec.min_scale()));
+  __m256i flags = _mm256_setzero_si256();
+  std::size_t i = 0;
+  for (; i + 4 <= k; i += 4) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
+                        quire_operands4(row + i, min_scale, &flags));
+  }
+  *nar = *nar || any_nar(flags);
+  return i;
+}
+
+}  // namespace
+
 #else  // !PDNN_POSIT_X86 — never dispatched to (available() is false).
+
+namespace {
+
+std::size_t fill_quire_tile_avx2(const Unpacked*, std::size_t, const PositSpec&, std::int64_t*,
+                                 unsigned*) {
+  return 0;
+}
+
+std::size_t fill_quire_row_avx2(const Unpacked*, std::size_t, const PositSpec&, std::int64_t*,
+                                bool*) {
+  return 0;
+}
+
+}  // namespace
 
 void decode_unpacked8_avx2(const std::uint32_t* codes, const PositSpec& spec, Unpacked* out) {
   decode_unpacked(codes, 8, spec, out);
@@ -484,6 +688,34 @@ std::size_t accumulate_limbs_avx2(const Unpacked*, const Unpacked*, std::size_t,
 void rounded_chains_avx2(const double*, std::size_t, const double*, std::size_t, const PositSpec&,
                          bool, const double*, double*) {}
 
+void quire_lanes_avx2(const std::int64_t*, std::size_t, const std::int64_t*, std::size_t,
+                      const PositSpec&, std::uint32_t*) {}
+
 #endif
+
+unsigned fill_quire_tile(const Unpacked* rows, std::size_t nrows, std::size_t k,
+                         const PositSpec& spec, std::int64_t* tile) {
+  unsigned nar = 0;
+  std::size_t head = 0;  // full tiles run their first (k & ~3) terms vectorized
+  if (nrows == kLanes && enabled()) head = fill_quire_tile_avx2(rows, k, spec, tile, &nar);
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    const Unpacked* row = rows + l * k;
+    for (std::size_t i = head; i < k; ++i) {
+      tile[i * kLanes + l] = l < nrows ? quire_lane_operand(row[i], spec) : 0;
+      if (l < nrows && row[i].is_nar()) nar |= 1u << l;
+    }
+  }
+  return nar;
+}
+
+bool fill_quire_row(const Unpacked* row, std::size_t k, const PositSpec& spec, std::int64_t* out) {
+  bool nar = false;
+  const std::size_t head = enabled() ? fill_quire_row_avx2(row, k, spec, out, &nar) : 0;
+  for (std::size_t i = head; i < k; ++i) {
+    out[i] = quire_lane_operand(row[i], spec);
+    nar = nar || row[i].is_nar();
+  }
+  return nar;
+}
 
 }  // namespace pdnn::posit::simd

@@ -1,8 +1,9 @@
 // simd.hpp — runtime-dispatched AVX2 kernels for the posit engine hot path.
 //
-// Three kernels live behind the dispatcher, each bit-identical to its scalar
+// Four kernels live behind the dispatcher, each bit-identical to its scalar
 // reference by construction (and pinned by the oracle tests in
-// tests/posit/pack_codec_test.cpp and tests/posit/accum_test.cpp):
+// tests/posit/pack_codec_test.cpp, tests/posit/accum_test.cpp and
+// tests/posit/quire_test.cpp):
 //
 //   * decode_unpacked8_avx2 — batch-of-8 posit decode: eight n-bit codes in,
 //     eight Unpacked lanes out. The regime parse is branch-free: the leading
@@ -37,6 +38,19 @@
 //     rule as lane masks. Lanes whose scale leaves the band RoundedAccum
 //     rounds inline (saturation and truncated-exponent regimes) are rebuilt
 //     from (v, e) and sent through round_pack one at a time.
+//   * quire_lanes_avx2 — the exact quire (Deep Positron's EMAC) for four
+//     outputs per __m256i, one output per lane, in 64-bit integer limbs.
+//     Where quire_lanes_supported(spec, k) holds ((8,0), (8,1), (8,2),
+//     (16,0), (16,1)) an operand is one int64 — signed significand low,
+//     lsb_weight - min_scale high — so _mm256_mul_epi32 gives the exact
+//     product and its position counts from minpos^2. Per term the product
+//     shifts to its bit inside a 32-bit-strided limb and adds into the limb
+//     its position selects (compare/and/add over at most four limbs); a
+//     carry pass every quire_lanes_flush(spec) terms keeps the limbs in 64
+//     bits. Each lane then folds its limbs once, takes 64 significand bits
+//     and a sticky bit below its MSB and rounds with round_pack — the rule
+//     of Quire::to_posit, so every output equals Quire::accumulate_dot +
+//     to_posit.
 //
 // Dispatch mirrors tensor/gemm_kernel.cpp: __builtin_cpu_supports("avx2")
 // resolved once, with two overrides — the PDNN_NO_AVX2=1 environment
@@ -127,5 +141,63 @@ bool fill_lane_row(const Unpacked* row, std::size_t k, double* out);
 /// enabled().
 void rounded_chains_avx2(const double* a, std::size_t tiles, const double* w, std::size_t k,
                          const PositSpec& spec, bool fused, const double* bias, double* out);
+
+/// Limbs of the exact-quire lane kernel: product positions, counted from
+/// minpos^2, run 0..4 * max_scale, one 32-bit limb per 32 of them.
+constexpr int quire_lane_limbs(const PositSpec& spec) { return ((4 * spec.max_scale()) >> 5) + 1; }
+
+/// Terms between the lane kernel's carry passes, F: a term adds less than
+/// 2^(2s + 31) to a limb (s = n - 2 - es significand bits per operand) and
+/// a normalized limb holds less than 2^32, so F = 2^(31 - 2s) terms keep
+/// every limb below 2^62 + 2^32 < 2^63. (16,1): F = 32; (16,0): F = 8.
+/// Defined for the specs quire_lanes_supported admits.
+constexpr std::size_t quire_lanes_flush(const PositSpec& spec) {
+  return std::size_t{1} << (31 - 2 * (spec.n - 2 - spec.es));
+}
+
+/// The longest dot the lane kernel keeps exact: Quire's own default guard
+/// (2^30 maxpos^2 terms), under which no limb between carry passes nor the
+/// folded top limb overflows 64 bits.
+inline constexpr std::size_t kQuireLanesMaxTerms = std::size_t{1} << 30;
+
+/// The exact-quire lane kernel's domain: products of at most 28 bits (a
+/// product shifted into its limb stays below 2^59, so a carry pass every
+/// F >= 8 terms), at most four limbs, and dots of at most
+/// kQuireLanesMaxTerms terms. (8,0), (8,1), (8,2), (16,0) and (16,1)
+/// qualify; (16,2) needs eight limbs, (32, *) wider products.
+constexpr bool quire_lanes_supported(const PositSpec& spec, std::size_t k) {
+  return 2 * (spec.n - 2 - spec.es) <= 28 && quire_lane_limbs(spec) <= 4 &&
+         k <= kQuireLanesMaxTerms;
+}
+
+/// An operand as the lane kernel reads it: the signed significand in the
+/// low 32 bits, lsb_weight - min_scale (>= 0) in the high 32 bits; 0 for
+/// zero and NaR (the caller tracks NaR, see fill_quire_tile).
+inline std::int64_t quire_lane_operand(const Unpacked& u, const PositSpec& spec) {
+  if (u.flags != 0) return 0;
+  const auto sig = static_cast<std::uint32_t>(u.neg != 0 ? -static_cast<std::int64_t>(u.sig)
+                                                         : static_cast<std::int64_t>(u.sig));
+  const auto offset = static_cast<std::uint64_t>(u.lsb_weight - spec.min_scale());
+  return static_cast<std::int64_t>((offset << 32) | sig);
+}
+
+/// fill_lane_tile for the quire kernel: one row tile of quire_lane_operand
+/// values (tile[i * kLanes + lane]); bit l of the result set when row l
+/// holds a NaR.
+unsigned fill_quire_tile(const Unpacked* rows, std::size_t nrows, std::size_t k,
+                         const PositSpec& spec, std::int64_t* tile);
+
+/// out[i] = quire_lane_operand(row[i]) for i < k; true when the row holds a
+/// NaR.
+bool fill_quire_row(const Unpacked* row, std::size_t k, const PositSpec& spec, std::int64_t* out);
+
+/// The exact quire dot of `tiles` row tiles (tile t at a + t * k * kLanes)
+/// against one operand row w[0..k): out[t * kLanes + l] is the posit code of
+/// sum_i a[row l][i] * w[i], rounded once to nearest-even — bit-identical to
+/// Quire::accumulate_dot + Quire::to_posit. Operands are quire_lane_operand
+/// values of `spec`; quire_lanes_supported(spec, k) must hold; NaR is the
+/// caller's. Caller must check enabled().
+void quire_lanes_avx2(const std::int64_t* a, std::size_t tiles, const std::int64_t* w,
+                      std::size_t k, const PositSpec& spec, std::uint32_t* out);
 
 }  // namespace pdnn::posit::simd

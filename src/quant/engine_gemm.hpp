@@ -40,7 +40,10 @@ inline int engine_thread_id() {
 /// construction. Without its tables a serial/fma chain runs four outputs
 /// per AVX2 vector as exact doubles (posit::simd::rounded_chains_avx2) where
 /// the spec and host allow it, else on posit::RoundedAccum (the sum stays
-/// unpacked, packed once per output).
+/// unpacked, packed once per output). kQuire has no tables: on an AVX2 host
+/// (8,0), (8,1), (8,2), (16,0) and (16,1) run four outputs per vector in
+/// int64 limbs (posit::simd::quire_lanes_avx2) whenever the activation
+/// panel has more than one row; everything else runs on posit::Quire.
 struct EngineLuts {
   const posit::MulLut* mul = nullptr;
   const posit::AddLut* add = nullptr;
@@ -61,8 +64,8 @@ EngineLuts resolve_luts(const posit::PositSpec& spec, AccumMode mode);
 /// scratch first (kActTile-row slices, team-parallel), then each weight row
 /// into its streaming thread's O(k) scratch as the column loop reaches it.
 /// Resident panel memory is the packed payload; the decoded activation panel
-/// (and, for the lane kernel, its 4-row double tiles) is per-call working
-/// scratch.
+/// (and, for a lane kernel, its 4-row double or int64 tiles) is per-call
+/// working scratch.
 ///
 /// Threading is over output columns with one quire (or rounded accumulator)
 /// per thread. Each output is accumulated start-to-finish by a single thread
@@ -95,8 +98,8 @@ void engine_conv2d(const float* x, std::size_t batch, const tensor::Conv2dGeom& 
                    bool elide_im2col, tensor::Tensor& cols, posit::PackedPositTensor& act,
                    float* out);
 
-/// Bytes of the calling thread's block-decode + encode scratch, lane-kernel
-/// double tiles included (capacity, grow-only). Scratch, not model
+/// Bytes of the calling thread's block-decode + encode scratch, the lane
+/// kernels' tiles included (capacity, grow-only). Scratch, not model
 /// footprint: PositSession::panel_bytes() deliberately excludes it.
 std::size_t engine_scratch_bytes();
 

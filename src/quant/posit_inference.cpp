@@ -22,11 +22,13 @@ namespace {
 /// Per-thread block-decode scratch for the packed panels. The calling
 /// thread's instance holds the whole activation panel for the duration of
 /// one GEMM (codes plus, when the mode consumes them, unpacked lanes — or,
-/// for the AVX2 rounded chains, 4-row double tiles and each tile's NaR rows
-/// — transient per-call working set, rebuilt from the packed panel each
+/// for the AVX2 lane kernels, 4-row tiles (doubles for the rounded chains,
+/// int64 operands for the exact quire) and each tile's NaR rows —
+/// transient per-call working set, rebuilt from the packed panel each
 /// call); each team thread's instance holds the single weight row it is
-/// currently streaming (for the lane kernel also that row as doubles, the
-/// column's outputs, and one lane tile's operands on their way to doubles).
+/// currently streaming (for a lane kernel also that row in the kernel's
+/// operand form, the column's outputs, and one lane tile's operands on
+/// their way there).
 /// Grow-only and thread-local, so the steady-state cost is bounded by the
 /// largest shapes this thread has seen — scratch, not model footprint
 /// (engine_scratch_bytes() reports it).
@@ -36,10 +38,13 @@ struct DecodeScratch {
   std::vector<Unpacked> a_ops;
   std::vector<Unpacked> w_ops;
   std::vector<double> a_lanes;
+  std::vector<std::int64_t> a_quire;
   std::vector<unsigned> a_nar;
   std::vector<Unpacked> tile_ops;
   std::vector<double> w_lanes;
+  std::vector<std::int64_t> w_quire;
   std::vector<double> out_lanes;
+  std::vector<std::uint32_t> out_codes;
 };
 thread_local DecodeScratch tl_scratch;
 
@@ -53,10 +58,12 @@ thread_local std::vector<std::uint32_t> tl_encode_codes;
 
 std::size_t engine_scratch_bytes() {
   const DecodeScratch& s = tl_scratch;
-  return (s.a_codes.capacity() + s.w_codes.capacity() + tl_encode_codes.capacity()) *
+  return (s.a_codes.capacity() + s.w_codes.capacity() + s.out_codes.capacity() +
+          tl_encode_codes.capacity()) *
              sizeof(std::uint32_t) +
          (s.a_ops.capacity() + s.w_ops.capacity() + s.tile_ops.capacity()) * sizeof(Unpacked) +
          (s.a_lanes.capacity() + s.w_lanes.capacity() + s.out_lanes.capacity()) * sizeof(double) +
+         (s.a_quire.capacity() + s.w_quire.capacity()) * sizeof(std::int64_t) +
          s.a_nar.capacity() * sizeof(unsigned);
 }
 
@@ -90,12 +97,19 @@ void engine_gemm(const PackedPositTensor& a, const PackedPositTensor& w,
   const bool lut_fma = mode == AccumMode::kFma && luts.fma != nullptr;
   const bool need_ops = !(lut_serial || lut_fma);
   // Rounded chains without a LUT run four outputs per AVX2 vector where the
-  // spec's values are exact doubles (posit/simd.hpp), on RoundedAccum
-  // otherwise: both bit-identical to the coded chains.
+  // spec's values are exact doubles, the exact quire four outputs per vector
+  // in int64 limbs where its products fit them (posit/simd.hpp); else
+  // RoundedAccum and Quire, one output at a time. All bit-identical to the
+  // coded reference. A lone activation row stays on Quire: in a four-row
+  // tile it leaves three lanes idle, and Quire's own AVX2 deposit is faster
+  // there.
   const bool lanes = mode != AccumMode::kQuire && need_ops && posit::simd::enabled() &&
                      posit::simd::rounded_lanes_supported(spec);
+  const bool qlanes = mode == AccumMode::kQuire && rows > 1 && posit::simd::enabled() &&
+                      posit::simd::quire_lanes_supported(spec, k);
   static_assert(kActTile % posit::simd::kLanes == 0, "activation tiles split into lane tiles");
   const std::size_t lane_tiles = (rows + posit::simd::kLanes - 1) / posit::simd::kLanes;
+  const std::size_t lane_rows = lane_tiles * posit::simd::kLanes;
   // Phase split keeps every panel value's decode to exactly once per call:
   // the activation panel is block-decoded (kActTile-row slices, in parallel)
   // into the calling thread's scratch, then the GEMM parallelizes over
@@ -104,15 +118,16 @@ void engine_gemm(const PackedPositTensor& a, const PackedPositTensor& w,
   // starts — the region below only reads them through raw pointers.
   DecodeScratch& host = tl_scratch;
   host.a_codes.resize(rows * k);
-  if (need_ops && !lanes) host.a_ops.resize(rows * k);
+  const bool row_ops = need_ops && !lanes && !qlanes;
+  if (row_ops) host.a_ops.resize(rows * k);
   std::uint32_t* const a_codes_buf = host.a_codes.data();
-  Unpacked* const a_ops_buf = need_ops && !lanes ? host.a_ops.data() : nullptr;
-  if (lanes) {
-    host.a_lanes.resize(lane_tiles * posit::simd::kLanes * k);
-    host.a_nar.resize(lane_tiles);
-  }
+  Unpacked* const a_ops_buf = row_ops ? host.a_ops.data() : nullptr;
+  if (lanes) host.a_lanes.resize(lane_rows * k);
+  if (qlanes) host.a_quire.resize(lane_rows * k);
+  if (lanes || qlanes) host.a_nar.resize(lane_tiles);
   double* const a_lanes_buf = lanes ? host.a_lanes.data() : nullptr;
-  unsigned* const a_nar_buf = lanes ? host.a_nar.data() : nullptr;
+  std::int64_t* const a_quire_buf = qlanes ? host.a_quire.data() : nullptr;
+  unsigned* const a_nar_buf = lanes || qlanes ? host.a_nar.data() : nullptr;
   const float nar_out = static_cast<float>(posit::to_double(spec.nar_code(), spec));
 #pragma omp parallel
   {
@@ -121,7 +136,7 @@ void engine_gemm(const PackedPositTensor& a, const PackedPositTensor& w,
     // stays unpacked and is packed once per output (posit/accum.hpp).
     posit::RoundedAccum racc(spec);
     DecodeScratch& scratch = tl_scratch;
-    if (lanes) scratch.tile_ops.resize(posit::simd::kLanes * k);
+    if (lanes || qlanes) scratch.tile_ops.resize(posit::simd::kLanes * k);
 #pragma omp for schedule(static)
     for (std::size_t tile = 0; tile < tiles; ++tile) {
       const std::size_t r0 = tile * kActTile;
@@ -130,20 +145,26 @@ void engine_gemm(const PackedPositTensor& a, const PackedPositTensor& w,
       if (a_ops_buf != nullptr) {
         posit::decode_unpacked(a_codes_buf + r0 * k, (r1 - r0) * k, a.spec, a_ops_buf + r0 * k);
       }
-      // The lane tiles of these rows, each decoded on its way to doubles; a
-      // ragged last tile gets zero lanes.
-      for (std::size_t r = r0; lanes && r < r1; r += posit::simd::kLanes) {
+      // The lane tiles of these rows, each decoded on its way to the lane
+      // kernel's operand form; a ragged last tile gets zero lanes.
+      for (std::size_t r = r0; (lanes || qlanes) && r < r1; r += posit::simd::kLanes) {
         const std::size_t n = std::min(posit::simd::kLanes, r1 - r);
         posit::decode_unpacked(a_codes_buf + r * k, n * k, a.spec, scratch.tile_ops.data());
         a_nar_buf[r / posit::simd::kLanes] =
-            posit::simd::fill_lane_tile(scratch.tile_ops.data(), n, k, a_lanes_buf + r * k);
+            lanes ? posit::simd::fill_lane_tile(scratch.tile_ops.data(), n, k, a_lanes_buf + r * k)
+                  : posit::simd::fill_quire_tile(scratch.tile_ops.data(), n, k, spec,
+                                                 a_quire_buf + r * k);
       }
     }  // implicit barrier: the whole panel is decoded before any dot reads it
     scratch.w_codes.resize(k);
     if (need_ops) scratch.w_ops.resize(k);
     if (lanes) {
       scratch.w_lanes.resize(k);
-      scratch.out_lanes.resize(lane_tiles * posit::simd::kLanes);
+      scratch.out_lanes.resize(lane_rows);
+    }
+    if (qlanes) {
+      scratch.w_quire.resize(k);
+      scratch.out_codes.resize(lane_rows);
     }
 #pragma omp for schedule(static)
     for (std::size_t o = 0; o < cols; ++o) {
@@ -173,15 +194,30 @@ void engine_gemm(const PackedPositTensor& a, const PackedPositTensor& w,
         }
         continue;
       }
+      // The exact quire on the lane kernel: every row's dot of this column
+      // at once, rounded once per output. NaR in a row or the weight row
+      // makes the output NaR.
+      const bool qcol_nar =
+          qlanes && posit::simd::fill_quire_row(wrow, k, spec, scratch.w_quire.data());
+      if (qlanes) {
+        posit::simd::quire_lanes_avx2(a_quire_buf, lane_tiles, scratch.w_quire.data(), k, spec,
+                                      scratch.out_codes.data());
+      }
       for (std::size_t r = 0; r < rows; ++r) {
         const Unpacked* arow = a_ops_buf + r * k;
         const std::uint32_t* acodes = a_codes_buf + r * k;
         std::uint32_t acc = 0;
         switch (mode) {
           case AccumMode::kQuire:
-            quire->clear();
-            quire->accumulate_dot(arow, wrow, k);
-            acc = quire->to_posit();
+            if (qlanes) {
+              const unsigned tile_nar = a_nar_buf[r / posit::simd::kLanes];
+              const bool nar = qcol_nar || ((tile_nar >> (r % posit::simd::kLanes)) & 1u) != 0;
+              acc = nar ? spec.nar_code() : scratch.out_codes[r];
+            } else {
+              quire->clear();
+              quire->accumulate_dot(arow, wrow, k);
+              acc = quire->to_posit();
+            }
             break;
           case AccumMode::kSerial:
             if (lut_serial) {

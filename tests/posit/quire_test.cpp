@@ -1,10 +1,18 @@
-// quire_test.cpp — exact accumulation invariants of the quire.
+// quire_test.cpp — exact accumulation invariants of the quire, and the
+// AVX2 lane kernel (posit::simd::quire_lanes_avx2, four exact dots per
+// vector in int64 limbs) against Quire::accumulate_dot + to_posit, output
+// by output, at every spec the kernel covers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "posit/quire.hpp"
+#include "posit/simd.hpp"
 
 namespace pdnn::posit {
 namespace {
@@ -201,6 +209,420 @@ INSTANTIATE_TEST_SUITE_P(FormatSweep, QuireFormatTest,
                          [](const auto& info) {
                            return "p" + std::to_string(info.param.first) + "_" + std::to_string(info.param.second);
                          });
+
+// ---------------------------------------------------------------------------
+// The exact-quire lane kernel
+// ---------------------------------------------------------------------------
+
+/// Every spec the lane kernel covers: the engine's (8,0), (8,1), (8,2),
+/// (16,0) and (16,1), plus (5,1) (one limb) and (12,1) (three limbs, run as
+/// four).
+const std::vector<PositSpec>& lane_specs() {
+  static const std::vector<PositSpec> specs = {{5, 1}, {8, 0}, {8, 1}, {8, 2},
+                                               {12, 1}, {16, 0}, {16, 1}};
+  return specs;
+}
+
+using Codes = std::vector<std::uint32_t>;
+
+/// One dot product: activation row `a` against weight row `w`.
+struct Stream {
+  std::string name;
+  Codes a, w;
+};
+
+std::vector<Unpacked> unpack(const Codes& codes, const PositSpec& s) {
+  std::vector<Unpacked> out(codes.size());
+  for (std::size_t i = 0; i < codes.size(); ++i) out[i] = decode_unpacked(codes[i], s);
+  return out;
+}
+
+/// The oracle: the quire's rounded dot of a and w.
+std::uint32_t quire_code(const Codes& a, const Codes& w, const PositSpec& s) {
+  const std::vector<Unpacked> ua = unpack(a, s), uw = unpack(w, s);
+  Quire q(s);
+  q.accumulate_dot(ua.data(), uw.data(), ua.size());
+  return q.to_posit();
+}
+
+Codes gaussian_row(std::size_t k, const PositSpec& s, std::mt19937_64& rng, double sigma,
+                   bool relu) {
+  std::normal_distribution<double> dist(0.0, sigma);
+  Codes row(k);
+  for (auto& c : row) {
+    const double x = dist(rng);
+    c = from_double(relu && x < 0.0 ? 0.0 : x, s);
+  }
+  return row;
+}
+
+bool holds_nar(const Codes& row, const PositSpec& s) {
+  return std::find(row.begin(), row.end(), s.nar_code()) != row.end();
+}
+
+/// The lane kernel over `st` at each of the eight lane positions of two row
+/// tiles. Every other lane holds a different row against the same weight
+/// row — the stream's row negated, reversed, Gaussian or all zero, NaR-free
+/// — so each stream meets different neighbours in every position. Each
+/// tile's NaR mask must flag exactly the rows holding a NaR, and every
+/// other lane must carry the quire's code for its own row.
+void check_lanes(const Stream& st, const PositSpec& s) {
+  constexpr std::size_t kRows = 2 * simd::kLanes;
+  const std::size_t k = st.a.size();
+  ASSERT_EQ(st.w.size(), k);
+  std::mt19937_64 rng((static_cast<std::uint64_t>(s.n) << 8) ^ static_cast<std::uint64_t>(s.es) ^
+                      (k << 16));
+  Codes clean = st.a;
+  std::replace(clean.begin(), clean.end(), s.nar_code(), 0u);
+  Codes negated(k);
+  for (std::size_t i = 0; i < k; ++i) negated[i] = neg(clean[i], s);
+  const Codes reversed(clean.rbegin(), clean.rend());
+  const Codes gauss = gaussian_row(k, s, rng, 1.0, false);
+  const Codes zeros(k, 0u);
+  const std::vector<const Codes*> fillers = {&negated, &reversed, &gauss, &zeros};
+  std::map<const Codes*, std::uint32_t> want;
+  want[&st.a] = quire_code(st.a, st.w, s);
+  for (const Codes* row : fillers) want[row] = quire_code(*row, st.w, s);
+
+  const std::vector<Unpacked> uw = unpack(st.w, s);
+  std::vector<std::int64_t> w(k);
+  EXPECT_EQ(simd::fill_quire_row(uw.data(), k, s, w.data()), holds_nar(st.w, s));
+  std::vector<Unpacked> ops(kRows * k);
+  std::vector<std::int64_t> tiles(kRows * k);
+  for (std::size_t pos = 0; pos < kRows; ++pos) {
+    const Codes* rows[kRows];
+    for (std::size_t r = 0; r < kRows; ++r) {
+      rows[r] = r == pos ? &st.a : fillers[(r + pos) % fillers.size()];
+      for (std::size_t i = 0; i < k; ++i) ops[r * k + i] = decode_unpacked((*rows[r])[i], s);
+    }
+    const std::size_t tile = simd::kLanes * k;
+    const unsigned nar =
+        simd::fill_quire_tile(ops.data(), simd::kLanes, k, s, tiles.data()) |
+        simd::fill_quire_tile(ops.data() + tile, simd::kLanes, k, s, tiles.data() + tile)
+            << simd::kLanes;
+    std::uint32_t got[kRows];
+    simd::quire_lanes_avx2(tiles.data(), 2, w.data(), k, s, got);
+    for (std::size_t r = 0; r < kRows; ++r) {
+      const bool row_nar = holds_nar(*rows[r], s);
+      EXPECT_EQ(((nar >> r) & 1u) != 0, row_nar) << s.to_string() << " " << st.name << " row " << r;
+      if (row_nar) continue;
+      if (got[r] != want[rows[r]]) {
+        ADD_FAILURE() << s.to_string() << " " << st.name << " k " << k << " lane pos " << pos
+                      << " row " << r << ": got " << got[r] << " want " << want[rows[r]];
+        return;
+      }
+    }
+  }
+}
+
+#define REQUIRE_QUIRE_LANES() \
+  if (!simd::enabled()) GTEST_SKIP() << "no AVX2 quire lane kernel on this host"
+
+TEST(QuireLanes, DomainCoversTheEngineFormatsUpToTheTermBound) {
+  for (const PositSpec& s : lane_specs()) {
+    EXPECT_TRUE(simd::quire_lanes_supported(s, 1)) << s.to_string();
+    EXPECT_TRUE(simd::quire_lanes_supported(s, simd::kQuireLanesMaxTerms)) << s.to_string();
+    // Past the bound the engine falls back to Quire.
+    EXPECT_FALSE(simd::quire_lanes_supported(s, simd::kQuireLanesMaxTerms + 1)) << s.to_string();
+    EXPECT_LE(simd::quire_lane_limbs(s), 4);
+  }
+  EXPECT_EQ(simd::quire_lane_limbs({8, 0}), 1);
+  EXPECT_EQ(simd::quire_lane_limbs({8, 1}), 2);
+  EXPECT_EQ(simd::quire_lane_limbs({12, 1}), 3);
+  EXPECT_EQ(simd::quire_lane_limbs({16, 1}), 4);
+  EXPECT_EQ(simd::quire_lanes_flush({16, 1}), 32u);
+  EXPECT_EQ(simd::kQuireLanesMaxTerms, std::size_t{1} << 30);  // Quire's default guard
+  for (const PositSpec s : {PositSpec{16, 2}, PositSpec{20, 1}, PositSpec{32, 2}}) {
+    EXPECT_FALSE(simd::quire_lanes_supported(s, 1)) << s.to_string();
+  }
+}
+
+TEST(QuireLanes, OperandFillsMatchTheScalarForm) {
+  // fill_quire_tile / fill_quire_row convert four operands per AVX2 vector
+  // (then a scalar tail): every operand must equal quire_lane_operand, and
+  // the NaR masks the rows' NaRs, on both paths.
+  for (const PositSpec& s : lane_specs()) {
+    std::mt19937_64 rng(53 + s.n * 8 + s.es);
+    const std::size_t k = 39;
+    Codes codes(simd::kLanes * k);
+    for (auto& c : codes) {
+      c = static_cast<std::uint32_t>(rng()) & s.mask();
+      if (c == s.nar_code()) c = s.maxpos_code();
+    }
+    codes[5] = 0;
+    codes[2 * k + 17] = s.nar_code();  // row 2, inside the vectorized head
+    codes[3 * k + 37] = s.nar_code();  // row 3, in the scalar tail
+    const std::vector<Unpacked> ops = unpack(codes, s);
+    for (const bool scalar : {false, true}) {
+      simd::force_disable(scalar);
+      std::vector<std::int64_t> tile(simd::kLanes * k), row(k);
+      EXPECT_EQ(simd::fill_quire_tile(ops.data(), simd::kLanes, k, s, tile.data()), 0b1100u);
+      for (std::size_t l = 0; l < simd::kLanes; ++l) {
+        EXPECT_EQ(simd::fill_quire_row(ops.data() + l * k, k, s, row.data()), l >= 2);
+        for (std::size_t i = 0; i < k; ++i) {
+          const std::int64_t want = simd::quire_lane_operand(ops[l * k + i], s);
+          ASSERT_EQ(tile[i * simd::kLanes + l], want) << s.to_string() << " row " << l << " term " << i;
+          ASSERT_EQ(row[i], want) << s.to_string() << " row " << l << " term " << i;
+        }
+      }
+    }
+    simd::force_disable(false);
+  }
+}
+
+TEST(QuireLanes, GaussianAndReluStreamsMatchTheQuire) {
+  REQUIRE_QUIRE_LANES();
+  for (const PositSpec& s : lane_specs()) {
+    std::mt19937_64 rng(101 + s.n * 8 + s.es);
+    for (const std::size_t k : {1, 27, 144, 576}) {
+      check_lanes({"gaussian", gaussian_row(k, s, rng, 1.0, false),
+                   gaussian_row(k, s, rng, 0.3, false)},
+                  s);
+      check_lanes({"relu", gaussian_row(k, s, rng, 1.0, true), gaussian_row(k, s, rng, 0.3, false)},
+                  s);
+    }
+  }
+}
+
+TEST(QuireLanes, MaxposAndMinposRunsMatchTheQuire) {
+  // Runs at both ends of the register: maxpos^2 terms land in the top limb
+  // (the sums saturate), minpos^2 terms at bit 0 of the bottom one. Signs
+  // flip between runs, so sums climb, cancel and cross zero.
+  REQUIRE_QUIRE_LANES();
+  for (const PositSpec& s : lane_specs()) {
+    const std::uint32_t big = s.maxpos_code(), tiny = s.minpos_code();
+    for (const std::size_t k : {1, 7, 64, 200}) {
+      Stream maxpos{"maxpos runs", Codes(k), Codes(k, big)};
+      Stream minpos{"minpos runs", Codes(k, tiny), Codes(k)};
+      for (std::size_t i = 0; i < k; ++i) {
+        const bool flip = (i / 5) % 3 == 2;
+        maxpos.a[i] = flip ? neg(big, s) : big;
+        minpos.w[i] = flip ? neg(tiny, s) : tiny;
+      }
+      check_lanes(maxpos, s);
+      check_lanes(minpos, s);
+      check_lanes({"maxpos run", Codes(k, big), Codes(k, big)}, s);
+      EXPECT_EQ(quire_code(Codes(k, big), Codes(k, big), s), big);
+      check_lanes({"minpos run", Codes(k, tiny), Codes(k, neg(tiny, s))}, s);
+    }
+  }
+}
+
+TEST(QuireLanes, TopLimbSaturationThresholdMatchesTheQuire) {
+  // With four limbs the kernel rounds a top limb outside 32 bits straight
+  // to +-maxpos: the 128-bit fold would overflow there. maxpos^2 adds
+  // 2^(4 max_scale - 96) to that limb, so (16,1) leaves 32 bits at 2^15
+  // maxpos^2 terms (-2^31, at that count negated, still fits); every count
+  // around it, either sign, must round as the quire does (to +-maxpos).
+  REQUIRE_QUIRE_LANES();
+  const PositSpec s{16, 1};
+  const std::size_t threshold = std::size_t{1} << (31 - (4 * s.max_scale() - 96));
+  ASSERT_EQ(threshold, 32768u);
+  const std::uint32_t big = s.maxpos_code();
+  for (const std::size_t k : {threshold - 1, threshold, threshold + 1}) {
+    check_lanes({"maxpos^2 past the top limb", Codes(k, big), Codes(k, big)}, s);
+    check_lanes({"-maxpos^2 past the top limb", Codes(k, neg(big, s)), Codes(k, big)}, s);
+    EXPECT_EQ(quire_code(Codes(k, neg(big, s)), Codes(k, big), s), neg(big, s));
+  }
+}
+
+TEST(QuireLanes, MixedSignCancellationToExactZero) {
+  // Every product appears twice, once negated (through either operand), in
+  // shuffled order: the exact sum is zero, whatever the magnitudes.
+  REQUIRE_QUIRE_LANES();
+  for (const PositSpec& s : lane_specs()) {
+    std::mt19937_64 rng(211 + s.n * 8 + s.es);
+    for (const std::size_t half : {1, 16, 100}) {
+      Stream st{"cancellation", {}, {}};
+      for (std::size_t i = 0; i < half; ++i) {
+        std::uint32_t a = static_cast<std::uint32_t>(rng()) & s.mask();
+        std::uint32_t b = static_cast<std::uint32_t>(rng()) & s.mask();
+        if (a == s.nar_code()) a = s.maxpos_code();
+        if (b == s.nar_code()) b = s.minpos_code();
+        st.a.push_back(a);
+        st.w.push_back(b);
+        st.a.push_back(i % 2 == 0 ? neg(a, s) : a);
+        st.w.push_back(i % 2 == 0 ? b : neg(b, s));
+      }
+      std::vector<std::size_t> order(st.a.size());
+      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+      std::shuffle(order.begin(), order.end(), rng);
+      Stream shuffled{st.name, {}, {}};
+      for (const std::size_t i : order) {
+        shuffled.a.push_back(st.a[i]);
+        shuffled.w.push_back(st.w[i]);
+      }
+      ASSERT_EQ(quire_code(shuffled.a, shuffled.w, s), 0u) << s.to_string();
+      check_lanes(shuffled, s);
+    }
+  }
+}
+
+TEST(QuireLanes, ExactTiesRoundToTheEvenCode) {
+  // c * 1 + (ulp(c) / 2) * 1 sits exactly halfway between codes c and c + 1
+  // (c with fraction bits, so its grid is the fraction's); cancelling pairs
+  // around it lengthen the dot without moving the sum. Both parities of c:
+  // the sum must round to the even code, as the quire does. A minpos^2 term
+  // more or less breaks the tie: up to c + 1, down to c. Where c sits 8+
+  // binades above 1 in (16,1) that term lies more than 64 bits below the
+  // sum's MSB, so only the sticky bit of the rounding carries it.
+  REQUIRE_QUIRE_LANES();
+  for (const PositSpec& s : lane_specs()) {
+    std::mt19937_64 rng(307 + s.n * 8 + s.es);
+    const std::uint32_t one = from_double(1.0, s);
+    const std::uint32_t tiny = s.minpos_code();
+    int ties[2] = {0, 0};  // by the parity of c
+    int sticky = 0;        // near-ties that need the sticky bit
+    for (int trial = 0; trial < 20000 && ties[0] + ties[1] < 48; ++trial) {
+      // Every code of the small formats in turn, random ones above n = 8.
+      const std::uint32_t c = s.n <= 8 ? static_cast<std::uint32_t>(trial + 1)
+                                       : 1u + static_cast<std::uint32_t>(rng() % (s.maxpos_code() - 1));
+      if (c >= s.maxpos_code()) break;
+      const Decoded d = decode(c, s);
+      if (d.frac_width < 1) continue;
+      const double half_ulp = std::ldexp(1.0, d.scale - d.frac_width - 1);
+      const std::uint32_t h = from_double(half_ulp, s);
+      if (to_double(h, s) != half_ulp) continue;  // below minpos: not a posit
+      Stream st{"tie", {c, h}, {one, one}};
+      for (int pad = 0; pad < 6; ++pad) {
+        std::uint32_t x = static_cast<std::uint32_t>(rng()) & s.mask();
+        if (x == s.nar_code()) x = 0;
+        st.a.insert(st.a.begin() + pad, {x, x});
+        st.w.insert(st.w.begin() + pad, {one, neg(one, s)});
+      }
+      const std::uint32_t even = (c & 1u) == 0 ? c : c + 1;
+      ASSERT_EQ(quire_code(st.a, st.w, s), even) << s.to_string() << " code " << c;
+      check_lanes(st, s);
+      for (const bool up : {true, false}) {
+        Stream near{up ? "tie + minpos^2" : "tie - minpos^2", st.a, st.w};
+        near.a.push_back(tiny);
+        near.w.push_back(up ? tiny : neg(tiny, s));
+        ASSERT_EQ(quire_code(near.a, near.w, s), up ? c + 1 : c) << s.to_string() << " code " << c;
+        check_lanes(near, s);
+      }
+      if (d.scale - 2 * s.min_scale() >= 64) ++sticky;
+      ++ties[c & 1u];
+    }
+    EXPECT_GE(ties[0], 1) << s.to_string();
+    EXPECT_GE(ties[1], 1) << s.to_string();
+    if (s == PositSpec{16, 1}) {
+      EXPECT_GE(sticky, 1) << "no near-tie reached the sticky bit";
+    }
+  }
+}
+
+TEST(QuireLanes, CarryPassBoundariesMatchTheQuire) {
+  // k = F - 1, F, F + 1 (F = terms between carry passes), 2F + 1 and
+  // 4F + 1, with
+  // the largest chunk a term can add: full-width significands as high in
+  // their limb as the format puts them, all one sign — the stream that drives a limb closest to
+  // 2^63 before its pass. The 8-bit and (5,1) formats pass every 2^19+
+  // terms: no dot here reaches one, so they run k = 1 and Gaussian rows.
+  REQUIRE_QUIRE_LANES();
+  int covered = 0;
+  for (const PositSpec& s : lane_specs()) {
+    const std::size_t f = simd::quire_lanes_flush(s);
+    std::mt19937_64 rng(401 + s.n * 8 + s.es);
+    if (f > 8192) {
+      check_lanes({"k = 1", gaussian_row(1, s, rng, 1.0, false), gaussian_row(1, s, rng, 1.0, false)},
+                  s);
+      continue;
+    }
+    // The pair of full-width operands whose product sits highest in its
+    // limb (bit 31 where the format reaches it), the largest such product.
+    const int width = s.n - 2 - s.es;
+    std::vector<Unpacked> full;
+    std::vector<std::uint32_t> full_codes;
+    for (std::uint32_t c = 1; c < s.maxpos_code(); ++c) {
+      const Unpacked u = decode_unpacked(c, s);
+      if (32 - __builtin_clz(u.sig) == width) {
+        full.push_back(u);
+        full_codes.push_back(c);
+      }
+    }
+    std::uint32_t x = 0, y = 0;
+    std::uint64_t best = 0;
+    for (std::size_t i = 0; i < full.size(); ++i) {
+      for (std::size_t j = 0; j < full.size(); ++j) {
+        const int bit = (full[i].lsb_weight + full[j].lsb_weight - 2 * s.min_scale()) % 32;
+        const std::uint64_t chunk = (std::uint64_t{full[i].sig} * full[j].sig) << bit;
+        if (chunk > best) {
+          best = chunk;
+          x = full_codes[i];
+          y = full_codes[j];
+        }
+      }
+    }
+    ASSERT_NE(best, 0u) << s.to_string();
+    for (const std::size_t k : {std::size_t{1}, f - 1, f, f + 1, 2 * f + 1, 4 * f + 1}) {
+      check_lanes({"largest chunks", Codes(k, x), Codes(k, y)}, s);
+      check_lanes({"largest chunks, negative", Codes(k, neg(x, s)), Codes(k, y)}, s);
+      check_lanes({"gaussian", gaussian_row(k, s, rng, 1.0, false),
+                   gaussian_row(k, s, rng, 1.0, false)},
+                  s);
+    }
+    ++covered;
+  }
+  EXPECT_EQ(covered, 3);  // (12,1), (16,0), (16,1)
+}
+
+TEST(QuireLanes, NarInOneLaneOnly) {
+  // A NaR operand flags its own row in the tile mask and leaves its lane's
+  // neighbours exact; the weight row's NaR is fill_quire_row's to report.
+  REQUIRE_QUIRE_LANES();
+  for (const PositSpec& s : lane_specs()) {
+    std::mt19937_64 rng(503 + s.n * 8 + s.es);
+    for (const std::size_t k : {1, 9, 72}) {
+      Stream st{"NaR", gaussian_row(k, s, rng, 1.0, false), gaussian_row(k, s, rng, 0.3, false)};
+      st.a[k / 2] = s.nar_code();
+      check_lanes(st, s);
+    }
+    Codes w = gaussian_row(5, s, rng, 1.0, false);
+    w[2] = s.nar_code();
+    const std::vector<Unpacked> uw = unpack(w, s);
+    std::vector<std::int64_t> lanes(5);
+    EXPECT_TRUE(simd::fill_quire_row(uw.data(), 5, s, lanes.data()));
+    EXPECT_EQ(lanes[2], 0);
+  }
+}
+
+TEST(QuireLanes, RaggedLastTileHasZeroLanes) {
+  // 1-3 rows in the last tile: the missing lanes are zero rows (code 0)
+  // and the real ones exact, in one- and two-tile calls.
+  REQUIRE_QUIRE_LANES();
+  for (const PositSpec& s : lane_specs()) {
+    std::mt19937_64 rng(601 + s.n * 8 + s.es);
+    const std::size_t k = 37;
+    const Codes w = gaussian_row(k, s, rng, 0.3, false);
+    const std::vector<Unpacked> uw = unpack(w, s);
+    std::vector<std::int64_t> wl(k);
+    simd::fill_quire_row(uw.data(), k, s, wl.data());
+    for (std::size_t rows = 5; rows <= 7; ++rows) {
+      std::vector<Codes> a;
+      std::vector<Unpacked> ops;
+      for (std::size_t r = 0; r < rows; ++r) {
+        a.push_back(gaussian_row(k, s, rng, 1.0, r % 2 == 0));
+        const std::vector<Unpacked> u = unpack(a.back(), s);
+        ops.insert(ops.end(), u.begin(), u.end());
+      }
+      std::vector<std::int64_t> tiles(2 * simd::kLanes * k, -1);
+      EXPECT_EQ(simd::fill_quire_tile(ops.data(), simd::kLanes, k, s, tiles.data()), 0u);
+      EXPECT_EQ(simd::fill_quire_tile(ops.data() + simd::kLanes * k, rows - simd::kLanes, k, s,
+                                      tiles.data() + simd::kLanes * k),
+                0u);
+      std::uint32_t two[2 * simd::kLanes], one[simd::kLanes];
+      simd::quire_lanes_avx2(tiles.data(), 2, wl.data(), k, s, two);
+      simd::quire_lanes_avx2(tiles.data() + simd::kLanes * k, 1, wl.data(), k, s, one);
+      for (std::size_t r = 0; r < 2 * simd::kLanes; ++r) {
+        const std::uint32_t want = r < rows ? quire_code(a[r], w, s) : 0u;
+        EXPECT_EQ(two[r], want) << s.to_string() << " rows " << rows << " row " << r;
+        if (r >= simd::kLanes) {
+          EXPECT_EQ(one[r - simd::kLanes], want) << s.to_string() << " one tile, row " << r;
+        }
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace pdnn::posit

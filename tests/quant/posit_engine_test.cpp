@@ -4,7 +4,9 @@
 // invariance, and the engine edge cases (empty batches, missing bias, 1x1
 // windows under both conv lowerings, degenerate geometry). The rounded
 // chains above n = 8 run four outputs per AVX2 vector (posit/simd.hpp) or,
-// forced scalar, on RoundedAccum; their edge cases run under both.
+// forced scalar, on RoundedAccum; the exact quire runs four outputs per
+// vector in int64 limbs where its products fit them, or on Quire. Their
+// edge cases run under both kernels.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -51,6 +53,18 @@ const std::vector<AccumMode>& mode_grid() {
   return modes;
 }
 
+/// Runs fn(scalar) with the posit SIMD kernels enabled (when the host has
+/// them) and forced to the scalar fallback.
+template <typename Fn>
+void for_each_kernel(Fn&& fn) {
+  for (const bool scalar : {false, true}) {
+    if (!scalar && !posit::simd::available()) continue;
+    posit::simd::force_disable(scalar);
+    fn(scalar);
+  }
+  posit::simd::force_disable(false);
+}
+
 TEST(PositEngine, LinearBitIdenticalToScalarReferenceAcrossSpecGridAndModes) {
   Rng rng(41);
   const Tensor x = Tensor::randn({5, 37}, rng);
@@ -59,8 +73,11 @@ TEST(PositEngine, LinearBitIdenticalToScalarReferenceAcrossSpecGridAndModes) {
   for (const PositSpec& spec : spec_grid()) {
     for (const AccumMode mode : mode_grid()) {
       const Tensor ref = posit_linear_reference(x, w, bias, spec, mode);
-      EXPECT_TRUE(bit_identical(posit_layer(w, bias, spec, mode).run(x), ref))
-          << spec.to_string() << " mode " << static_cast<int>(mode);
+      for_each_kernel([&](bool scalar) {
+        EXPECT_TRUE(bit_identical(posit_layer(w, bias, spec, mode).run(x), ref))
+            << spec.to_string() << " mode " << static_cast<int>(mode)
+            << (scalar ? " scalar" : " avx2");
+      });
     }
   }
 }
@@ -93,9 +110,11 @@ TEST(PositEngine, ConvBitIdenticalToScalarReferenceWithBiasAndRectKernel) {
     for (const PositSpec& spec : spec_grid()) {
       for (const AccumMode mode : mode_grid()) {
         const Tensor ref = posit_conv2d_reference(x, w, *b, g, spec, mode);
-        EXPECT_TRUE(bit_identical(posit_layer(w, *b, spec, mode, g).run(x), ref))
-            << spec.to_string() << " mode " << static_cast<int>(mode) << " bias "
-            << b->numel();
+        for_each_kernel([&](bool scalar) {
+          EXPECT_TRUE(bit_identical(posit_layer(w, *b, spec, mode, g).run(x), ref))
+              << spec.to_string() << " mode " << static_cast<int>(mode) << " bias "
+              << b->numel() << (scalar ? " scalar" : " avx2");
+        });
       }
     }
   }
@@ -110,15 +129,22 @@ TEST(PositEngine, ThreadedRunsBitIdenticalToSerial) {
   const int restore = omp_get_max_threads();
   for (const PositSpec& spec : {PositSpec{8, 1}, PositSpec{16, 1}, PositSpec{32, 2}}) {
     for (const AccumMode mode : mode_grid()) {
-      // Compiled with one thread, so the quire arenas grow when the team does.
-      omp_set_num_threads(1);
-      test_support::PositLayer layer = posit_layer(w, bias, spec, mode);
-      const Tensor serial = layer.run(x);
-      for (const int threads : {2, 4}) {
-        omp_set_num_threads(threads);
-        EXPECT_TRUE(bit_identical(layer.run(x), serial))
-            << spec.to_string() << " mode " << static_cast<int>(mode) << " threads " << threads;
-      }
+      const Tensor ref = posit_linear_reference(x, w, bias, spec, mode);
+      for_each_kernel([&](bool scalar) {
+        // Compiled with one thread, so the quire arenas grow when the team
+        // does.
+        omp_set_num_threads(1);
+        test_support::PositLayer layer = posit_layer(w, bias, spec, mode);
+        const Tensor serial = layer.run(x);
+        EXPECT_TRUE(bit_identical(serial, ref)) << spec.to_string() << " mode "
+                                                << static_cast<int>(mode);
+        for (const int threads : {2, 4}) {
+          omp_set_num_threads(threads);
+          EXPECT_TRUE(bit_identical(layer.run(x), serial))
+              << spec.to_string() << " mode " << static_cast<int>(mode) << " threads " << threads
+              << (scalar ? " scalar" : " avx2");
+        }
+      });
     }
   }
   omp_set_num_threads(restore);
@@ -261,7 +287,8 @@ TEST(PositEngine, DegenerateGeometryThrowsInsteadOfUnderflowing) {
 }
 
 // ---------------------------------------------------------------------------
-// Rounded chains: the AVX2 lane kernel and its scalar fallback
+// Rounded chains and the exact quire: the AVX2 lane kernels and their
+// scalar fallbacks
 // ---------------------------------------------------------------------------
 
 /// Formats around the lane kernel's domain (n - 2 - es <= 26): LUT-backed
@@ -274,35 +301,35 @@ const std::vector<PositSpec>& chain_grid() {
   return grid;
 }
 
-/// Runs fn(scalar) with the posit SIMD kernels enabled (when the host has
-/// them) and forced to the scalar fallback.
-template <typename Fn>
-void for_each_kernel(Fn&& fn) {
-  for (const bool scalar : {false, true}) {
-    if (!scalar && !posit::simd::available()) continue;
-    posit::simd::force_disable(scalar);
-    fn(scalar);
-  }
-  posit::simd::force_disable(false);
-}
-
-/// Every chain_grid() spec in both rounded modes, on both kernels, against
-/// posit_linear_reference.
-void expect_chains_match_reference(const Tensor& x, const Tensor& w, const Tensor& bias,
-                                   const char* what) {
+/// (spec, mode) pairs around both lane kernels' domains: chain_grid() in
+/// every mode — for kQuire that spans the quire kernel's (8,1), (16,0) and
+/// (16,1), (12,1)'s three limbs, and (16,2) (eight limbs) and the wider
+/// formats, which stay on Quire — plus its other formats, (8,0) and (8,2).
+std::vector<std::pair<PositSpec, AccumMode>> lane_cases() {
+  std::vector<std::pair<PositSpec, AccumMode>> cases;
   for (const PositSpec& spec : chain_grid()) {
-    for (const AccumMode mode : {AccumMode::kSerial, AccumMode::kFma}) {
-      const Tensor ref = posit_linear_reference(x, w, bias, spec, mode);
-      for_each_kernel([&](bool scalar) {
-        EXPECT_TRUE(bit_identical(posit_layer(w, bias, spec, mode).run(x), ref))
-            << what << " " << spec.to_string() << " mode " << static_cast<int>(mode)
-            << (scalar ? " scalar" : " avx2");
-      });
-    }
+    for (const AccumMode mode : mode_grid()) cases.emplace_back(spec, mode);
+  }
+  for (const PositSpec spec : {PositSpec{8, 0}, PositSpec{8, 2}}) {
+    cases.emplace_back(spec, AccumMode::kQuire);
+  }
+  return cases;
+}
+
+/// Every lane_cases() pair, on both kernels, against posit_linear_reference.
+void expect_lanes_match_reference(const Tensor& x, const Tensor& w, const Tensor& bias,
+                                  const char* what) {
+  for (const auto& [spec, mode] : lane_cases()) {
+    const Tensor ref = posit_linear_reference(x, w, bias, spec, mode);
+    for_each_kernel([&](bool scalar) {
+      EXPECT_TRUE(bit_identical(posit_layer(w, bias, spec, mode).run(x), ref))
+          << what << " " << spec.to_string() << " mode " << static_cast<int>(mode)
+          << (scalar ? " scalar" : " avx2");
+    });
   }
 }
 
-TEST(PositEngine, RoundedChainsMatchReferenceOnRaggedLaneTiles) {
+TEST(PositEngine, LaneKernelsMatchReferenceOnRaggedLaneTiles) {
   // 1, 3 and 5 rows leave padded lanes in the last four-row tile, 17 rows a
   // lone row after two tile pairs; k = 1 is a chain of one term.
   Rng rng(79);
@@ -312,13 +339,13 @@ TEST(PositEngine, RoundedChainsMatchReferenceOnRaggedLaneTiles) {
       const Tensor w = Tensor::randn({6, k}, rng, 0.4f);
       const Tensor bias = Tensor::randn({6}, rng, 0.2f);
       const std::string what = "rows " + std::to_string(rows) + " k " + std::to_string(k);
-      expect_chains_match_reference(x, w, bias, what.c_str());
-      expect_chains_match_reference(x, w, Tensor(), (what + " no bias").c_str());
+      expect_lanes_match_reference(x, w, bias, what.c_str());
+      expect_lanes_match_reference(x, w, Tensor(), (what + " no bias").c_str());
     }
   }
 }
 
-TEST(PositEngine, RoundedChainsMatchReferenceOnZeroHeavyReluPanels) {
+TEST(PositEngine, LaneKernelsMatchReferenceOnZeroHeavyReluPanels) {
   // ReLU'd activations with most of the rest zeroed too, an all-zero row,
   // and a weight row of zeros: long runs of zero terms, sums that stay
   // exactly zero, and zero outputs that must come out +0.0.
@@ -331,8 +358,8 @@ TEST(PositEngine, RoundedChainsMatchReferenceOnZeroHeavyReluPanels) {
   Tensor w = Tensor::randn({5, 48}, rng, 0.4f);
   for (std::size_t i = 0; i < 48; ++i) w.at(2, i) = 0.0f;
   const Tensor bias = Tensor::randn({5}, rng, 0.2f);
-  expect_chains_match_reference(x, w, bias, "zero-heavy");
-  expect_chains_match_reference(x, w, Tensor(), "zero-heavy no bias");
+  expect_lanes_match_reference(x, w, bias, "zero-heavy");
+  expect_lanes_match_reference(x, w, Tensor(), "zero-heavy no bias");
 }
 
 TEST(PositEngine, NarActivationReachesOnlyItsOwnRow) {
@@ -341,26 +368,24 @@ TEST(PositEngine, NarActivationReachesOnlyItsOwnRow) {
   x.at(4, 17) = std::numeric_limits<float>::quiet_NaN();  // encodes as NaR
   const Tensor w = Tensor::randn({7, 40}, rng, 0.4f);
   const Tensor bias = Tensor::randn({7}, rng, 0.2f);
-  for (const PositSpec& spec : chain_grid()) {
-    for (const AccumMode mode : mode_grid()) {
-      const Tensor ref = posit_linear_reference(x, w, bias, spec, mode);
-      for_each_kernel([&](bool scalar) {
-        const Tensor y = posit_layer(w, bias, spec, mode).run(x);
-        const std::string ctx = spec.to_string() + " mode " +
-                                std::to_string(static_cast<int>(mode)) +
-                                (scalar ? " scalar" : " avx2");
-        EXPECT_TRUE(bit_identical(y, ref)) << ctx;
-        for (std::size_t r = 0; r < 9; ++r) {
-          for (std::size_t o = 0; o < 7; ++o) {
-            EXPECT_EQ(std::isnan(y.at(r, o)), r == 4) << ctx << " row " << r << " col " << o;
-          }
+  for (const auto& [spec, mode] : lane_cases()) {
+    const Tensor ref = posit_linear_reference(x, w, bias, spec, mode);
+    for_each_kernel([&](bool scalar) {
+      const Tensor y = posit_layer(w, bias, spec, mode).run(x);
+      const std::string ctx = spec.to_string() + " mode " +
+                              std::to_string(static_cast<int>(mode)) +
+                              (scalar ? " scalar" : " avx2");
+      EXPECT_TRUE(bit_identical(y, ref)) << ctx;
+      for (std::size_t r = 0; r < 9; ++r) {
+        for (std::size_t o = 0; o < 7; ++o) {
+          EXPECT_EQ(std::isnan(y.at(r, o)), r == 4) << ctx << " row " << r << " col " << o;
         }
-      });
-    }
+      }
+    });
   }
 }
 
-TEST(PositEngine, RoundedChainsMatchReferenceOnMaxposHeavyPanels) {
+TEST(PositEngine, LaneKernelsMatchReferenceOnMaxposHeavyPanels) {
   // Operands at and near maxpos (encodes saturate) mixed with ordinary
   // ones: products far beyond maxpos, sums that saturate and climb back,
   // and lanes in the saturation and truncated-exponent bands next to
@@ -376,7 +401,7 @@ TEST(PositEngine, RoundedChainsMatchReferenceOnMaxposHeavyPanels) {
     w[i] = (w[i] < 0.0f ? -1.0f : 1.0f) * std::ldexp(1.0f, 10 + static_cast<int>(i % 40));
   }
   const Tensor bias = Tensor::randn({6}, rng, 1e6f);
-  expect_chains_match_reference(x, w, bias, "maxpos-heavy");
+  expect_lanes_match_reference(x, w, bias, "maxpos-heavy");
 }
 
 }  // namespace

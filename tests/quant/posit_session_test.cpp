@@ -405,10 +405,10 @@ TEST(PositSession, SteadyStateRunPerformsZeroHeapAllocations) {
 #endif
     for (const PositSpec spec : {PositSpec{8, 1}, PositSpec{16, 1}}) {
       for (const AccumMode mode : mode_grid()) {
-        // posit(16,1)'s rounded chains run on the AVX2 lane kernel, whose
-        // double tiles are grow-only scratch too, and forced scalar on
-        // RoundedAccum.
-        const bool lanes = spec.n > 8 && mode != AccumMode::kQuire && posit::simd::available();
+        // posit(16,1)'s rounded chains and both formats' exact quire run on
+        // the AVX2 lane kernels, whose tiles are grow-only scratch too, and
+        // forced scalar on RoundedAccum and Quire.
+        const bool lanes = (spec.n > 8 || mode == AccumMode::kQuire) && posit::simd::available();
         const std::vector<bool> kernels = lanes ? std::vector<bool>{false, true}
                                                 : std::vector<bool>{false};
         for (const bool scalar : kernels) {
@@ -449,39 +449,46 @@ TEST(PositSession, SteadyStateRunPerformsZeroHeapAllocations) {
 }
 
 TEST(PositSession, EngineScratchCountsTheLaneKernelTiles) {
-  // The lane kernel's tiles are thread-local scratch: run one layer on a
+  // The lane kernels' tiles are thread-local scratch: run one layer on a
   // fresh thread (empty scratch) with the kernel on and forced off, and
   // the difference engine_scratch_bytes() reports is exactly the tiles —
-  // 5 rows pad to two 4-row tiles of k = 40 doubles, one NaR mask per tile,
-  // one tile's decoded operands, the weight row as doubles, and one double
-  // per padded output row — less the decoded activation panel the scalar
-  // path keeps and the lane path skips.
+  // 5 rows pad to two 4-row tiles of k = 40 operands (doubles for the fma
+  // chain, int64 for the exact quire), one NaR mask per tile, one tile's
+  // decoded operands, the weight row as operands, and one output (a double,
+  // or a posit code) per padded row — less the decoded activation panel the
+  // scalar path keeps and the lane path skips.
   if (!posit::simd::available()) GTEST_SKIP() << "no AVX2 lane kernel on this host";
   Rng rng(157);
   auto net = nn::mlp(40, 6, 6, 0, rng);
   const Tensor x = Tensor::randn({5, 40}, rng);
-  SessionConfig cfg;
-  cfg.spec = {16, 1};
-  cfg.mode = AccumMode::kFma;
-  PositSession session = PositSession::compile(*net, cfg);
-  const auto scratch_after_run = [&](bool scalar) {
-    std::size_t bytes = 0;
-    std::thread([&] {
+  for (const AccumMode mode : {AccumMode::kFma, AccumMode::kQuire}) {
+    SessionConfig cfg;
+    cfg.spec = {16, 1};
+    cfg.mode = mode;
+    PositSession session = PositSession::compile(*net, cfg);
+    const auto scratch_after_run = [&](bool scalar) {
+      std::size_t bytes = 0;
+      std::thread([&] {
 #ifdef _OPENMP
-      omp_set_num_threads(1);
+        omp_set_num_threads(1);
 #endif
-      posit::simd::force_disable(scalar);
-      session.run(x);
-      bytes = detail::engine_scratch_bytes();
-      posit::simd::force_disable(false);
-    }).join();
-    return bytes;
-  };
-  const std::size_t tiles = 2 * posit::simd::kLanes * 40 * sizeof(double) + 2 * sizeof(unsigned) +
-                            posit::simd::kLanes * 40 * sizeof(posit::Unpacked);
-  const std::size_t column = 40 * sizeof(double) + 2 * posit::simd::kLanes * sizeof(double);
-  const std::size_t panel = 5 * 40 * sizeof(posit::Unpacked);
-  EXPECT_EQ(scratch_after_run(false) + panel - scratch_after_run(true), tiles + column);
+        posit::simd::force_disable(scalar);
+        session.run(x);
+        bytes = detail::engine_scratch_bytes();
+        posit::simd::force_disable(false);
+      }).join();
+      return bytes;
+    };
+    const bool fma = mode == AccumMode::kFma;
+    const std::size_t operand = fma ? sizeof(double) : sizeof(std::int64_t);
+    const std::size_t output = fma ? sizeof(double) : sizeof(std::uint32_t);
+    const std::size_t tiles = 2 * posit::simd::kLanes * 40 * operand + 2 * sizeof(unsigned) +
+                              posit::simd::kLanes * 40 * sizeof(posit::Unpacked);
+    const std::size_t column = 40 * operand + 2 * posit::simd::kLanes * output;
+    const std::size_t panel = 5 * 40 * sizeof(posit::Unpacked);
+    EXPECT_EQ(scratch_after_run(false) + panel - scratch_after_run(true), tiles + column)
+        << "mode " << static_cast<int>(mode);
+  }
 }
 
 // ---------------------------------------------------------------------------
