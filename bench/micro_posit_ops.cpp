@@ -2,6 +2,8 @@
 // kernels used throughout training (supporting data, not a paper table).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "posit/accum.hpp"
 #include "posit/arith.hpp"
 #include "posit/quire.hpp"
@@ -292,6 +294,25 @@ void BM_FromDoubleNearest(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FromDoubleNearest);
+
+/// The engine's activation encode: posit::from_double over a ReLU'd float
+/// span — half the values exactly zero, the rest N(0,1) magnitudes — one
+/// code per element, as PositSession encodes each step's input image.
+void BM_EncodeReluSpan(benchmark::State& state) {
+  const posit::PositSpec spec{static_cast<int>(state.range(0)), static_cast<int>(state.range(1))};
+  tensor::Rng rng(7);
+  std::vector<float> xs(4096);
+  for (auto& x : xs) x = std::max(0.0f, static_cast<float>(rng.normal()));
+  std::vector<std::uint32_t> codes(xs.size());
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < xs.size(); ++i) codes[i] = posit::from_double(xs[i], spec);
+    benchmark::DoNotOptimize(codes.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(xs.size()));
+}
+BENCHMARK(BM_EncodeReluSpan)->Args({8, 1})->Args({16, 1})->Args({32, 2});
 
 }  // namespace
 

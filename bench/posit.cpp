@@ -394,8 +394,8 @@ int main(int argc, char** argv) {
 
   {
     // Block-decoder bandwidth: unpack a packed panel and group-decode it into
-    // Unpacked lanes — the exact work engine_gemm does per activation tile /
-    // weight row. macs_per_s carries codes/s for these rows.
+    // Unpacked lanes — the exact work engine_gemm does per weight row.
+    // macs_per_s carries codes/s for these rows.
     const std::size_t n_codes = std::size_t{1} << 20;
     std::vector<float> src(n_codes);
     Rng drng(31);
@@ -426,7 +426,7 @@ int main(int argc, char** argv) {
   out << "{\n  \"bench\": \"posit\",\n  "
       << pdnn::benchutil::host_json(pdnn::posit::simd::enabled())
       << ",\n  \"threads_available\": " << hw_threads
-      << ",\n  \"act_tile\": " << pdnn::quant::kActTile << ",\n  \"results\": [\n";
+      << ",\n  \"results\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
     out << "    {\"label\": \"" << r.label << "\", \"spec_n\": " << r.spec.n

@@ -11,7 +11,7 @@
 //     reserve kPackedSlackBytes of tail slack (packed_capacity() accounts
 //     for it).
 //   * PackedPositTensor — a tensor's codes in that layout, the one posit
-//     container: the engine's compressed weight and activation panels
+//     container: the engine's compressed resident weight panels
 //     (a posit(8,·) panel costs 1 byte per value where the decode-once
 //     layout spent 12) and the payload of posit checkpoints
 //     (nn/serialize.hpp writes payload_bytes() of `packed` verbatim).

@@ -11,8 +11,8 @@
 //     float-exponent trick; AVX2 has no lzcnt), regime/exponent/fraction
 //     splits use per-lane variable shifts, and the trailing-zero reduction
 //     reuses the same trick on the isolated lowest bit. This is the group
-//     decoder behind decode_unpacked() spans — the engine's packed-panel
-//     block decode and every activation encode pass run through it.
+//     decoder behind decode_unpacked() spans — the engine's weight-row
+//     decode and every activation-plane decode run through it.
 //   * accumulate_limbs_avx2 — the vectorized carry-save deposit inside
 //     Quire::accumulate_dot: per group of eight products it computes the
 //     64-bit significand products, splits each into three 32-bit carry-save

@@ -1,8 +1,12 @@
 // engine_gemm.hpp — internal decode-once GEMM behind the compiled
 // PositSession's linear and conv steps. Not part of the public API.
+// Activations are encoded and decoded once per element, then gathered
+// (gather_activation); only resident weights stay packed (engine_gemm).
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "posit/add_lut.hpp"
 #include "posit/mul_lut.hpp"
@@ -37,13 +41,8 @@ inline int engine_thread_id() {
 /// formats; all pointers null otherwise). `mul`+`add` drive serial
 /// accumulation, `fma` the fma chain, and `add` alone every bias add in any
 /// mode. Results are bit-identical to the arithmetic routines by
-/// construction. Without its tables a serial/fma chain runs four outputs
-/// per AVX2 vector as exact doubles (posit::simd::rounded_chains_avx2) where
-/// the spec and host allow it, else on posit::RoundedAccum (the sum stays
-/// unpacked, packed once per output). kQuire has no tables: on an AVX2 host
-/// (8,0), (8,1), (8,2), (16,0) and (16,1) run four outputs per vector in
-/// int64 limbs (posit::simd::quire_lanes_avx2) whenever the activation
-/// panel has more than one row; everything else runs on posit::Quire.
+/// construction. Without tables the chains and the quire run on the kernels
+/// OperandForm names.
 struct EngineLuts {
   const posit::MulLut* mul = nullptr;
   const posit::AddLut* add = nullptr;
@@ -54,18 +53,56 @@ struct EngineLuts {
 /// cache lock; never call on the per-row hot path).
 EngineLuts resolve_luts(const posit::PositSpec& spec, AccumMode mode);
 
-/// The block-decode GEMM at the heart of the engine. `a` holds `rows`
-/// contiguous bit-packed operand rows of length k (activation panel), `w`
-/// holds `cols` packed rows of length k (weight panel); the rounded dot of
-/// every pair — plus optional per-column bias — lands at
-/// out[r * row_stride + o * col_stride]. Panels stay packed at format width
-/// and every packed value is decoded exactly once per call (SIMD group
-/// decode, posit/simd.hpp): the activation panel into the calling thread's
-/// scratch first (kActTile-row slices, team-parallel), then each weight row
-/// into its streaming thread's O(k) scratch as the column loop reaches it.
-/// Resident panel memory is the packed payload; the decoded activation panel
-/// (and, for a lane kernel, its 4-row double or int64 tiles) is per-call
-/// working scratch.
+/// The form an activation operand takes for its kernel: codes for the LUT
+/// chains; posit::Unpacked for RoundedAccum and Quire; four outputs per
+/// AVX2 vector on lane_value doubles (posit::simd::rounded_chains_avx2,
+/// n - 2 - es <= 26) or quire_lane_operand int64s (quire_lanes_avx2: (8,·),
+/// (16,0), (16,1), more than one activation row).
+enum class OperandForm { kCodes, kUnpacked, kLanes, kQuireLanes };
+
+/// One buffer per operand form, grow-only; a step grows only its own
+/// form's. Holds a step's input image — codes plus its decoded form,
+/// session-owned, counted by PositSession::panel_scratch_bytes() — or a
+/// thread's gathered panel.
+struct OperandBuffers {
+  std::vector<std::uint32_t> codes;
+  std::vector<posit::Unpacked> ops;
+  std::vector<double> lanes;
+  std::vector<std::int64_t> quire;
+
+  std::size_t bytes() const {
+    return codes.capacity() * sizeof(std::uint32_t) + ops.capacity() * sizeof(posit::Unpacked) +
+           lanes.capacity() * sizeof(double) + quire.capacity() * sizeof(std::int64_t);
+  }
+};
+
+/// An activation panel: `rows` patches of k terms in the `form` buffer of
+/// `panel`, row-major, or 4-row tiles (tile[i * 4 + lane]) for the lane
+/// forms, whose `nar` word per tile has bit l set when row l holds a NaR.
+/// Views into the calling thread's scratch, valid until its next
+/// gather_activation.
+struct ActOperands {
+  OperandForm form = OperandForm::kUnpacked;
+  std::size_t rows = 0, k = 0;
+  const OperandBuffers* panel = nullptr;
+  const unsigned* nar = nullptr;
+};
+
+/// Encode the [in_c, in_h, in_w] image `x` into `plane` (codes, under
+/// kEncodeRound) and decode it into the form (mode, luts) reads, each
+/// element once; then gather geom's im2col patches — output pixel t's
+/// patch, channel-major like a weight row — from the plane into the panel,
+/// padding as the zero operand. Both passes are team-parallel over
+/// disjoint ranges.
+ActOperands gather_activation(const float* x, const tensor::Conv2dGeom& geom,
+                              const posit::PositSpec& spec, AccumMode mode,
+                              const EngineLuts& luts, OperandBuffers& plane);
+
+/// The GEMM at the heart of the engine: the rounded dot of every activation
+/// row of `a` with each of the `cols` packed weight rows of `w` — plus
+/// optional per-column bias — lands at out[r * row_stride + o * col_stride].
+/// Each weight row is unpacked and decoded once per call into its thread's
+/// O(k) scratch as the column loop streams it.
 ///
 /// Threading is over output columns with one quire (or rounded accumulator)
 /// per thread. Each output is accumulated start-to-finish by a single thread
@@ -76,31 +113,14 @@ EngineLuts resolve_luts(const posit::PositSpec& spec, AccumMode mode);
 /// `quire_pool` must hold at least engine_threads() quires of `w.spec` when
 /// mode == kQuire (the session's pre-planned per-thread arenas). Ignored for
 /// the other modes. An empty bias (count 0) adds nothing.
-void engine_gemm(const posit::PackedPositTensor& a, const posit::PackedPositTensor& w,
-                 const posit::PackedPositTensor& bias, std::size_t rows, std::size_t k,
-                 std::size_t cols, AccumMode mode, float* out, std::size_t row_stride,
-                 std::size_t col_stride, const EngineLuts& luts, posit::Quire* quire_pool);
+void engine_gemm(const ActOperands& a, const posit::PackedPositTensor& w,
+                 const posit::PackedPositTensor& bias, std::size_t cols, AccumMode mode,
+                 float* out, std::size_t row_stride, std::size_t col_stride,
+                 const EngineLuts& luts, posit::Quire* quire_pool);
 
-/// Encode the im2col panel `cols` ([patch, pixels]) transposed into `panel`
-/// so each output pixel's patch is contiguous, reusing the panel's storage.
-void encode_conv_panel(const float* cols, std::size_t patch, std::size_t pixels,
-                       const posit::PositSpec& spec, posit::PackedPositTensor& panel);
-
-/// The session's per-image conv lowering: for each of `batch` images in
-/// `x`, im2col into `cols` (skipped when `elide_im2col`: a 1x1/s1/p0 input
-/// slice [C, H*W] already IS the patch matrix), encode_conv_panel into
-/// `act`, then engine_gemm into the image's [out_c, pixels] plane of `out`.
-/// `cols` and `act` are caller-owned, grow-only scratch; `quire_pool` as for
-/// engine_gemm.
-void engine_conv2d(const float* x, std::size_t batch, const tensor::Conv2dGeom& geom,
-                   const posit::PackedPositTensor& w, const posit::PackedPositTensor& bias,
-                   AccumMode mode, const EngineLuts& luts, posit::Quire* quire_pool,
-                   bool elide_im2col, tensor::Tensor& cols, posit::PackedPositTensor& act,
-                   float* out);
-
-/// Bytes of the calling thread's block-decode + encode scratch, the lane
-/// kernels' tiles included (capacity, grow-only). Scratch, not model
-/// footprint: PositSession::panel_bytes() deliberately excludes it.
+/// Bytes of the calling thread's gathered panel and weight-row scratch,
+/// the lane kernels' tiles included (capacity, grow-only). Scratch, not
+/// model footprint: PositSession::panel_bytes() deliberately excludes it.
 std::size_t engine_scratch_bytes();
 
 }  // namespace pdnn::quant::detail

@@ -19,52 +19,89 @@ namespace detail {
 
 namespace {
 
-/// Per-thread block-decode scratch for the packed panels. The calling
-/// thread's instance holds the whole activation panel for the duration of
-/// one GEMM (codes plus, when the mode consumes them, unpacked lanes — or,
-/// for the AVX2 lane kernels, 4-row tiles (doubles for the rounded chains,
-/// int64 operands for the exact quire) and each tile's NaR rows —
-/// transient per-call working set, rebuilt from the packed panel each
-/// call); each team thread's instance holds the single weight row it is
-/// currently streaming (for a lane kernel also that row in the kernel's
-/// operand form, the column's outputs, and one lane tile's operands on
-/// their way there).
-/// Grow-only and thread-local, so the steady-state cost is bounded by the
-/// largest shapes this thread has seen — scratch, not model footprint
-/// (engine_scratch_bytes() reports it).
+using posit::simd::kLanes;
+
+/// Per-thread engine scratch. The calling thread's `a` holds the gathered
+/// activation panel of its current GEMM and `a_nar` its lane tiles' NaR
+/// rows; each team thread's `w` holds the weight row it streams (codes, and
+/// the kernel's operand form) and out_* a lane kernel's column outputs.
+/// Grow-only and thread-local: scratch, not model footprint.
 struct DecodeScratch {
-  std::vector<std::uint32_t> a_codes;
-  std::vector<std::uint32_t> w_codes;
-  std::vector<Unpacked> a_ops;
-  std::vector<Unpacked> w_ops;
-  std::vector<double> a_lanes;
-  std::vector<std::int64_t> a_quire;
+  OperandBuffers a, w;
   std::vector<unsigned> a_nar;
-  std::vector<Unpacked> tile_ops;
-  std::vector<double> w_lanes;
-  std::vector<std::int64_t> w_quire;
   std::vector<double> out_lanes;
   std::vector<std::uint32_t> out_codes;
 };
 thread_local DecodeScratch tl_scratch;
 
-/// Caller-thread scratch for the encode paths: codes are produced in
-/// parallel here, then bit-packed serially (the 64-bit RMW pack windows of
-/// adjacent ranges overlap, so packing itself must not be split across
-/// threads).
-thread_local std::vector<std::uint32_t> tl_encode_codes;
+/// Input elements per work item of the plane encode and decode.
+constexpr std::size_t kEncodeChunk = 256;
+
+/// Encode and gather passes over fewer elements stay on the calling thread.
+constexpr std::size_t kParallelMin = 4096;
+
+OperandForm operand_form(const PositSpec& spec, AccumMode mode, const EngineLuts& luts,
+                         std::size_t rows, std::size_t k) {
+  // A lone activation row stays on Quire: in a four-row tile it leaves
+  // three lanes idle, and Quire's own AVX2 deposit is faster there.
+  if ((mode == AccumMode::kSerial && luts.mul != nullptr && luts.add != nullptr) ||
+      (mode == AccumMode::kFma && luts.fma != nullptr)) {
+    return OperandForm::kCodes;
+  }
+  if (!posit::simd::enabled()) return OperandForm::kUnpacked;
+  if (mode != AccumMode::kQuire) {
+    return posit::simd::rounded_lanes_supported(spec) ? OperandForm::kLanes
+                                                      : OperandForm::kUnpacked;
+  }
+  return rows > 1 && posit::simd::quire_lanes_supported(spec, k) ? OperandForm::kQuireLanes
+                                                                 : OperandForm::kUnpacked;
+}
+
+/// Gather every im2col patch of `plane` (one element per input element,
+/// any operand form) into `panel`: row-major, or `tiled` as 4-row lane tiles
+/// whose lanes past the last row are zero. Terms in the padding read T{},
+/// the zero operand of every form.
+template <class T>
+void gather_panel(const std::vector<T>& plane, const tensor::Conv2dGeom& g, bool tiled,
+                  std::vector<T>& panel) {
+  const std::size_t oh = g.out_h(), ow = g.out_w(), rows = oh * ow, k = g.patch();
+  const std::size_t padded = tiled ? (rows + kLanes - 1) / kLanes * kLanes : rows;
+  panel.resize(padded * k);
+  T* const dst = panel.data();
+  // Term i of patch r: dst[r * k + i], or lane r % 4 of tile r / 4.
+  const auto at = [=](std::size_t r, std::size_t i) -> T& {
+    return tiled ? dst[(r / kLanes * k + i) * kLanes + r % kLanes] : dst[r * k + i];
+  };
+  const long h = static_cast<long>(g.in_h), w = static_cast<long>(g.in_w);
+  const long pad = static_cast<long>(g.pad);
+  // One row of output pixels per work item, term by term like im2col.
+#pragma omp parallel for schedule(static) if (rows * k > kParallelMin)
+  for (std::size_t oy = 0; oy < oh; ++oy) {
+    for (std::size_t c = 0, i = 0; c < g.in_c; ++c) {
+      for (std::size_t ky = 0; ky < g.kh(); ++ky) {
+        const long y = static_cast<long>(oy * g.stride + ky) - pad;
+        const bool row_in = y >= 0 && y < h;
+        const T* line = plane.data() + c * g.in_h * g.in_w + (row_in ? y * w : 0);
+        for (std::size_t kx = 0; kx < g.kw(); ++kx, ++i) {
+          for (std::size_t ox = 0; ox < ow; ++ox) {
+            const long x = static_cast<long>(ox * g.stride + kx) - pad;
+            at(oy * ow + ox, i) = row_in && x >= 0 && x < w ? line[x] : T{};
+          }
+        }
+      }
+    }
+  }
+  for (std::size_t r = rows; r < padded; ++r) {
+    for (std::size_t i = 0; i < k; ++i) at(r, i) = T{};
+  }
+}
 
 }  // namespace
 
 std::size_t engine_scratch_bytes() {
   const DecodeScratch& s = tl_scratch;
-  return (s.a_codes.capacity() + s.w_codes.capacity() + s.out_codes.capacity() +
-          tl_encode_codes.capacity()) *
-             sizeof(std::uint32_t) +
-         (s.a_ops.capacity() + s.w_ops.capacity() + s.tile_ops.capacity()) * sizeof(Unpacked) +
-         (s.a_lanes.capacity() + s.w_lanes.capacity() + s.out_lanes.capacity()) * sizeof(double) +
-         (s.a_quire.capacity() + s.w_quire.capacity()) * sizeof(std::int64_t) +
-         s.a_nar.capacity() * sizeof(unsigned);
+  return s.a.bytes() + s.w.bytes() + s.a_nar.capacity() * sizeof(unsigned) +
+         s.out_lanes.capacity() * sizeof(double) + s.out_codes.capacity() * sizeof(std::uint32_t);
 }
 
 EngineLuts resolve_luts(const PositSpec& spec, AccumMode mode) {
@@ -83,52 +120,72 @@ EngineLuts resolve_luts(const PositSpec& spec, AccumMode mode) {
   return luts;
 }
 
-void engine_gemm(const PackedPositTensor& a, const PackedPositTensor& w,
-                 const PackedPositTensor& bias, std::size_t rows, std::size_t k, std::size_t cols,
-                 AccumMode mode, float* out, std::size_t row_stride, std::size_t col_stride,
-                 const EngineLuts& luts, posit::Quire* quire_pool) {
-  const PositSpec spec = w.spec;
-  const std::size_t tiles = (rows + kActTile - 1) / kActTile;
-  // Which operand forms this (mode, luts) pairing actually reads: the LUT
-  // serial/fma chains index raw codes, everything else consumes Unpacked
-  // lanes. Codes are always unpacked from the packed panels (they are the
-  // decode intermediate); the lane decode is skipped when nothing reads it.
-  const bool lut_serial = mode == AccumMode::kSerial && luts.mul != nullptr && luts.add != nullptr;
-  const bool lut_fma = mode == AccumMode::kFma && luts.fma != nullptr;
-  const bool need_ops = !(lut_serial || lut_fma);
-  // Rounded chains without a LUT run four outputs per AVX2 vector where the
-  // spec's values are exact doubles, the exact quire four outputs per vector
-  // in int64 limbs where its products fit them (posit/simd.hpp); else
-  // RoundedAccum and Quire, one output at a time. All bit-identical to the
-  // coded reference. A lone activation row stays on Quire: in a four-row
-  // tile it leaves three lanes idle, and Quire's own AVX2 deposit is faster
-  // there.
-  const bool lanes = mode != AccumMode::kQuire && need_ops && posit::simd::enabled() &&
-                     posit::simd::rounded_lanes_supported(spec);
-  const bool qlanes = mode == AccumMode::kQuire && rows > 1 && posit::simd::enabled() &&
-                      posit::simd::quire_lanes_supported(spec, k);
-  static_assert(kActTile % posit::simd::kLanes == 0, "activation tiles split into lane tiles");
-  const std::size_t lane_tiles = (rows + posit::simd::kLanes - 1) / posit::simd::kLanes;
-  const std::size_t lane_rows = lane_tiles * posit::simd::kLanes;
-  // Phase split keeps every panel value's decode to exactly once per call:
-  // the activation panel is block-decoded (kActTile-row slices, in parallel)
-  // into the calling thread's scratch, then the GEMM parallelizes over
-  // output columns so each packed weight row is unpacked once and streamed
-  // against every activation row. Sized buffers are grabbed before the team
-  // starts — the region below only reads them through raw pointers.
+ActOperands gather_activation(const float* x, const tensor::Conv2dGeom& g, const PositSpec& spec,
+                              AccumMode mode, const EngineLuts& luts, OperandBuffers& plane) {
+  ActOperands a;
+  a.rows = g.out_h() * g.out_w();
+  a.k = g.patch();
+  const OperandForm form = a.form = operand_form(spec, mode, luts, a.rows, a.k);
+  // Encode every input element once and decode it once, into the plane.
+  const std::size_t count = g.in_c * g.in_h * g.in_w;
+  plane.codes.resize(count);
+  if (form == OperandForm::kUnpacked) plane.ops.resize(count);
+  if (form == OperandForm::kLanes) plane.lanes.resize(count);
+  if (form == OperandForm::kQuireLanes) plane.quire.resize(count);
+  bool has_nar = false;  // read by the lane forms, where NaR becomes a zero operand
+  const std::size_t chunks = (count + kEncodeChunk - 1) / kEncodeChunk;
+#pragma omp parallel for schedule(static) reduction(|| : has_nar) if (count > kParallelMin)
+  for (std::size_t c = 0; c < chunks; ++c) {
+    const std::size_t i0 = c * kEncodeChunk, n = std::min(kEncodeChunk, count - i0);
+    std::uint32_t* const codes = plane.codes.data() + i0;
+    for (std::size_t i = 0; i < n; ++i) {
+      codes[i] = posit::from_double(x[i0 + i], spec, kEncodeRound);
+    }
+    if (form == OperandForm::kCodes) continue;
+    Unpacked buf[kEncodeChunk];
+    Unpacked* const ops = form == OperandForm::kUnpacked ? plane.ops.data() + i0 : buf;
+    posit::decode_unpacked(codes, n, spec, ops);
+    if (form == OperandForm::kLanes) {
+      has_nar = posit::simd::fill_lane_row(ops, n, plane.lanes.data() + i0) || has_nar;
+    } else if (form == OperandForm::kQuireLanes) {
+      has_nar = posit::simd::fill_quire_row(ops, n, spec, plane.quire.data() + i0) || has_nar;
+    }
+  }
   DecodeScratch& host = tl_scratch;
-  host.a_codes.resize(rows * k);
-  const bool row_ops = need_ops && !lanes && !qlanes;
-  if (row_ops) host.a_ops.resize(rows * k);
-  std::uint32_t* const a_codes_buf = host.a_codes.data();
-  Unpacked* const a_ops_buf = row_ops ? host.a_ops.data() : nullptr;
-  if (lanes) host.a_lanes.resize(lane_rows * k);
-  if (qlanes) host.a_quire.resize(lane_rows * k);
-  if (lanes || qlanes) host.a_nar.resize(lane_tiles);
-  double* const a_lanes_buf = lanes ? host.a_lanes.data() : nullptr;
-  std::int64_t* const a_quire_buf = qlanes ? host.a_quire.data() : nullptr;
-  unsigned* const a_nar_buf = lanes || qlanes ? host.a_nar.data() : nullptr;
+  switch (form) {
+    case OperandForm::kCodes: gather_panel(plane.codes, g, false, host.a.codes); break;
+    case OperandForm::kUnpacked: gather_panel(plane.ops, g, false, host.a.ops); break;
+    case OperandForm::kLanes: gather_panel(plane.lanes, g, true, host.a.lanes); break;
+    case OperandForm::kQuireLanes: gather_panel(plane.quire, g, true, host.a.quire); break;
+  }
+  a.panel = &host.a;
+  if (form == OperandForm::kLanes || form == OperandForm::kQuireLanes) {
+    // The rows that gathered a NaR, found again through the codes.
+    host.a_nar.assign((a.rows + kLanes - 1) / kLanes, 0u);
+    a.nar = host.a_nar.data();
+    if (has_nar) gather_panel(plane.codes, g, false, host.a.codes);
+    for (std::size_t i = 0; has_nar && i < a.rows * a.k; ++i) {
+      const std::size_t r = i / a.k;
+      if (host.a.codes[i] == spec.nar_code()) host.a_nar[r / kLanes] |= 1u << (r % kLanes);
+    }
+  }
+  return a;
+}
+
+void engine_gemm(const ActOperands& a, const PackedPositTensor& w, const PackedPositTensor& bias,
+                 std::size_t cols, AccumMode mode, float* out, std::size_t row_stride,
+                 std::size_t col_stride, const EngineLuts& luts, posit::Quire* quire_pool) {
+  const PositSpec spec = w.spec;
+  const std::size_t rows = a.rows, k = a.k;
+  const OperandBuffers& panel = *a.panel;
+  const bool codes = a.form == OperandForm::kCodes;
+  const bool lanes = a.form == OperandForm::kLanes;
+  const bool qlanes = a.form == OperandForm::kQuireLanes;
+  const std::size_t lane_tiles = (rows + kLanes - 1) / kLanes;
   const float nar_out = static_cast<float>(posit::to_double(spec.nar_code(), spec));
+  // The activation panel is already in operand form; the GEMM parallelizes
+  // over output columns so each packed weight row is unpacked and decoded
+  // once and streamed against every activation row.
 #pragma omp parallel
   {
     posit::Quire* quire = mode == AccumMode::kQuire ? &quire_pool[engine_thread_id()] : nullptr;
@@ -136,42 +193,22 @@ void engine_gemm(const PackedPositTensor& a, const PackedPositTensor& w,
     // stays unpacked and is packed once per output (posit/accum.hpp).
     posit::RoundedAccum racc(spec);
     DecodeScratch& scratch = tl_scratch;
-    if (lanes || qlanes) scratch.tile_ops.resize(posit::simd::kLanes * k);
-#pragma omp for schedule(static)
-    for (std::size_t tile = 0; tile < tiles; ++tile) {
-      const std::size_t r0 = tile * kActTile;
-      const std::size_t r1 = std::min(rows, r0 + kActTile);
-      posit::unpack_codes(a.packed.data(), r0 * k, (r1 - r0) * k, a.spec, a_codes_buf + r0 * k);
-      if (a_ops_buf != nullptr) {
-        posit::decode_unpacked(a_codes_buf + r0 * k, (r1 - r0) * k, a.spec, a_ops_buf + r0 * k);
-      }
-      // The lane tiles of these rows, each decoded on its way to the lane
-      // kernel's operand form; a ragged last tile gets zero lanes.
-      for (std::size_t r = r0; (lanes || qlanes) && r < r1; r += posit::simd::kLanes) {
-        const std::size_t n = std::min(posit::simd::kLanes, r1 - r);
-        posit::decode_unpacked(a_codes_buf + r * k, n * k, a.spec, scratch.tile_ops.data());
-        a_nar_buf[r / posit::simd::kLanes] =
-            lanes ? posit::simd::fill_lane_tile(scratch.tile_ops.data(), n, k, a_lanes_buf + r * k)
-                  : posit::simd::fill_quire_tile(scratch.tile_ops.data(), n, k, spec,
-                                                 a_quire_buf + r * k);
-      }
-    }  // implicit barrier: the whole panel is decoded before any dot reads it
-    scratch.w_codes.resize(k);
-    if (need_ops) scratch.w_ops.resize(k);
+    scratch.w.codes.resize(k);
+    if (!codes) scratch.w.ops.resize(k);
     if (lanes) {
-      scratch.w_lanes.resize(k);
-      scratch.out_lanes.resize(lane_rows);
+      scratch.w.lanes.resize(k);
+      scratch.out_lanes.resize(lane_tiles * kLanes);
     }
     if (qlanes) {
-      scratch.w_quire.resize(k);
-      scratch.out_codes.resize(lane_rows);
+      scratch.w.quire.resize(k);
+      scratch.out_codes.resize(lane_tiles * kLanes);
     }
 #pragma omp for schedule(static)
     for (std::size_t o = 0; o < cols; ++o) {
-      posit::unpack_codes(w.packed.data(), o * k, k, spec, scratch.w_codes.data());
-      const std::uint32_t* wcodes = scratch.w_codes.data();
-      const Unpacked* wrow = scratch.w_ops.data();
-      if (need_ops) posit::decode_unpacked(wcodes, k, spec, scratch.w_ops.data());
+      posit::unpack_codes(w.packed.data(), o * k, k, spec, scratch.w.codes.data());
+      const std::uint32_t* wcodes = scratch.w.codes.data();
+      const Unpacked* wrow = scratch.w.ops.data();
+      if (!codes) posit::decode_unpacked(wcodes, k, spec, scratch.w.ops.data());
       const std::uint32_t bcode =
           bias.count != 0 ? posit::unpack_one(bias.packed.data(), o, bias.spec) : 0u;
       if (lanes) {
@@ -181,15 +218,14 @@ void engine_gemm(const PackedPositTensor& a, const PackedPositTensor& w,
         // makes the output NaR whatever the order.
         const Unpacked bu = posit::decode_unpacked(bcode, spec);
         const double bvalue = posit::simd::lane_value(bu);
-        const bool col_nar = posit::simd::fill_lane_row(wrow, k, scratch.w_lanes.data()) ||
+        const bool col_nar = posit::simd::fill_lane_row(wrow, k, scratch.w.lanes.data()) ||
                              (bias.count != 0 && bu.is_nar());
         double* const sums = scratch.out_lanes.data();
-        posit::simd::rounded_chains_avx2(a_lanes_buf, lane_tiles, scratch.w_lanes.data(), k, spec,
+        posit::simd::rounded_chains_avx2(panel.lanes.data(), lane_tiles, scratch.w.lanes.data(), k, spec,
                                          mode == AccumMode::kFma,
                                          bias.count != 0 ? &bvalue : nullptr, sums);
         for (std::size_t r = 0; r < rows; ++r) {
-          const unsigned tile_nar = a_nar_buf[r / posit::simd::kLanes];
-          const bool nar = col_nar || ((tile_nar >> (r % posit::simd::kLanes)) & 1u) != 0;
+          const bool nar = col_nar || ((a.nar[r / kLanes] >> (r % kLanes)) & 1u) != 0;
           out[r * row_stride + o * col_stride] = nar ? nar_out : static_cast<float>(sums[r]);
         }
         continue;
@@ -198,20 +234,19 @@ void engine_gemm(const PackedPositTensor& a, const PackedPositTensor& w,
       // at once, rounded once per output. NaR in a row or the weight row
       // makes the output NaR.
       const bool qcol_nar =
-          qlanes && posit::simd::fill_quire_row(wrow, k, spec, scratch.w_quire.data());
+          qlanes && posit::simd::fill_quire_row(wrow, k, spec, scratch.w.quire.data());
       if (qlanes) {
-        posit::simd::quire_lanes_avx2(a_quire_buf, lane_tiles, scratch.w_quire.data(), k, spec,
+        posit::simd::quire_lanes_avx2(panel.quire.data(), lane_tiles, scratch.w.quire.data(), k, spec,
                                       scratch.out_codes.data());
       }
       for (std::size_t r = 0; r < rows; ++r) {
-        const Unpacked* arow = a_ops_buf + r * k;
-        const std::uint32_t* acodes = a_codes_buf + r * k;
+        const Unpacked* arow = codes || qlanes ? nullptr : panel.ops.data() + r * k;
+        const std::uint32_t* acodes = codes ? panel.codes.data() + r * k : nullptr;
         std::uint32_t acc = 0;
         switch (mode) {
           case AccumMode::kQuire:
             if (qlanes) {
-              const unsigned tile_nar = a_nar_buf[r / posit::simd::kLanes];
-              const bool nar = qcol_nar || ((tile_nar >> (r % posit::simd::kLanes)) & 1u) != 0;
+              const bool nar = qcol_nar || ((a.nar[r / kLanes] >> (r % kLanes)) & 1u) != 0;
               acc = nar ? spec.nar_code() : scratch.out_codes[r];
             } else {
               quire->clear();
@@ -220,7 +255,7 @@ void engine_gemm(const PackedPositTensor& a, const PackedPositTensor& w,
             }
             break;
           case AccumMode::kSerial:
-            if (lut_serial) {
+            if (codes) {
               // Two table reads per term: the multiply and the accumulator
               // add both come out of L2-resident LUTs.
               for (std::size_t i = 0; i < k; ++i) {
@@ -233,7 +268,7 @@ void engine_gemm(const PackedPositTensor& a, const PackedPositTensor& w,
             }
             break;
           case AccumMode::kFma:
-            if (lut_fma) {
+            if (codes) {
               for (std::size_t i = 0; i < k; ++i) acc = luts.fma->at(acodes[i], wcodes[i], acc);
             } else {
               racc.clear();
@@ -248,45 +283,6 @@ void engine_gemm(const PackedPositTensor& a, const PackedPositTensor& w,
         out[r * row_stride + o * col_stride] = static_cast<float>(posit::to_double(acc, spec));
       }
     }
-  }
-}
-
-void encode_conv_panel(const float* cols, std::size_t patch, std::size_t pixels,
-                       const PositSpec& spec, PackedPositTensor& panel) {
-  panel.spec = spec;
-  panel.shape = {pixels, patch};
-  panel.count = pixels * patch;
-  // Encode transposed (each output pixel's patch contiguous) in parallel
-  // into the code scratch, then bit-pack serially: pack_codes RMWs 64-bit
-  // windows that straddle neighbor ranges, so the pack must not be split.
-  std::vector<std::uint32_t>& codes = tl_encode_codes;
-  codes.resize(panel.count);
-#pragma omp parallel for schedule(static) if (pixels > 8)
-  for (std::size_t t = 0; t < pixels; ++t) {
-    for (std::size_t p = 0; p < patch; ++p) {
-      codes[t * patch + p] = posit::from_double(cols[p * pixels + t], spec, kEncodeRound);
-    }
-  }
-  panel.packed.assign(posit::packed_capacity(panel.count, spec), 0u);
-  posit::pack_codes(codes.data(), 0, panel.count, spec, panel.packed.data());
-}
-
-void engine_conv2d(const float* x, std::size_t batch, const tensor::Conv2dGeom& geom,
-                   const PackedPositTensor& w, const PackedPositTensor& bias, AccumMode mode,
-                   const EngineLuts& luts, posit::Quire* quire_pool, bool elide_im2col,
-                   Tensor& cols, PackedPositTensor& act, float* out) {
-  const std::size_t pixels = geom.out_h() * geom.out_w();
-  const std::size_t patch = geom.patch();
-  if (!elide_im2col) cols.resize({patch, pixels});
-  for (std::size_t nidx = 0; nidx < batch; ++nidx) {
-    const float* slice = x + nidx * geom.in_c * geom.in_h * geom.in_w;
-    if (!elide_im2col) tensor::im2col(slice, geom, cols.data());
-    // Encode the unfolded image once, transposed so each output pixel's
-    // patch is contiguous (the decode-once activation panel).
-    encode_conv_panel(elide_im2col ? slice : cols.data(), patch, pixels, w.spec, act);
-    // Output plane for this image is [out_c, pixels]: column stride `pixels`.
-    engine_gemm(act, w, bias, pixels, patch, geom.out_c, mode, out + nidx * geom.out_c * pixels, 1,
-                pixels, luts, quire_pool);
   }
 }
 
@@ -339,16 +335,11 @@ void encode_pack_into(const float* src, std::size_t count, const PositSpec& spec
                       PackedPositTensor& out) {
   out.spec = spec;
   out.count = count;
-  // Parallel encode into the code scratch, serial bit-pack (see
-  // encode_conv_panel for why the pack cannot be split across threads).
-  std::vector<std::uint32_t>& codes = detail::tl_encode_codes;
-  codes.resize(count);
-#pragma omp parallel for schedule(static) if (count > 4096)
-  for (std::size_t i = 0; i < count; ++i) {
-    codes[i] = posit::from_double(src[i], spec, kEncodeRound);
-  }
   out.packed.assign(posit::packed_capacity(count, spec), 0u);
-  posit::pack_codes(codes.data(), 0, count, spec, out.packed.data());
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint32_t code = posit::from_double(src[i], spec, kEncodeRound);
+    posit::pack_codes(&code, i, 1, spec, out.packed.data());
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -11,12 +11,11 @@
 //   * kFma    — with a fused multiply-add chain (one rounding per term,
 //               the behavior of the paper's Fig. 4 MAC pipeline).
 //
-// Panels are stored bit-packed at format width (posit::PackedPositTensor)
-// and decoded blockwise, each packed value exactly once per GEMM: the
-// activation panel into per-call scratch up front, each weight row into O(k)
-// per-thread scratch as the column loop streams it — all through the SIMD
-// batch-of-8 decoder (posit/simd.hpp). The hot loops then run on
-// posit::Unpacked lanes with per-thread quires OpenMP-distributed over
+// Weight panels are stored bit-packed at format width
+// (posit::PackedPositTensor), each weight row decoded once per GEMM as the
+// column loop streams it; activations are encoded and decoded once per
+// element, their im2col patches gathered in the kernel's operand form
+// (quant/engine_gemm.hpp). Per-thread quires are OpenMP-distributed over
 // output columns; n <= 8 formats dispatch at runtime onto tabulated kernels
 // (MulLut/AddLut for the serial chain and every bias add, the pair-classed
 // FmaLut for the fma chain). Results are bit-identical to the retained
@@ -28,8 +27,8 @@
 // it compiles a module graph once — session-owned weight panels, per-thread
 // quire arenas, per-layer precision overrides — and runs allocation-free in
 // steady state. A single layer is a one-layer session. This header keeps
-// the shared vocabulary (AccumMode, the encode rounding, the activation
-// encode) and the scalar reference oracles.
+// the shared vocabulary (AccumMode, the encode rounding, the panel encode)
+// and the scalar reference oracles.
 #pragma once
 
 #include <cstdint>
@@ -50,17 +49,12 @@ enum class AccumMode {
 };
 
 /// The single rounding mode used for every float -> posit encode on the
-/// inference path (weights, activations, im2col panels, BN constants).
+/// inference path (weights, activations, BN constants).
 constexpr posit::RoundMode kEncodeRound = posit::RoundMode::kNearestEven;
 
-/// Activation rows (or output pixels) per work item of the engine GEMM's
-/// block-decode phase: the packed activation panel is unpacked and decoded
-/// in slices of this many rows, team-parallel, before the column loop runs.
-constexpr std::size_t kActTile = 16;
-
 /// Encode (under kEncodeRound) and bit-pack `count` floats into `out`,
-/// reusing its storage — how the session encodes activations every run and
-/// re-encodes weight panels after a Param::version bump (no allocation once
+/// reusing its storage — how the session encodes weight panels at compile
+/// and re-encodes them after a Param::version bump (no allocation once
 /// shapes settle). Sets out.spec/out.count; the caller owns out.shape.
 void encode_pack_into(const float* src, std::size_t count, const posit::PositSpec& spec,
                       posit::PackedPositTensor& out);

@@ -65,12 +65,12 @@ struct Binding {
 
 /// The posit-side state attached to one plan step: resolved format and
 /// accumulation mode, LUT kernels, quire-arena index, encoded weight panels,
-/// BN constants, and the per-step scratch the hot loop reuses.
+/// BN constants, and the encoded and decoded input image the hot loop reuses.
 struct StepState {
   PositSpec spec{16, 1};
   AccumMode mode = AccumMode::kQuire;
   detail::EngineLuts luts;
-  int arena = -1;  ///< per-thread quire pool index (kQuire GEMMs, GAP, joins)
+  int arena = -1;  ///< per-thread quire pool index (kQuire GEMMs, GAP)
 
   Binding weight, bias;  // bias.param == nullptr -> no bias (panel stays empty)
 
@@ -78,9 +78,7 @@ struct StepState {
   std::uint64_t gamma_version = 0, beta_version = 0, stats_version = 0;
   std::vector<std::uint32_t> bn_scale, bn_mean, bn_shift;
 
-  // steady-state scratch (grow-only)
-  Tensor cols;                   // conv im2col columns
-  posit::PackedPositTensor act;  // encoded activation panel
+  detail::OperandBuffers input;  // steady-state scratch (grow-only)
 };
 
 }  // namespace
@@ -183,7 +181,7 @@ void PositSession::Impl::compile_step(const exec::Step& step, StepState& s) {
   // lowering); ReLU and max pooling resolve a format they never use.
   s.spec = cfg.spec_for(step.name, step.cls);
   s.mode = cfg.mode_for(step.name, step.cls);
-  // GEMMs and the join dispatch LUT kernels and, in kQuire mode, a quire pool.
+  // GEMMs dispatch LUT kernels and, in kQuire mode, a quire pool.
   const auto resolve_accum = [&] {
     s.luts = detail::resolve_luts(s.spec, s.mode);
     if (s.mode == AccumMode::kQuire) s.arena = arena_for(s.spec);
@@ -217,7 +215,9 @@ void PositSession::Impl::compile_step(const exec::Step& step, StepState& s) {
     case exec::OpKind::kGlobalAvgPool:
       s.arena = arena_for(s.spec);  // the plane sum always runs through a quire
       break;
-    case exec::OpKind::kResidualJoin: resolve_accum(); break;
+    case exec::OpKind::kResidualJoin:
+      s.luts.add = detail::resolve_luts(s.spec, s.mode).add;  // one rounded add, any mode
+      break;
     case exec::OpKind::kRelu:
     case exec::OpKind::kMaxPool2x2:
       break;
@@ -274,19 +274,27 @@ const Tensor& PositSession::Impl::run_impl(const Tensor& x) {
 
 void PositSession::Impl::exec_linear(const exec::Step& step, StepState& s, const Tensor& in,
                                      Tensor& out) {
-  const std::size_t n = in.shape()[0];
-  s.act.shape = {n, step.in_c};
-  encode_pack_into(in.data(), in.numel(), s.spec, s.act);
-  detail::engine_gemm(s.act, s.weight.panel, s.bias.panel, n, step.in_c, step.out_c, s.mode,
-                      out.data(), step.out_c, 1, s.luts, pool(s));
+  if (in.shape()[0] == 0) return;
+  // The [n, k] batch is one image whose 1 x k windows are its rows.
+  const tensor::Conv2dGeom rows{1, in.shape()[0], step.in_c, step.out_c, 1, 1, 0, step.in_c};
+  detail::engine_gemm(detail::gather_activation(in.data(), rows, s.spec, s.mode, s.luts, s.input),
+                      s.weight.panel, s.bias.panel, step.out_c, s.mode, out.data(), step.out_c, 1,
+                      s.luts, pool(s));
 }
 
 void PositSession::Impl::exec_conv(const exec::Step& step, StepState& s, const Tensor& in,
                                    Tensor& out) {
   const tensor::Conv2dGeom geom{step.in_c,   in.shape()[2], in.shape()[3], step.out_c,
                                 step.kernel, step.stride,   step.pad,      step.kernel_w};
-  detail::engine_conv2d(in.data(), in.shape()[0], geom, s.weight.panel, s.bias.panel, s.mode,
-                        s.luts, pool(s), step.elide_im2col, s.cols, s.act, out.data());
+  const std::size_t image = geom.in_c * geom.in_h * geom.in_w;
+  const std::size_t pixels = geom.out_h() * geom.out_w();
+  for (std::size_t n = 0; n < in.shape()[0]; ++n) {
+    const detail::ActOperands a =
+        detail::gather_activation(in.data() + n * image, geom, s.spec, s.mode, s.luts, s.input);
+    // Image n's output plane is [out_c, pixels]: column stride `pixels`.
+    detail::engine_gemm(a, s.weight.panel, s.bias.panel, step.out_c, s.mode,
+                        out.data() + n * step.out_c * pixels, 1, pixels, s.luts, pool(s));
+  }
 }
 
 void PositSession::Impl::exec_bn(StepState& s, const Tensor& in, Tensor& out) {
@@ -349,30 +357,17 @@ void PositSession::Impl::exec_join(StepState& s, const Tensor& main, const Tenso
   const float* ma = main.data();
   const float* sk = skip.data();
   float* dst = out.data();
-  posit::Quire* quires = pool(s);
-  // Join then ReLU, all in the block's format. In kQuire mode both branch
-  // terms accumulate through the session's quire arena (one rounding — the
-  // same value posit::add produces, by the quire's exactness); serial/fma
-  // modes use the rounded add, via its table when available.
-#pragma omp parallel if (numel > 16384)
-  {
-    posit::Quire* quire = quires != nullptr ? &quires[detail::engine_thread_id()] : nullptr;
-#pragma omp for schedule(static)
-    for (std::size_t i = 0; i < numel; ++i) {
-      const std::uint32_t a = posit::from_double(ma[i], s.spec, kEncodeRound);
-      const std::uint32_t b = posit::from_double(sk[i], s.spec, kEncodeRound);
-      std::uint32_t joined;
-      if (quire != nullptr) {
-        quire->clear();
-        quire->add_posit(a);
-        quire->add_posit(b);
-        joined = quire->to_posit();
-      } else {
-        joined = s.luts.add != nullptr ? s.luts.add->at(a, b) : posit::add(a, b, s.spec);
-      }
-      const float v = static_cast<float>(posit::to_double(joined, s.spec));
-      dst[i] = v > 0.0f ? v : 0.0f;
-    }
+  // Join then ReLU, all in the block's format: one rounded add per element
+  // in every mode (a quire sum of two terms rounds to the same code), via
+  // its table when available.
+#pragma omp parallel for schedule(static) if (numel > 16384)
+  for (std::size_t i = 0; i < numel; ++i) {
+    const std::uint32_t a = posit::from_double(ma[i], s.spec, kEncodeRound);
+    const std::uint32_t b = posit::from_double(sk[i], s.spec, kEncodeRound);
+    const std::uint32_t joined =
+        s.luts.add != nullptr ? s.luts.add->at(a, b) : posit::add(a, b, s.spec);
+    const float v = static_cast<float>(posit::to_double(joined, s.spec));
+    dst[i] = v > 0.0f ? v : 0.0f;
   }
 }
 
@@ -391,7 +386,8 @@ PositSession PositSession::compile(nn::Module& net, const SessionConfig& cfg) {
   I.cfg = cfg;
   I.net = &net;
   // The session consumes the bit-identical passes (fused ReLU clamps the
-  // decoded floats it stores anyway; 1x1 elision moves no arithmetic) but
+  // decoded floats it stores anyway; 1x1 elision is moot, its gather reads
+  // the input plane whatever the window) but
   // declines fold_bn: its BN runs in encoded posit arithmetic, and a
   // pre-scaled float weight panel would change which values get encoded.
   exec::PlanOptions opts = exec::PlanOptions::defaults();
@@ -432,9 +428,7 @@ std::size_t PositSession::panel_bytes() const {
 
 std::size_t PositSession::panel_scratch_bytes() const {
   std::size_t bytes = 0;
-  for (const StepState& s : impl_->state) {
-    bytes += s.act.packed.capacity() * sizeof(std::uint8_t) + s.cols.numel() * sizeof(float);
-  }
+  for (const StepState& s : impl_->state) bytes += s.input.bytes();
   return bytes;
 }
 

@@ -7,14 +7,14 @@
 //
 //   * compile() lowers the module graph through exec::GraphBuilder into the
 //     backend-neutral ExecPlan (Sequential nesting and ResidualBlock
-//     skip-connections included — the residual join accumulates both
-//     branches through the session's quire path), lets exec::ArenaPlanner
+//     skip-connections included — the residual join is one rounded posit
+//     add per element), lets exec::ArenaPlanner
 //     fold every intermediate tensor onto lifetime-shared arena buffers,
 //     then resolves each step's (PositSpec, AccumMode) from SessionConfig,
 //     pre-encodes every weight/bias/BN constant into session-owned
 //     posit::PackedPositTensor panels, resolves the n <= 8 LUT kernels, and
-//     plans per-thread quire arenas plus per-step scratch (im2col columns,
-//     activation panels).
+//     plans per-thread quire arenas plus per-step scratch (each GEMM step's
+//     input image, encoded and decoded once per element).
 //   * run() executes the compiled plan through exec::PlanRunner, the exec
 //     layer's one step interpreter, with posit per-op kernels. In steady state (shapes repeat, no
 //     weight mutation) it performs no allocation and takes no lock: panels,
@@ -121,15 +121,13 @@ class PositSession {
   std::uint64_t encode_count() const;
   /// Resident model footprint: packed weight/bias code payloads plus the
   /// encoded BN constant vectors — the bytes that scale with clone count and
-  /// decide how many worker backends stay cache-resident. Per-step
-  /// activation/decode scratch is deliberately excluded (it used to be
-  /// charged here, double-counting run-time scratch as model size); see
-  /// panel_scratch_bytes().
+  /// decide how many worker backends stay cache-resident. Run scratch is
+  /// excluded; see panel_scratch_bytes().
   std::size_t panel_bytes() const;
-  /// Steady-state run scratch the session owns: per-step packed activation
-  /// panels and im2col column buffers (grow-only, sized by the largest batch
-  /// seen). The engine's per-thread decode scratch is reported separately by
-  /// detail::engine_scratch_bytes().
+  /// Steady-state run scratch the session owns: each GEMM step's input
+  /// image (a linear step's batch) as codes plus its kernel's operand form,
+  /// grow-only — 0 before the first run, > 0 after it. The gathered panels
+  /// are per-thread engine scratch (detail::engine_scratch_bytes()).
   std::size_t panel_scratch_bytes() const;
 
  private:

@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <random>
+#include <vector>
 
 #include "oracle.hpp"
 #include "posit/codec.hpp"
@@ -279,6 +281,135 @@ TEST(CodecSpot, StochasticRoundingIsUnbiased) {
 TEST(CodecSpot, SignExtendOrdersNarSmallest) {
   const PositSpec s{8, 1};
   EXPECT_LT(sign_extend(s.nar_code(), s), sign_extend(from_double(-1e30, s), s));
+}
+
+// ---------------------------------------------------------------------------
+// from_double and to_double against the general routines they shortcut:
+// from_double rounds most normal doubles inline, to_double builds most
+// doubles without decode() + ldexp; both must agree with the long way bit
+// for bit.
+// ---------------------------------------------------------------------------
+
+/// The formats the engine and the paper run, plus (5,1) and the widest es.
+const std::vector<PositSpec>& encode_formats() {
+  static const std::vector<PositSpec> formats = {{5, 1},  {8, 0},  {8, 1},  {8, 2}, {16, 0},
+                                                 {16, 1}, {16, 2}, {32, 2}, {32, 3}};
+  return formats;
+}
+
+/// The encode oracle: x's fields found with frexp, rounded by round_pack.
+std::uint32_t round_pack_of(double x, const PositSpec& s) {
+  if (std::isnan(x) || std::isinf(x)) return s.nar_code();
+  if (x == 0.0) return 0u;
+  int exp = 0;
+  const double m = std::frexp(std::fabs(x), &exp);  // m in [0.5, 1)
+  const auto sig = static_cast<std::uint64_t>(std::ldexp(m, 63));  // hidden bit at 62
+  return round_pack(s, x < 0.0, exp - 1, sig, 62, false, RoundMode::kNearestEven, nullptr);
+}
+
+float float_of_bits(std::uint32_t bits) {
+  float f;
+  std::memcpy(&f, &bits, sizeof f);
+  return f;
+}
+
+TEST(CodecEncode, EveryFloatExponentWithEdgeMantissasMatchesRoundPack) {
+  // For every float exponent (subnormals, 0 and Inf/NaN included) and every
+  // cut point c of the 23 mantissa bits: kept bits {none, lowest, all} x
+  // guard bit {0, 1} x sticky bits below it {none, lowest, all} — exact
+  // codes, ties to odd and even codes, values just off a tie, and all-ones
+  // fractions whose rounding carries into the exponent and the regime.
+  // Scales beyond the format saturate at maxpos/minpos.
+  for (const PositSpec& s : encode_formats()) {
+    for (std::uint32_t biased = 0; biased <= 255; ++biased) {
+      for (int c = 0; c < 23; ++c) {
+        const std::uint32_t guard = 1u << (22 - c);
+        const std::uint32_t kept_all = ((1u << 23) - 1) & ~((guard << 1) - 1);
+        for (const std::uint32_t kept : {0u, guard << 1, kept_all}) {
+          for (const std::uint32_t g : {0u, guard}) {
+            for (const std::uint32_t sticky : {0u, 1u, guard - 1}) {
+              for (const std::uint32_t sign : {0u, 1u << 31}) {
+                const float x = float_of_bits(sign | (biased << 23) | kept | g | sticky);
+                ASSERT_EQ(from_double(x, s), round_pack_of(x, s))
+                    << s.to_string() << " float bits " << std::hex
+                    << (sign | (biased << 23) | kept | g | sticky);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(CodecEncode, SpecialValuesAndSaturation) {
+  for (const PositSpec& s : encode_formats()) {
+    EXPECT_EQ(from_double(0.0, s), 0u);
+    EXPECT_EQ(from_double(-0.0, s), 0u);
+    EXPECT_EQ(from_double(std::numeric_limits<double>::infinity(), s), s.nar_code());
+    EXPECT_EQ(from_double(-std::numeric_limits<double>::infinity(), s), s.nar_code());
+    EXPECT_EQ(from_double(std::numeric_limits<double>::quiet_NaN(), s), s.nar_code());
+    const std::uint32_t neg_maxpos = (~s.maxpos_code() + 1u) & s.mask();
+    const std::uint32_t neg_minpos = (~s.minpos_code() + 1u) & s.mask();
+    for (const double big : {maxpos_value(s), maxpos_value(s) * 1.5, maxpos_value(s) * 64.0,
+                             std::numeric_limits<double>::max()}) {
+      EXPECT_EQ(from_double(big, s), s.maxpos_code()) << s.to_string() << " " << big;
+      EXPECT_EQ(from_double(-big, s), neg_maxpos) << s.to_string() << " " << -big;
+    }
+    for (const double tiny : {minpos_value(s), minpos_value(s) / 3.0,
+                              std::numeric_limits<double>::denorm_min(),
+                              std::numeric_limits<double>::min()}) {
+      EXPECT_EQ(from_double(tiny, s), s.minpos_code()) << s.to_string() << " " << tiny;
+      EXPECT_EQ(from_double(-tiny, s), neg_minpos) << s.to_string() << " " << -tiny;
+    }
+  }
+}
+
+TEST(CodecEncode, RandomFloatsAndDoublesMatchRoundPack) {
+  // Random float bit patterns (NaNs included), and random doubles whose
+  // low mantissa bits exercise the sticky bits a float never sets.
+  std::mt19937_64 rng(2024);
+  for (const PositSpec& s : encode_formats()) {
+    for (int t = 0; t < 200000; ++t) {
+      const float x = float_of_bits(static_cast<std::uint32_t>(rng()));
+      ASSERT_EQ(from_double(x, s), round_pack_of(x, s)) << s.to_string() << " " << x;
+      const std::uint64_t bits =
+          (rng() & ~(0x7FFULL << 52)) | ((1023ULL - 70 + rng() % 140) << 52);
+      double d;
+      std::memcpy(&d, &bits, sizeof d);
+      ASSERT_EQ(from_double(d, s), round_pack_of(d, s)) << s.to_string() << " " << d;
+    }
+  }
+}
+
+TEST(CodecEncode, ToDoubleMatchesDecodeOnEveryCode) {
+  // Every code of every n <= 16 format, all es, and a random sample of the
+  // wider ones, whose largest es leave the normal double range and take
+  // the ldexp fallback; to_double's value against decode() + ldexp, bit
+  // for bit (NaR: a NaN).
+  std::mt19937_64 rng(77);
+  for (int n = 2; n <= 32; ++n) {
+    for (int es = 0; es <= 6; ++es) {
+      const PositSpec s{n, es};
+      const std::uint64_t count = n <= 16 ? s.code_count() : 20000;
+      for (std::uint64_t t = 0; t < count; ++t) {
+        const auto code = n <= 16 ? static_cast<std::uint32_t>(t)
+                                  : static_cast<std::uint32_t>(rng()) & s.mask();
+        const Decoded d = decode(code, s);
+        const double got = to_double(code, s);
+        if (d.is_nar) {
+          ASSERT_TRUE(std::isnan(got)) << s.to_string() << " code " << code;
+          continue;
+        }
+        const double mag = d.is_zero ? 0.0 : std::ldexp(static_cast<double>(d.sig), d.scale - 62);
+        const double want = d.neg ? -mag : mag;
+        std::uint64_t got_bits, want_bits;
+        std::memcpy(&got_bits, &got, sizeof got);
+        std::memcpy(&want_bits, &want, sizeof want);
+        ASSERT_EQ(got_bits, want_bits) << s.to_string() << " code " << code;
+      }
+    }
+  }
 }
 
 }  // namespace

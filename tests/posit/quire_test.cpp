@@ -56,6 +56,25 @@ TEST_P(QuireFormatTest, SinglePositRoundTripsExactly) {
   }
 }
 
+TEST_P(QuireFormatTest, TwoPositSumRoundsLikeAdd) {
+  // The quire sum of two posits, rounded once, is the rounded add — why the
+  // session's residual join needs no quire: every pair for n = 8, a random
+  // sample (NaR included) otherwise.
+  const PositSpec s = spec();
+  std::mt19937_64 rng(17);
+  const bool every_pair = s.n <= 8;
+  const std::uint64_t pairs = every_pair ? s.code_count() * s.code_count() : 200000;
+  Quire q(s);
+  for (std::uint64_t t = 0; t < pairs; ++t) {
+    const auto a = static_cast<std::uint32_t>(every_pair ? t >> s.n : rng()) & s.mask();
+    const auto b = static_cast<std::uint32_t>(every_pair ? t : rng()) & s.mask();
+    q.clear();
+    q.add_posit(a);
+    q.add_posit(b);
+    ASSERT_EQ(q.to_posit(), add(a, b, s)) << s.to_string() << " codes " << a << " + " << b;
+  }
+}
+
 TEST_P(QuireFormatTest, ProductMinusProductCancelsExactly) {
   const PositSpec s = spec();
   std::mt19937_64 rng(19);

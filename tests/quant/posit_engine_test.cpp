@@ -269,6 +269,88 @@ TEST(PositEngine, OneByOneConvMatchesReference) {
   }
 }
 
+/// Formats for the conv sweeps: LUT-backed (8,1), lane-kernel (16,1), and
+/// (32,2), which stays on RoundedAccum and Quire.
+const std::vector<PositSpec>& conv_grid() {
+  static const std::vector<PositSpec> grid = {{8, 1}, {16, 1}, {32, 2}};
+  return grid;
+}
+
+TEST(PositEngine, ConvGeometrySweepMatchesReference) {
+  // The patch gather against the reference's float im2col: strides 1-3,
+  // pads 0-2 (up to windows wholly in the padding: all-zero patches),
+  // square and rectangular windows and a 1x1 window (at stride 2 the plan
+  // keeps its im2col, the session gathers either way) on a non-square
+  // input, batches of one and three.
+  Rng rng(101);
+  const std::size_t in_c = 2, in_h = 7, in_w = 5, out_c = 3;
+  for (const std::size_t batch : {1, 3}) {
+    const Tensor x = Tensor::randn({batch, in_c, in_h, in_w}, rng);
+    for (const auto& window : {std::pair<std::size_t, std::size_t>{3, 3}, {2, 3}, {3, 1}, {1, 1}}) {
+      const std::size_t kh = window.first, kw = window.second;
+      const Tensor w = Tensor::randn({out_c, in_c, kh, kw}, rng, 0.4f);
+      const Tensor bias = Tensor::randn({out_c}, rng, 0.2f);
+      for (const std::size_t stride : {1, 2, 3}) {
+        for (const std::size_t pad : {0, 1, 2}) {
+          const tensor::Conv2dGeom g{in_c, in_h, in_w, out_c, kh, stride, pad, kw};
+          for (const PositSpec& spec : conv_grid()) {
+            for (const AccumMode mode : mode_grid()) {
+              const Tensor ref = posit_conv2d_reference(x, w, bias, g, spec, mode);
+              for_each_kernel([&](bool scalar) {
+                EXPECT_TRUE(bit_identical(posit_layer(w, bias, spec, mode, g).run(x), ref))
+                    << spec.to_string() << " mode " << static_cast<int>(mode) << " batch "
+                    << batch << " window " << kh << "x" << kw << " stride " << stride << " pad "
+                    << pad << (scalar ? " scalar" : " avx2");
+              });
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PositEngine, NarInputReachesExactlyTheWindowsThatCoverIt) {
+  // One NaN input element encodes as NaR; every output whose window covers
+  // it, and no other, comes out NaR (NaN) — in every mode and kernel, with
+  // the padding and the other image untouched.
+  Rng rng(103);
+  const tensor::Conv2dGeom g{2, 7, 6, 3, 3, 2, 1, 3};
+  Tensor x = Tensor::randn({2, 2, 7, 6}, rng);
+  const std::size_t ny = 3, nx = 2;
+  x[((1 * 2 + 1) * 7 + ny) * 6 + nx] = std::numeric_limits<float>::quiet_NaN();
+  const Tensor w = Tensor::randn({3, 2, 3, 3}, rng, 0.4f);
+  const Tensor bias = Tensor::randn({3}, rng, 0.2f);
+  const std::size_t oh = g.out_h(), ow = g.out_w();
+  const auto covers = [&](std::size_t o, std::size_t n) {
+    const long lo = static_cast<long>(o * g.stride) - static_cast<long>(g.pad);
+    return static_cast<long>(n) >= lo && static_cast<long>(n) < lo + 3;
+  };
+  for (const PositSpec& spec : conv_grid()) {
+    for (const AccumMode mode : mode_grid()) {
+      const Tensor ref = posit_conv2d_reference(x, w, bias, g, spec, mode);
+      for_each_kernel([&](bool scalar) {
+        const Tensor y = posit_layer(w, bias, spec, mode, g).run(x);
+        const std::string ctx = spec.to_string() + " mode " +
+                                std::to_string(static_cast<int>(mode)) +
+                                (scalar ? " scalar" : " avx2");
+        EXPECT_TRUE(bit_identical(y, ref)) << ctx;
+        for (std::size_t n = 0; n < 2; ++n) {
+          for (std::size_t o = 0; o < 3; ++o) {
+            for (std::size_t oy = 0; oy < oh; ++oy) {
+              for (std::size_t ox = 0; ox < ow; ++ox) {
+                const bool want = n == 1 && covers(oy, ny) && covers(ox, nx);
+                EXPECT_EQ(std::isnan(y[((n * 3 + o) * oh + oy) * ow + ox]), want)
+                    << ctx << " image " << n << " out (" << o << "," << oy << "," << ox << ")";
+              }
+            }
+          }
+        }
+      });
+    }
+  }
+}
+
 TEST(PositEngine, DegenerateGeometryThrowsInsteadOfUnderflowing) {
   Rng rng(73);
   const Tensor x = Tensor::randn({1, 1, 2, 2}, rng);

@@ -453,10 +453,10 @@ TEST(PositSession, EngineScratchCountsTheLaneKernelTiles) {
   // fresh thread (empty scratch) with the kernel on and forced off, and
   // the difference engine_scratch_bytes() reports is exactly the tiles —
   // 5 rows pad to two 4-row tiles of k = 40 operands (doubles for the fma
-  // chain, int64 for the exact quire), one NaR mask per tile, one tile's
-  // decoded operands, the weight row as operands, and one output (a double,
-  // or a posit code) per padded row — less the decoded activation panel the
-  // scalar path keeps and the lane path skips.
+  // chain, int64 for the exact quire), gathered straight from the input
+  // plane, one NaR mask per tile, the weight row as operands, and one output
+  // (a double, or a posit code) per padded row — less the gathered Unpacked
+  // panel the scalar path reads instead of the tiles.
   if (!posit::simd::available()) GTEST_SKIP() << "no AVX2 lane kernel on this host";
   Rng rng(157);
   auto net = nn::mlp(40, 6, 6, 0, rng);
@@ -482,8 +482,7 @@ TEST(PositSession, EngineScratchCountsTheLaneKernelTiles) {
     const bool fma = mode == AccumMode::kFma;
     const std::size_t operand = fma ? sizeof(double) : sizeof(std::int64_t);
     const std::size_t output = fma ? sizeof(double) : sizeof(std::uint32_t);
-    const std::size_t tiles = 2 * posit::simd::kLanes * 40 * operand + 2 * sizeof(unsigned) +
-                              posit::simd::kLanes * 40 * sizeof(posit::Unpacked);
+    const std::size_t tiles = 2 * posit::simd::kLanes * 40 * operand + 2 * sizeof(unsigned);
     const std::size_t column = 40 * operand + 2 * posit::simd::kLanes * output;
     const std::size_t panel = 5 * 40 * sizeof(posit::Unpacked);
     EXPECT_EQ(scratch_after_run(false) + panel - scratch_after_run(true), tiles + column)
