@@ -174,7 +174,11 @@ void BM_QuireLanes(benchmark::State& state) {
   }
   for (auto& u : b) u = posit::decode_unpacked(posit::from_double(0.3 * rng.normal(), spec), spec);
   std::vector<std::int64_t> tile(kOut * k), w(k);
-  posit::simd::fill_quire_tile(a.data(), kOut, k, spec, tile.data());
+  for (std::size_t r = 0; r < kOut; ++r) {
+    for (std::size_t i = 0; i < k; ++i) {
+      tile[i * kOut + r] = posit::simd::quire_lane_operand(a[r * k + i], spec);
+    }
+  }
   posit::simd::fill_quire_row(b.data(), k, spec, w.data());
   posit::Quire q(spec);
   std::uint32_t codes[kOut];
@@ -231,7 +235,9 @@ void rounded_chain(benchmark::State& state) {
   for (auto& u : a) u = posit::decode_unpacked(posit::from_double(rng.normal(), spec), spec);
   for (auto& u : b) u = posit::decode_unpacked(posit::from_double(0.3 * rng.normal(), spec), spec);
   std::vector<double> tile(kOut * k), w(k);
-  posit::simd::fill_lane_tile(a.data(), kOut, k, tile.data());
+  for (std::size_t r = 0; r < kOut; ++r) {
+    for (std::size_t i = 0; i < k; ++i) tile[i * kOut + r] = posit::simd::lane_value(a[r * k + i]);
+  }
   posit::simd::fill_lane_row(b.data(), k, w.data());
   posit::RoundedAccum racc(spec);
   for (auto _ : state) {
@@ -313,6 +319,69 @@ void BM_EncodeReluSpan(benchmark::State& state) {
                           static_cast<std::int64_t>(xs.size()));
 }
 BENCHMARK(BM_EncodeReluSpan)->Args({8, 1})->Args({16, 1})->Args({32, 2});
+
+/// PositSession's element-wise steps over 16,384 N(0,1) floats, the size of
+/// perfbench's ResNet-8 bn1 step: /simd=0 the coded per-element step (the session's
+/// fallback, which at n = 8 reads the fma / add tables instead), /simd=1 the
+/// AVX2 lane kernel. Same floats out.
+/// BatchNorm: y = float(fma(sub(from_double(x), mean), scale, shift)) with
+/// one channel's constants; ResidualJoin: y = max(float(add(from_double(a),
+/// from_double(b))), 0).
+constexpr std::size_t kSpan = 16384;
+
+template <bool kJoin>
+void elementwise_span(benchmark::State& state) {
+  const posit::PositSpec spec{static_cast<int>(state.range(0)), static_cast<int>(state.range(1))};
+  const bool lanes = state.range(2) != 0;
+  if (lanes && !posit::simd::available()) {
+    state.SkipWithError("AVX2 unavailable");
+    return;
+  }
+  tensor::Rng rng(29);
+  std::vector<float> a(kSpan), b(kSpan), y(kSpan);
+  for (auto& v : a) v = static_cast<float>(rng.normal());
+  for (auto& v : b) v = static_cast<float>(rng.normal());
+  const std::uint32_t scale = posit::from_double(1.3, spec);
+  const std::uint32_t mean = posit::from_double(0.2, spec);
+  const std::uint32_t shift = posit::from_double(-0.1, spec);
+  for (auto _ : state) {
+    if (lanes && kJoin) {
+      posit::simd::residual_join_lanes_avx2(a.data(), b.data(), kSpan, spec, y.data());
+    } else if (lanes) {
+      posit::simd::batchnorm_lanes_avx2(a.data(), kSpan, spec, posit::to_double(scale, spec),
+                                        posit::to_double(mean, spec),
+                                        posit::to_double(shift, spec), y.data());
+    } else {
+      for (std::size_t i = 0; i < kSpan; ++i) {
+        const std::uint32_t x = posit::from_double(a[i], spec);
+        const double v =
+            kJoin ? posit::to_double(posit::add(x, posit::from_double(b[i], spec), spec), spec)
+                  : posit::to_double(posit::fma(posit::sub(x, mean, spec), scale, shift, spec),
+                                     spec);
+        const auto f = static_cast<float>(v);
+        y[i] = kJoin && !(f > 0.0f) ? 0.0f : f;
+      }
+    }
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kSpan));
+}
+
+void elementwise_args(benchmark::internal::Benchmark* bm) {
+  bm->ArgNames({"n", "es", "simd"});
+  for (const int n : {8, 16}) {
+    bm->Args({n, 1, 0});
+    bm->Args({n, 1, 1});
+  }
+}
+
+void BM_BatchNormSpan(benchmark::State& state) { elementwise_span<false>(state); }
+BENCHMARK(BM_BatchNormSpan)->Apply(elementwise_args);
+
+void BM_ResidualJoinSpan(benchmark::State& state) { elementwise_span<true>(state); }
+BENCHMARK(BM_ResidualJoinSpan)->Apply(elementwise_args);
 
 }  // namespace
 

@@ -39,18 +39,6 @@ bool enabled() { return available() && !g_force_disabled.load(std::memory_order_
 
 void force_disable(bool disable) { g_force_disabled.store(disable, std::memory_order_relaxed); }
 
-unsigned fill_lane_tile(const Unpacked* rows, std::size_t nrows, std::size_t k, double* tile) {
-  unsigned nar = 0;
-  for (std::size_t l = 0; l < kLanes; ++l) {
-    const Unpacked* row = rows + l * k;
-    for (std::size_t i = 0; i < k; ++i) {
-      tile[i * kLanes + l] = l < nrows ? lane_value(row[i]) : 0.0;
-      if (l < nrows && row[i].is_nar()) nar |= 1u << l;
-    }
-  }
-  return nar;
-}
-
 bool fill_lane_row(const Unpacked* row, std::size_t k, double* out) {
   bool nar = false;
   for (std::size_t i = 0; i < k; ++i) {
@@ -472,6 +460,58 @@ __attribute__((target("avx2"), aligned(64))) void rounded_chains_avx2(
 
 namespace {
 
+/// Whether any of the four floats is a NaN or +-Inf (exponent field all ones).
+__attribute__((target("avx2"), always_inline)) inline bool any_nonfinite(__m128 x) {
+  const __m128i exp = _mm_set1_epi32(0x7F800000);
+  const __m128i field = _mm_and_si128(_mm_castps_si128(x), exp);
+  return _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(field, exp))) != 0;
+}
+
+}  // namespace
+
+__attribute__((target("avx2"), aligned(64))) std::size_t batchnorm_lanes_avx2(
+    const float* x, std::size_t count, const PositSpec& spec, double scale, double mean,
+    double shift, float* y) {
+  const LaneFormat f(spec);
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d scalev = _mm256_set1_pd(scale);
+  const __m256d neg_mean = _mm256_set1_pd(-mean);
+  const __m256d shiftv = _mm256_set1_pd(shift);
+  std::size_t i = 0;
+  for (; i + kLanes <= count; i += kLanes) {
+    const __m128 xv = _mm_loadu_ps(x + i);
+    if (any_nonfinite(xv)) break;
+    // Zero results are +0.0, as to_double(0) is: a sum is -0 only when both
+    // operands are, and xp (0.0 + x) and the shift (a posit's double) never
+    // are.
+    const __m256d xp = add_round(zero, _mm256_cvtps_pd(xv), f);
+    const __m256d centered = add_round(xp, neg_mean, f);
+    const __m256d scaled = add_round(shiftv, _mm256_mul_pd(centered, scalev), f);
+    _mm_storeu_ps(y + i, _mm256_cvtpd_ps(scaled));
+  }
+  return i;
+}
+
+__attribute__((target("avx2"), aligned(64))) std::size_t residual_join_lanes_avx2(
+    const float* a, const float* b, std::size_t count, const PositSpec& spec, float* y) {
+  const LaneFormat f(spec);
+  const __m256d zero = _mm256_setzero_pd();
+  std::size_t i = 0;
+  for (; i + kLanes <= count; i += kLanes) {
+    const __m128 av = _mm_loadu_ps(a + i);
+    const __m128 bv = _mm_loadu_ps(b + i);
+    if (any_nonfinite(av) || any_nonfinite(bv)) break;
+    const __m256d joined = add_round(add_round(zero, _mm256_cvtps_pd(av), f),
+                                     add_round(zero, _mm256_cvtps_pd(bv), f), f);
+    // maxps returns its second operand unless the first is greater: v > 0 ?
+    // v : +0, the coded clamp, -0.0 included.
+    _mm_storeu_ps(y + i, _mm_max_ps(_mm256_cvtpd_ps(joined), _mm_setzero_ps()));
+  }
+  return i;
+}
+
+namespace {
+
 using u128 = unsigned __int128;
 
 /// One lane's quire, rounded once as Quire::to_posit rounds it: limbs[0..L-1)
@@ -612,37 +652,6 @@ __attribute__((target("avx2"), always_inline)) inline bool any_nar(__m256i flags
   return _mm256_testz_si256(nar, nar) == 0;
 }
 
-__attribute__((target("avx2"))) std::size_t fill_quire_tile_avx2(const Unpacked* rows,
-                                                                  std::size_t k,
-                                                                  const PositSpec& spec,
-                                                                  std::int64_t* tile,
-                                                                  unsigned* nar) {
-  const __m256i min_scale = _mm256_set1_epi64x(static_cast<std::uint32_t>(spec.min_scale()));
-  __m256i flags[kLanes] = {_mm256_setzero_si256(), _mm256_setzero_si256(),
-                           _mm256_setzero_si256(), _mm256_setzero_si256()};
-  std::size_t i = 0;
-  for (; i + 4 <= k; i += 4) {
-    // Row l's terms i..i+3, transposed 4x4 into terms i..i+3 of the tile.
-    __m256i r[kLanes];
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      r[l] = quire_operands4(rows + l * k + i, min_scale, &flags[l]);
-    }
-    const __m256i lo01 = _mm256_unpacklo_epi64(r[0], r[1]);
-    const __m256i hi01 = _mm256_unpackhi_epi64(r[0], r[1]);
-    const __m256i lo23 = _mm256_unpacklo_epi64(r[2], r[3]);
-    const __m256i hi23 = _mm256_unpackhi_epi64(r[2], r[3]);
-    __m256i* out = reinterpret_cast<__m256i*>(tile + i * kLanes);
-    _mm256_storeu_si256(out, _mm256_permute2x128_si256(lo01, lo23, 0x20));
-    _mm256_storeu_si256(out + 1, _mm256_permute2x128_si256(hi01, hi23, 0x20));
-    _mm256_storeu_si256(out + 2, _mm256_permute2x128_si256(lo01, lo23, 0x31));
-    _mm256_storeu_si256(out + 3, _mm256_permute2x128_si256(hi01, hi23, 0x31));
-  }
-  for (std::size_t l = 0; l < kLanes; ++l) {
-    if (any_nar(flags[l])) *nar |= 1u << l;
-  }
-  return i;
-}
-
 __attribute__((target("avx2"))) std::size_t fill_quire_row_avx2(const Unpacked* row,
                                                                  std::size_t k,
                                                                  const PositSpec& spec,
@@ -664,11 +673,6 @@ __attribute__((target("avx2"))) std::size_t fill_quire_row_avx2(const Unpacked* 
 
 namespace {
 
-std::size_t fill_quire_tile_avx2(const Unpacked*, std::size_t, const PositSpec&, std::int64_t*,
-                                 unsigned*) {
-  return 0;
-}
-
 std::size_t fill_quire_row_avx2(const Unpacked*, std::size_t, const PositSpec&, std::int64_t*,
                                 bool*) {
   return 0;
@@ -688,25 +692,20 @@ std::size_t accumulate_limbs_avx2(const Unpacked*, const Unpacked*, std::size_t,
 void rounded_chains_avx2(const double*, std::size_t, const double*, std::size_t, const PositSpec&,
                          bool, const double*, double*) {}
 
+std::size_t batchnorm_lanes_avx2(const float*, std::size_t, const PositSpec&, double, double,
+                                 double, float*) {
+  return 0;
+}
+
+std::size_t residual_join_lanes_avx2(const float*, const float*, std::size_t, const PositSpec&,
+                                     float*) {
+  return 0;
+}
+
 void quire_lanes_avx2(const std::int64_t*, std::size_t, const std::int64_t*, std::size_t,
                       const PositSpec&, std::uint32_t*) {}
 
 #endif
-
-unsigned fill_quire_tile(const Unpacked* rows, std::size_t nrows, std::size_t k,
-                         const PositSpec& spec, std::int64_t* tile) {
-  unsigned nar = 0;
-  std::size_t head = 0;  // full tiles run their first (k & ~3) terms vectorized
-  if (nrows == kLanes && enabled()) head = fill_quire_tile_avx2(rows, k, spec, tile, &nar);
-  for (std::size_t l = 0; l < kLanes; ++l) {
-    const Unpacked* row = rows + l * k;
-    for (std::size_t i = head; i < k; ++i) {
-      tile[i * kLanes + l] = l < nrows ? quire_lane_operand(row[i], spec) : 0;
-      if (l < nrows && row[i].is_nar()) nar |= 1u << l;
-    }
-  }
-  return nar;
-}
 
 bool fill_quire_row(const Unpacked* row, std::size_t k, const PositSpec& spec, std::int64_t* out) {
   bool nar = false;

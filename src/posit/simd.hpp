@@ -1,9 +1,9 @@
 // simd.hpp — runtime-dispatched AVX2 kernels for the posit engine hot path.
 //
-// Four kernels live behind the dispatcher, each bit-identical to its scalar
+// Five kernels live behind the dispatcher, each bit-identical to its scalar
 // reference by construction (and pinned by the oracle tests in
-// tests/posit/pack_codec_test.cpp, tests/posit/accum_test.cpp and
-// tests/posit/quire_test.cpp):
+// tests/posit/pack_codec_test.cpp, tests/posit/accum_test.cpp,
+// tests/posit/quire_test.cpp and tests/posit/elementwise_test.cpp):
 //
 //   * decode_unpacked8_avx2 — batch-of-8 posit decode: eight n-bit codes in,
 //     eight Unpacked lanes out. The regime parse is branch-free: the leading
@@ -38,6 +38,13 @@
 //     rule as lane masks. Lanes whose scale leaves the band RoundedAccum
 //     rounds inline (saturation and truncated-exponent regimes) are rebuilt
 //     from (v, e) and sent through round_pack one at a time.
+//   * batchnorm_lanes_avx2 / residual_join_lanes_avx2 — the session's
+//     element-wise steps on the same exact-double rounding, four floats per
+//     __m256d. BN is round(round(round(x) - mean) * scale + shift): the
+//     encode is round(0 + x), the product of two posit values is exact, and
+//     each step rounds once as above. The join is round(round(a) + round(b))
+//     clamped at +0. A group of four holding a NaN or +-Inf, and the ragged
+//     tail, stop the kernel; the caller runs the coded step on them.
 //   * quire_lanes_avx2 — the exact quire (Deep Positron's EMAC) for four
 //     outputs per __m256i, one output per lane, in 64-bit integer limbs.
 //     Where quire_lanes_supported(spec, k) holds ((8,0), (8,1), (8,2),
@@ -121,11 +128,6 @@ inline double lane_value(const Unpacked& u) {
   return u.neg != 0 ? -mag : mag;
 }
 
-/// Fill one row tile from `rows` contiguous operand rows of length k
-/// (rows <= kLanes; the missing lanes are zero rows). Returns bit l set when
-/// row l holds a NaR.
-unsigned fill_lane_tile(const Unpacked* rows, std::size_t nrows, std::size_t k, double* tile);
-
 /// out[i] = lane_value(row[i]) for i < k; returns true when the row holds a
 /// NaR.
 bool fill_lane_row(const Unpacked* row, std::size_t k, double* out);
@@ -137,10 +139,29 @@ bool fill_lane_row(const Unpacked* row, std::size_t k, double* out);
 /// `bias` is non-null, round(s + *bias) (posit::add). Every a, w and *bias
 /// must be an exact posit value (lane_value) of `spec`, and
 /// rounded_lanes_supported(spec) must hold. Bit-identical to RoundedAccum
-/// lane by lane; NaR is the caller's (see fill_lane_tile). Caller must check
+/// lane by lane; NaR is the caller's (see fill_lane_row). Caller must check
 /// enabled().
 void rounded_chains_avx2(const double* a, std::size_t tiles, const double* w, std::size_t k,
                          const PositSpec& spec, bool fused, const double* bias, double* out);
+
+/// Eval-mode posit BatchNorm over x[0..count), four elements per vector:
+/// y[i] = float(fma(sub(from_double(x[i]), mean), scale, shift)), every step
+/// rounded to nearest-even in `spec` — bit-identical to the coded steps.
+/// scale, mean and shift are the exact doubles (to_double) of non-NaR codes;
+/// rounded_lanes_supported(spec) must hold. Runs the longest prefix of whole
+/// groups of kLanes elements that are all finite and returns its length: the
+/// caller runs the coded step on the next min(kLanes, count - done) elements
+/// (the group holding a NaN or +-Inf, or the ragged tail) and calls again.
+/// y may alias x. Caller must check enabled().
+std::size_t batchnorm_lanes_avx2(const float* x, std::size_t count, const PositSpec& spec,
+                                 double scale, double mean, double shift, float* y);
+
+/// The residual join with its ReLU, as batchnorm_lanes_avx2 runs BN:
+/// y[i] = max(float(add(from_double(a[i]), from_double(b[i]))), +0), the
+/// same stop at a group where a or b holds a NaN or +-Inf and at the tail.
+/// y may alias a or b. Caller must check enabled().
+std::size_t residual_join_lanes_avx2(const float* a, const float* b, std::size_t count,
+                                     const PositSpec& spec, float* y);
 
 /// Limbs of the exact-quire lane kernel: product positions, counted from
 /// minpos^2, run 0..4 * max_scale, one 32-bit limb per 32 of them.
@@ -172,7 +193,7 @@ constexpr bool quire_lanes_supported(const PositSpec& spec, std::size_t k) {
 
 /// An operand as the lane kernel reads it: the signed significand in the
 /// low 32 bits, lsb_weight - min_scale (>= 0) in the high 32 bits; 0 for
-/// zero and NaR (the caller tracks NaR, see fill_quire_tile).
+/// zero and NaR (the caller tracks NaR, see fill_quire_row).
 inline std::int64_t quire_lane_operand(const Unpacked& u, const PositSpec& spec) {
   if (u.flags != 0) return 0;
   const auto sig = static_cast<std::uint32_t>(u.neg != 0 ? -static_cast<std::int64_t>(u.sig)
@@ -180,12 +201,6 @@ inline std::int64_t quire_lane_operand(const Unpacked& u, const PositSpec& spec)
   const auto offset = static_cast<std::uint64_t>(u.lsb_weight - spec.min_scale());
   return static_cast<std::int64_t>((offset << 32) | sig);
 }
-
-/// fill_lane_tile for the quire kernel: one row tile of quire_lane_operand
-/// values (tile[i * kLanes + lane]); bit l of the result set when row l
-/// holds a NaR.
-unsigned fill_quire_tile(const Unpacked* rows, std::size_t nrows, std::size_t k,
-                         const PositSpec& spec, std::int64_t* tile);
 
 /// out[i] = quire_lane_operand(row[i]) for i < k; true when the row holds a
 /// NaR.

@@ -11,6 +11,7 @@
 #include "exec/graph_builder.hpp"
 #include "exec/kernels.hpp"
 #include "exec/runner.hpp"
+#include "posit/simd.hpp"
 #include "quant/engine_gemm.hpp"
 #include "tensor/ops.hpp"
 
@@ -297,11 +298,33 @@ void PositSession::Impl::exec_conv(const exec::Step& step, StepState& s, const T
   }
 }
 
+namespace {
+
+/// Element i in [begin, end) through `lanes(i, count)`, an element-wise
+/// lane kernel that returns how many it ran, when `use_lanes`; `coded(i)`
+/// runs the group of kLanes it stopped at (a NaN or +-Inf, or the ragged
+/// tail) and every element when not.
+template <typename Lanes, typename Coded>
+void run_elementwise(std::size_t begin, std::size_t end, bool use_lanes, Lanes lanes,
+                     Coded coded) {
+  for (std::size_t i = begin; i < end;) {
+    if (use_lanes) i += lanes(i, end - i);
+    const std::size_t stop = use_lanes ? std::min(end, i + posit::simd::kLanes) : end;
+    for (; i < stop; ++i) coded(i);
+  }
+}
+
+}  // namespace
+
 void PositSession::Impl::exec_bn(StepState& s, const Tensor& in, Tensor& out) {
   // Eval-mode BN as posit arithmetic: y = scale * (x - mean) + shift with
-  // scale/mean/shift pre-encoded per channel.
+  // scale/mean/shift pre-encoded per channel. The AVX2 lane kernel reads the
+  // constants as exact doubles, decoded once per channel here; a channel
+  // with a NaR constant, (32, *) and hosts without AVX2 run the coded step
+  // (its table at small n) on every element.
   const std::size_t n = in.shape()[0], c = in.shape()[1];
   const std::size_t plane = in.shape()[2] * in.shape()[3];
+  const bool lanes = posit::simd::enabled() && posit::simd::rounded_lanes_supported(s.spec);
   // Channel slices are independent (same parallel shape as the FP32 BN);
   // out may alias in (in-place step): reads and writes share the index.
 #pragma omp parallel for schedule(static) if (c > 1 && n * plane > 4096)
@@ -309,17 +332,28 @@ void PositSession::Impl::exec_bn(StepState& s, const Tensor& in, Tensor& out) {
     const std::uint32_t scale = s.bn_scale[ci];
     const std::uint32_t mean = s.bn_mean[ci];
     const std::uint32_t shift = s.bn_shift[ci];
+    const std::uint32_t nar = s.spec.nar_code();
+    const bool channel_lanes = lanes && scale != nar && mean != nar && shift != nar;
+    const double scale_v = posit::to_double(scale, s.spec);
+    const double mean_v = posit::to_double(mean, s.spec);
+    const double shift_v = posit::to_double(shift, s.spec);
     for (std::size_t ni = 0; ni < n; ++ni) {
       const float* src = in.data() + (ni * c + ci) * plane;
       float* dst = out.data() + (ni * c + ci) * plane;
-      for (std::size_t p = 0; p < plane; ++p) {
-        const std::uint32_t xv = posit::from_double(src[p], s.spec, kEncodeRound);
-        const std::uint32_t centered = posit::sub(xv, mean, s.spec);
-        const std::uint32_t scaled = s.luts.fma != nullptr
-                                         ? s.luts.fma->at(centered, scale, shift)
-                                         : posit::fma(centered, scale, shift, s.spec);
-        dst[p] = static_cast<float>(posit::to_double(scaled, s.spec));
-      }
+      run_elementwise(
+          0, plane, channel_lanes,
+          [&](std::size_t p, std::size_t count) {
+            return posit::simd::batchnorm_lanes_avx2(src + p, count, s.spec, scale_v, mean_v,
+                                                     shift_v, dst + p);
+          },
+          [&](std::size_t p) {
+            const std::uint32_t xv = posit::from_double(src[p], s.spec, kEncodeRound);
+            const std::uint32_t centered = posit::sub(xv, mean, s.spec);
+            const std::uint32_t scaled = s.luts.fma != nullptr
+                                             ? s.luts.fma->at(centered, scale, shift)
+                                             : posit::fma(centered, scale, shift, s.spec);
+            dst[p] = static_cast<float>(posit::to_double(scaled, s.spec));
+          });
     }
   }
 }
@@ -358,16 +392,29 @@ void PositSession::Impl::exec_join(StepState& s, const Tensor& main, const Tenso
   const float* sk = skip.data();
   float* dst = out.data();
   // Join then ReLU, all in the block's format: one rounded add per element
-  // in every mode (a quire sum of two terms rounds to the same code), via
-  // its table when available.
-#pragma omp parallel for schedule(static) if (numel > 16384)
-  for (std::size_t i = 0; i < numel; ++i) {
+  // in every mode (a quire sum of two terms rounds to the same code), on the
+  // AVX2 lane kernel or as the coded step (its table at small n).
+  const bool lanes = posit::simd::enabled() && posit::simd::rounded_lanes_supported(s.spec);
+  const auto coded = [&](std::size_t i) {
     const std::uint32_t a = posit::from_double(ma[i], s.spec, kEncodeRound);
     const std::uint32_t b = posit::from_double(sk[i], s.spec, kEncodeRound);
     const std::uint32_t joined =
         s.luts.add != nullptr ? s.luts.add->at(a, b) : posit::add(a, b, s.spec);
     const float v = static_cast<float>(posit::to_double(joined, s.spec));
     dst[i] = v > 0.0f ? v : 0.0f;
+  };
+  // Elements are independent: contiguous blocks split the span across the
+  // team, each run by the kernel from its start.
+  constexpr std::size_t kBlock = 4096;
+  const std::size_t blocks = (numel + kBlock - 1) / kBlock;
+#pragma omp parallel for schedule(static) if (numel > 16384)
+  for (std::size_t blk = 0; blk < blocks; ++blk) {
+    run_elementwise(
+        blk * kBlock, std::min(numel, (blk + 1) * kBlock), lanes,
+        [&](std::size_t i, std::size_t count) {
+          return posit::simd::residual_join_lanes_avx2(ma + i, sk + i, count, s.spec, dst + i);
+        },
+        coded);
   }
 }
 

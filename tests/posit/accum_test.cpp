@@ -86,6 +86,21 @@ std::uint64_t bits_of(double v) {
   return b;
 }
 
+/// One k-major row tile of the lane kernel (tile[i * kLanes + l] = term i of
+/// row l) from kLanes contiguous operand rows of length k; bit l of the
+/// result set when row l holds a NaR.
+unsigned lane_tile(const Unpacked* rows, std::size_t k, double* tile) {
+  unsigned nar = 0;
+  for (std::size_t l = 0; l < simd::kLanes; ++l) {
+    for (std::size_t i = 0; i < k; ++i) {
+      const Unpacked& u = rows[l * k + i];
+      tile[i * simd::kLanes + l] = simd::lane_value(u);
+      if (u.is_nar()) nar |= 1u << l;
+    }
+  }
+  return nar;
+}
+
 /// RoundedAccum's codes for every prefix length in `cuts` (ascending) of
 /// the chain row[i] * b[i], in one pass.
 std::vector<std::uint32_t> prefix_codes(const PositSpec& spec, const std::vector<Unpacked>& row,
@@ -160,10 +175,10 @@ void check_lanes(const PositSpec& spec, const Terms& terms, const char* stream) 
       }
       tiles.assign(kRows * m, 0.0);
       w.assign(m, 0.0);
-      const unsigned nar = simd::fill_lane_tile(block.data(), simd::kLanes, m, tiles.data()) |
-                           simd::fill_lane_tile(block.data() + simd::kLanes * m, simd::kLanes, m,
-                                                tiles.data() + simd::kLanes * m)
-                               << simd::kLanes;
+      const unsigned nar =
+          lane_tile(block.data(), m, tiles.data()) |
+          lane_tile(block.data() + simd::kLanes * m, m, tiles.data() + simd::kLanes * m)
+              << simd::kLanes;
       const bool w_nar = simd::fill_lane_row(b.data(), m, w.data());
       for (const bool fused : {true, false}) {
         for (const bool with_bias : {false, true}) {

@@ -279,6 +279,23 @@ bool holds_nar(const Codes& row, const PositSpec& s) {
   return std::find(row.begin(), row.end(), s.nar_code()) != row.end();
 }
 
+/// One k-major row tile of the quire lane kernel (tile[i * kLanes + l] =
+/// term i of row l) from `nrows` <= kLanes contiguous operand rows of length
+/// k, the missing lanes zero rows; bit l of the result set when row l holds
+/// a NaR.
+unsigned quire_tile(const Unpacked* rows, std::size_t nrows, std::size_t k, const PositSpec& s,
+                    std::int64_t* tile) {
+  unsigned nar = 0;
+  for (std::size_t l = 0; l < simd::kLanes; ++l) {
+    for (std::size_t i = 0; i < k; ++i) {
+      const bool real = l < nrows;
+      tile[i * simd::kLanes + l] = real ? simd::quire_lane_operand(rows[l * k + i], s) : 0;
+      if (real && rows[l * k + i].is_nar()) nar |= 1u << l;
+    }
+  }
+  return nar;
+}
+
 /// The lane kernel over `st` at each of the eight lane positions of two row
 /// tiles. Every other lane holds a different row against the same weight
 /// row — the stream's row negated, reversed, Gaussian or all zero, NaR-free
@@ -316,9 +333,8 @@ void check_lanes(const Stream& st, const PositSpec& s) {
     }
     const std::size_t tile = simd::kLanes * k;
     const unsigned nar =
-        simd::fill_quire_tile(ops.data(), simd::kLanes, k, s, tiles.data()) |
-        simd::fill_quire_tile(ops.data() + tile, simd::kLanes, k, s, tiles.data() + tile)
-            << simd::kLanes;
+        quire_tile(ops.data(), simd::kLanes, k, s, tiles.data()) |
+        quire_tile(ops.data() + tile, simd::kLanes, k, s, tiles.data() + tile) << simd::kLanes;
     std::uint32_t got[kRows];
     simd::quire_lanes_avx2(tiles.data(), 2, w.data(), k, s, got);
     for (std::size_t r = 0; r < kRows; ++r) {
@@ -357,9 +373,9 @@ TEST(QuireLanes, DomainCoversTheEngineFormatsUpToTheTermBound) {
 }
 
 TEST(QuireLanes, OperandFillsMatchTheScalarForm) {
-  // fill_quire_tile / fill_quire_row convert four operands per AVX2 vector
-  // (then a scalar tail): every operand must equal quire_lane_operand, and
-  // the NaR masks the rows' NaRs, on both paths.
+  // fill_quire_row converts four operands per AVX2 vector (then a scalar
+  // tail): every operand must equal quire_lane_operand, and the NaR flag
+  // the row's NaRs, on both paths.
   for (const PositSpec& s : lane_specs()) {
     std::mt19937_64 rng(53 + s.n * 8 + s.es);
     const std::size_t k = 39;
@@ -374,13 +390,11 @@ TEST(QuireLanes, OperandFillsMatchTheScalarForm) {
     const std::vector<Unpacked> ops = unpack(codes, s);
     for (const bool scalar : {false, true}) {
       simd::force_disable(scalar);
-      std::vector<std::int64_t> tile(simd::kLanes * k), row(k);
-      EXPECT_EQ(simd::fill_quire_tile(ops.data(), simd::kLanes, k, s, tile.data()), 0b1100u);
+      std::vector<std::int64_t> row(k);
       for (std::size_t l = 0; l < simd::kLanes; ++l) {
         EXPECT_EQ(simd::fill_quire_row(ops.data() + l * k, k, s, row.data()), l >= 2);
         for (std::size_t i = 0; i < k; ++i) {
           const std::int64_t want = simd::quire_lane_operand(ops[l * k + i], s);
-          ASSERT_EQ(tile[i * simd::kLanes + l], want) << s.to_string() << " row " << l << " term " << i;
           ASSERT_EQ(row[i], want) << s.to_string() << " row " << l << " term " << i;
         }
       }
@@ -625,9 +639,9 @@ TEST(QuireLanes, RaggedLastTileHasZeroLanes) {
         ops.insert(ops.end(), u.begin(), u.end());
       }
       std::vector<std::int64_t> tiles(2 * simd::kLanes * k, -1);
-      EXPECT_EQ(simd::fill_quire_tile(ops.data(), simd::kLanes, k, s, tiles.data()), 0u);
-      EXPECT_EQ(simd::fill_quire_tile(ops.data() + simd::kLanes * k, rows - simd::kLanes, k, s,
-                                      tiles.data() + simd::kLanes * k),
+      EXPECT_EQ(quire_tile(ops.data(), simd::kLanes, k, s, tiles.data()), 0u);
+      EXPECT_EQ(quire_tile(ops.data() + simd::kLanes * k, rows - simd::kLanes, k, s,
+                           tiles.data() + simd::kLanes * k),
                 0u);
       std::uint32_t two[2 * simd::kLanes], one[simd::kLanes];
       simd::quire_lanes_avx2(tiles.data(), 2, wl.data(), k, s, two);

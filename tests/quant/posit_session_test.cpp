@@ -1,8 +1,10 @@
 // posit_session_test.cpp — the compiled PositSession against independent
 // oracles: per-layer reference chains on Sequential nets across the full
 // spec x mode grid, a hand-rolled scalar walk of a ResNet (residual joins
-// included), compile-once/run-many weight-mutation invalidation, thread-count
-// invariance, zero-heap-allocation steady state, per-layer precision
+// included), the AVX2 element-wise BN/join kernels against the coded steps
+// (non-finite inputs and NaR constants included), compile-once/run-many
+// weight-mutation invalidation, thread-count invariance,
+// zero-heap-allocation steady state, per-layer precision
 // overrides, and the empty/degenerate edge cases.
 #include <gtest/gtest.h>
 
@@ -249,6 +251,83 @@ TEST(PositSession, ResNetTracksFp32Forward) {
 }
 
 // ---------------------------------------------------------------------------
+// Element-wise steps: AVX2 lane kernels vs the coded steps
+// ---------------------------------------------------------------------------
+
+/// The session's output with every AVX2 kernel on, and with all of them
+/// forced off (BN and the join then run their coded per-element steps);
+/// panel_bytes() must not depend on which ran.
+std::pair<Tensor, Tensor> run_lanes_and_coded(nn::Module& net, const SessionConfig& cfg,
+                                              const Tensor& x) {
+  std::pair<Tensor, Tensor> out;
+  std::size_t panels[2] = {};
+  for (const bool scalar : {false, true}) {
+    posit::simd::force_disable(scalar);
+    PositSession session = PositSession::compile(net, cfg);
+    (scalar ? out.second : out.first) = session.run(x);
+    panels[scalar] = session.panel_bytes();
+    posit::simd::force_disable(false);
+  }
+  EXPECT_EQ(panels[0], panels[1]);
+  return out;
+}
+
+/// ResNet-8 (one block per stage) at 9x9: BN planes of 81, 25 and 9
+/// elements leave ragged tails behind every group of four.
+std::unique_ptr<nn::Sequential> small_resnet8(Rng& rng) {
+  nn::ResNetConfig rc;
+  rc.blocks_per_stage = 1;
+  rc.base_channels = 4;
+  rc.classes = 4;
+  auto net = nn::cifar_resnet(rc, rng);
+  const Tensor warm = Tensor::randn({4, 3, 9, 9}, rng);
+  net->forward(warm, true);
+  net->forward(warm, true);
+  return net;
+}
+
+TEST(PositSession, ElementwiseLanesMatchTheCodedStepsOnResNetAndPlainCnn) {
+  if (!posit::simd::available()) GTEST_SKIP() << "no AVX2 lane kernel on this host";
+  Rng rng(163);
+  auto resnet = small_resnet8(rng);
+  auto plain = nn::plain_cnn(4, 3, rng);
+  plain->forward(Tensor::randn({4, 3, 9, 9}, rng), true);
+  const Tensor x = Tensor::randn({3, 3, 9, 9}, rng);
+  for (nn::Sequential* net : {resnet.get(), plain.get()}) {
+    for (const PositSpec spec : {PositSpec{8, 1}, PositSpec{16, 1}, PositSpec{16, 2}}) {
+      for (const AccumMode mode : mode_grid()) {
+        const OracleFormats f{spec, spec, spec, mode};
+        const auto [lanes, coded] = run_lanes_and_coded(*net, config_for(f), x);
+        EXPECT_TRUE(bit_identical(lanes, coded))
+            << net->name() << " " << spec.to_string() << " mode " << static_cast<int>(mode);
+      }
+    }
+  }
+}
+
+TEST(PositSession, ElementwiseLanesMatchTheCodedStepsOnNonFiniteInputsAndConstants) {
+  // A NaN and an Inf pixel poison their conv windows (NaR -> NaN), so BN
+  // and the joins meet non-finite groups mid-plane; a NaN gamma makes one
+  // channel's BN scale NaR, which runs that channel coded. Both paths must
+  // match each other and the scalar oracle.
+  if (!posit::simd::available()) GTEST_SKIP() << "no AVX2 lane kernel on this host";
+  Rng rng(167);
+  auto net = small_resnet8(rng);
+  Tensor x = Tensor::randn({2, 3, 9, 9}, rng);
+  x.at(0, 1, 4, 4) = std::numeric_limits<float>::quiet_NaN();
+  x.at(1, 2, 0, 7) = std::numeric_limits<float>::infinity();
+  auto* block = dynamic_cast<nn::ResidualBlock*>(&net->child(3));
+  ASSERT_NE(block, nullptr);
+  const OracleFormats f{{16, 1}, {16, 1}, {16, 1}, AccumMode::kQuire};
+  for (const bool nan_gamma : {false, true}) {
+    if (nan_gamma) block->bn1().gamma().value[1] = std::numeric_limits<float>::quiet_NaN();
+    const auto [lanes, coded] = run_lanes_and_coded(*net, config_for(f), x);
+    EXPECT_TRUE(bit_identical(lanes, coded)) << "nan gamma " << nan_gamma;
+    EXPECT_TRUE(bit_identical(lanes, oracle_forward(*net, x, f))) << "nan gamma " << nan_gamma;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Compile-once / run-many
 // ---------------------------------------------------------------------------
 
@@ -405,12 +484,12 @@ TEST(PositSession, SteadyStateRunPerformsZeroHeapAllocations) {
 #endif
     for (const PositSpec spec : {PositSpec{8, 1}, PositSpec{16, 1}}) {
       for (const AccumMode mode : mode_grid()) {
-        // posit(16,1)'s rounded chains and both formats' exact quire run on
-        // the AVX2 lane kernels, whose tiles are grow-only scratch too, and
-        // forced scalar on RoundedAccum and Quire.
-        const bool lanes = (spec.n > 8 || mode == AccumMode::kQuire) && posit::simd::available();
-        const std::vector<bool> kernels = lanes ? std::vector<bool>{false, true}
-                                                : std::vector<bool>{false};
+        // posit(16,1)'s rounded chains, both formats' exact quire and every
+        // BN and join run on the AVX2 lane kernels, whose tiles are
+        // grow-only scratch too, and forced scalar on RoundedAccum, Quire
+        // and the coded element-wise steps.
+        const std::vector<bool> kernels = posit::simd::available() ? std::vector<bool>{false, true}
+                                                                   : std::vector<bool>{false};
         for (const bool scalar : kernels) {
           posit::simd::force_disable(scalar);
           SessionConfig cfg;
