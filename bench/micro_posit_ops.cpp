@@ -150,104 +150,117 @@ BENCHMARK(BM_QuireAccumulateDot)
     ->Args({32, 2, 0})
     ->Args({32, 2, 1});
 
-/// Four outputs' exact quire dot products of length k over ReLU'd Gaussian
-/// activations against one Gaussian weight row — the engine's kQuire inner
-/// loop. /simd=0: Quire::accumulate_dot + to_posit per output, forced onto
-/// the scalar deposit (the fallback PDNN_NO_AVX2 runs). /simd=1: the AVX2
-/// lane kernel, the four outputs in one vector of int64 limbs. Same codes
-/// out; items/s is MAC/s. k = 72, 144 and 576 are ResNet-8 patch lengths.
+/// `tiles` x 4 outputs' exact quire dot products of length k over ReLU'd
+/// Gaussian activations against one Gaussian weight row — the engine's
+/// kQuire inner loop. /simd=0: Quire::accumulate_dot + to_posit + to_double
+/// per output, forced onto the scalar deposit (the fallback PDNN_NO_AVX2
+/// runs). /simd=1: the AVX2 lane kernel, four outputs per vector of int64
+/// limbs, rounded in registers to exact doubles. Same values out; items/s is
+/// MAC/s. k = 27, 72, 144 and 576 are ResNet-8 patch lengths; k = 1 shows
+/// the per-output epilogue alone.
 void BM_QuireLanes(benchmark::State& state) {
   const posit::PositSpec spec{static_cast<int>(state.range(0)), static_cast<int>(state.range(1))};
   const auto k = static_cast<std::size_t>(state.range(2));
-  const bool lanes = state.range(3) != 0;
-  if (lanes && !posit::simd::available()) {
-    state.SkipWithError("AVX2 unavailable");
-    return;
-  }
-  posit::simd::force_disable(!lanes);
-  constexpr std::size_t kOut = posit::simd::kLanes;
-  tensor::Rng rng(23);
-  std::vector<posit::Unpacked> a(kOut * k), b(k);
-  for (auto& u : a) {
-    const double x = rng.normal();
-    u = posit::decode_unpacked(posit::from_double(x > 0.0 ? x : 0.0, spec), spec);
-  }
-  for (auto& u : b) u = posit::decode_unpacked(posit::from_double(0.3 * rng.normal(), spec), spec);
-  std::vector<std::int64_t> tile(kOut * k), w(k);
-  for (std::size_t r = 0; r < kOut; ++r) {
-    for (std::size_t i = 0; i < k; ++i) {
-      tile[i * kOut + r] = posit::simd::quire_lane_operand(a[r * k + i], spec);
-    }
-  }
-  posit::simd::fill_quire_row(b.data(), k, spec, w.data());
-  posit::Quire q(spec);
-  std::uint32_t codes[kOut];
-  for (auto _ : state) {
-    if (lanes) {
-      posit::simd::quire_lanes_avx2(tile.data(), 1, w.data(), k, spec, codes);
-    } else {
-      for (std::size_t r = 0; r < kOut; ++r) {
-        q.clear();
-        q.accumulate_dot(a.data() + r * k, b.data(), k);
-        codes[r] = q.to_posit();
-      }
-    }
-    benchmark::DoNotOptimize(codes);
-    benchmark::ClobberMemory();
-  }
-  posit::simd::force_disable(false);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kOut * k));
-}
-
-void quire_lane_args(benchmark::internal::Benchmark* bm) {
-  bm->ArgNames({"n", "es", "k", "simd"});
-  for (const int k : {72, 144, 576}) {
-    for (const int n : {8, 16}) {
-      bm->Args({n, 1, k, 0});
-      bm->Args({n, 1, k, 1});
-    }
-  }
-}
-BENCHMARK(BM_QuireLanes)->Apply(quire_lane_args);
-
-/// Four outputs' rounded dot products of length k over Gaussian operands —
-/// four activation rows against one weight row, the engine's n > 8 kFma /
-/// kSerial inner loop. /accum=0: the coded per-term chain (the sum
-/// re-decoded from its code, added in 128 bits and re-packed every term).
-/// /accum=1/simd=0: posit::RoundedAccum, one output at a time (the sum
-/// stays unpacked, packed once). /accum=1/simd=1: the AVX2 lane kernel, the
-/// four outputs in one vector as exact doubles. Same values out; items/s is
-/// MAC/s. k = 144 and 576 are the ResNet-8 stage-3 patch lengths.
-template <bool kFmaChain>
-void rounded_chain(benchmark::State& state) {
-  const posit::PositSpec spec{static_cast<int>(state.range(0)), static_cast<int>(state.range(1))};
-  const auto k = static_cast<std::size_t>(state.range(2));
-  const bool accum = state.range(3) != 0;
+  const auto tiles = static_cast<std::size_t>(state.range(3));
   const bool lanes = state.range(4) != 0;
   if (lanes && !posit::simd::available()) {
     state.SkipWithError("AVX2 unavailable");
     return;
   }
-  constexpr std::size_t kOut = posit::simd::kLanes;
+  posit::simd::force_disable(!lanes);
+  constexpr std::size_t kLanes = posit::simd::kLanes;
+  const std::size_t outs = tiles * kLanes;
+  tensor::Rng rng(23);
+  std::vector<posit::Unpacked> a(outs * k), b(k);
+  for (auto& u : a) {
+    const double x = rng.normal();
+    u = posit::decode_unpacked(posit::from_double(x > 0.0 ? x : 0.0, spec), spec);
+  }
+  for (auto& u : b) u = posit::decode_unpacked(posit::from_double(0.3 * rng.normal(), spec), spec);
+  std::vector<std::int64_t> tile(outs * k), w(k);
+  for (std::size_t r = 0; r < outs; ++r) {
+    for (std::size_t i = 0; i < k; ++i) {
+      tile[(r / kLanes * k + i) * kLanes + r % kLanes] =
+          posit::simd::quire_lane_operand(a[r * k + i], spec);
+    }
+  }
+  posit::simd::fill_quire_row(b.data(), k, spec, w.data());
+  posit::Quire q(spec);
+  std::vector<double> values(outs);
+  for (auto _ : state) {
+    if (lanes) {
+      posit::simd::quire_lanes_avx2(tile.data(), tiles, w.data(), k, spec, nullptr, values.data());
+    } else {
+      for (std::size_t r = 0; r < outs; ++r) {
+        q.clear();
+        q.accumulate_dot(a.data() + r * k, b.data(), k);
+        values[r] = posit::to_double(q.to_posit(), spec);
+      }
+    }
+    benchmark::DoNotOptimize(values.data());
+    benchmark::ClobberMemory();
+  }
+  posit::simd::force_disable(false);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(outs * k));
+}
+
+void quire_lane_args(benchmark::internal::Benchmark* bm) {
+  bm->ArgNames({"n", "es", "k", "tiles", "simd"});
+  for (const int k : {1, 27, 72, 144, 576}) {
+    for (const int n : {8, 16}) {
+      for (const int tiles : {1, 16}) {
+        bm->Args({n, 1, k, tiles, 0});
+        bm->Args({n, 1, k, tiles, 1});
+      }
+    }
+  }
+}
+BENCHMARK(BM_QuireLanes)->Apply(quire_lane_args);
+
+/// `tiles` x 4 outputs' rounded dot products of length k over Gaussian
+/// operands — activation rows against one weight row, the engine's n > 8
+/// kFma / kSerial inner loop. /accum=0: the coded per-term chain (the sum
+/// re-decoded from its code, added in 128 bits and re-packed every term).
+/// /accum=1/simd=0: posit::RoundedAccum, one output at a time (the sum
+/// stays unpacked, packed once). /accum=1/simd=1: the AVX2 lane kernel,
+/// four outputs per vector as exact doubles, up to four tiles' chains
+/// interleaved (tiles=16 shows the interleave). Same values out; items/s is
+/// MAC/s. k = 27, 144 and 576 are ResNet-8 patch lengths.
+template <bool kFmaChain>
+void rounded_chain(benchmark::State& state) {
+  const posit::PositSpec spec{static_cast<int>(state.range(0)), static_cast<int>(state.range(1))};
+  const auto k = static_cast<std::size_t>(state.range(2));
+  const auto tiles = static_cast<std::size_t>(state.range(3));
+  const bool accum = state.range(4) != 0;
+  const bool lanes = state.range(5) != 0;
+  if (lanes && !posit::simd::available()) {
+    state.SkipWithError("AVX2 unavailable");
+    return;
+  }
+  constexpr std::size_t kLanes = posit::simd::kLanes;
+  const std::size_t outs = tiles * kLanes;
   tensor::Rng rng(17);
-  std::vector<posit::Unpacked> a(kOut * k), b(k);
+  std::vector<posit::Unpacked> a(outs * k), b(k);
   for (auto& u : a) u = posit::decode_unpacked(posit::from_double(rng.normal(), spec), spec);
   for (auto& u : b) u = posit::decode_unpacked(posit::from_double(0.3 * rng.normal(), spec), spec);
-  std::vector<double> tile(kOut * k), w(k);
-  for (std::size_t r = 0; r < kOut; ++r) {
-    for (std::size_t i = 0; i < k; ++i) tile[i * kOut + r] = posit::simd::lane_value(a[r * k + i]);
+  std::vector<double> tile(outs * k), w(k), sums(outs);
+  for (std::size_t r = 0; r < outs; ++r) {
+    for (std::size_t i = 0; i < k; ++i) {
+      tile[(r / kLanes * k + i) * kLanes + r % kLanes] = posit::simd::lane_value(a[r * k + i]);
+    }
   }
   posit::simd::fill_lane_row(b.data(), k, w.data());
   posit::RoundedAccum racc(spec);
   for (auto _ : state) {
     if (lanes) {
-      double sums[kOut];
-      posit::simd::rounded_chains_avx2(tile.data(), 1, w.data(), k, spec, kFmaChain, nullptr, sums);
-      benchmark::DoNotOptimize(sums);
+      posit::simd::rounded_chains_avx2(tile.data(), tiles, w.data(), k, spec, kFmaChain, nullptr,
+                                       sums.data());
+      benchmark::DoNotOptimize(sums.data());
+      benchmark::ClobberMemory();
       continue;
     }
-    for (std::size_t r = 0; r < kOut; ++r) {
+    for (std::size_t r = 0; r < outs; ++r) {
       const posit::Unpacked* row = a.data() + r * k;
       std::uint32_t acc = 0;
       if (accum) {
@@ -268,17 +281,19 @@ void rounded_chain(benchmark::State& state) {
     }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kOut * k));
+                          static_cast<std::int64_t>(outs * k));
 }
 
 void chain_args(benchmark::internal::Benchmark* bm) {
-  bm->ArgNames({"n", "es", "k", "accum", "simd"});
-  for (const int k : {144, 576}) {
-    bm->Args({16, 1, k, 0, 0});
-    bm->Args({32, 2, k, 0, 0});
-    bm->Args({16, 1, k, 1, 0});
-    bm->Args({32, 2, k, 1, 0});
-    bm->Args({16, 1, k, 1, 1});  // (32,2) has 28-bit significands: no lane kernel
+  bm->ArgNames({"n", "es", "k", "tiles", "accum", "simd"});
+  for (const int k : {1, 27, 144, 576}) {
+    for (const int tiles : {1, 16}) {
+      bm->Args({16, 1, k, tiles, 0, 0});
+      bm->Args({32, 2, k, tiles, 0, 0});
+      bm->Args({16, 1, k, tiles, 1, 0});
+      bm->Args({32, 2, k, tiles, 1, 0});
+      bm->Args({16, 1, k, tiles, 1, 1});  // (32,2) has 28-bit significands: no lane kernel
+    }
   }
 }
 

@@ -439,8 +439,12 @@ __attribute__((target("avx2"), always_inline)) inline void chain_all(
     const double* bias, double* out) {
   const std::size_t stride = k * kLanes;
   std::size_t t = 0;
-  for (; t + 2 <= tiles; t += 2) {
+  for (; t + 4 <= tiles; t += 4) {
+    chain_tiles<4, kFused>(a + t * stride, w, k, f, bias, out + t * kLanes);
+  }
+  if (t + 2 <= tiles) {
     chain_tiles<2, kFused>(a + t * stride, w, k, f, bias, out + t * kLanes);
+    t += 2;
   }
   if (t < tiles) chain_tiles<1, kFused>(a + t * stride, w, k, f, bias, out + t * kLanes);
 }
@@ -512,65 +516,85 @@ __attribute__((target("avx2"), aligned(64))) std::size_t residual_join_lanes_avx
 
 namespace {
 
-using u128 = unsigned __int128;
-
-/// One lane's quire, rounded once as Quire::to_posit rounds it: limbs[0..L-1)
-/// are carry-normalized into [0, 2^32), the top limb holds the signed rest,
-/// and the value is sum limbs[l] * 2^(32 l) units of minpos^2. With four
-/// limbs the value fits the signed 128-bit fold exactly while the top limb
-/// fits 32 bits; past that |value| >= 2^127 units, far above maxpos for
-/// every supported spec (max_scale <= 31), where round_pack saturates — and
-/// so does this.
-template <int L>
-std::uint32_t round_quire_lane(const std::int64_t* limbs, const PositSpec& spec) {
-  const std::int64_t top = limbs[L - 1];
-  if (L == 4 && top != static_cast<std::int32_t>(top)) {
-    return top > 0 ? spec.maxpos_code() : (~spec.maxpos_code() + 1u) & spec.mask();
-  }
-  u128 v = static_cast<u128>(static_cast<__int128>(top)) << (32 * (L - 1));
-  for (int l = 0; l + 1 < L; ++l) v += static_cast<u128>(limbs[l]) << (32 * l);
-  const bool negative = (v >> 127) != 0;
-  const u128 mag = negative ? -v : v;
-  if (mag == 0) return 0u;
-  const auto hi = static_cast<std::uint64_t>(mag >> 64);
-  const auto lo = static_cast<std::uint64_t>(mag);
-  const int msb = hi != 0 ? 127 - __builtin_clzll(hi) : 63 - __builtin_clzll(lo);
-  // 64 significand bits topped at bit 63, the rest sticky: Quire::to_posit's
-  // extraction, so round_pack sees the same (sig, sticky) and emits the same
-  // code.
-  std::uint64_t sig;
-  bool sticky = false;
-  if (msb >= 63) {
-    const int drop = msb - 63;
-    sig = static_cast<std::uint64_t>(mag >> drop);
-    sticky = drop != 0 && (mag & ((u128{1} << drop) - 1)) != 0;
-  } else {
-    sig = lo << (63 - msb);
-  }
-  return round_pack(spec, negative, msb + 2L * spec.min_scale(), sig, 63, sticky,
-                    RoundMode::kNearestEven, nullptr);
-}
-
 /// Arithmetic shift right by 32 of each int64 lane (AVX2 has no srai_epi64):
 /// the high dword moves down, its sign fills the high dword.
 __attribute__((target("avx2"), always_inline)) inline __m256i srai64_32(__m256i x) {
   return _mm256_blend_epi32(_mm256_srli_epi64(x, 32), _mm256_srai_epi32(x, 31), 0xAA);
 }
 
+/// The exact double of four lanes' quires, each rounded once to the posit
+/// Quire::to_posit gives. On entry limb[0..L-1) are carry-normalized into
+/// [0, 2^32) and the top limb holds the signed rest: the value is
+/// sum limb[l] * 2^(32 l) units of minpos^2.
+///   * Sign and magnitude: a negative lane negates every limb, and one more
+///     carry pass moves the borrows up; the top limb ends >= 0.
+///   * The magnitude as 32-bit chunks c[0..L] (the top limb splits in two):
+///     the highest non-zero chunk and the one below it, every lower chunk
+///     folded into that one's bit 0 as a sticky bit. The two hold 33 to 64
+///     bits of the sum, at least 18 below the rounding bit of any supported
+///     format (significands of at most 14 bits), so the sticky bit decides
+///     exactly what the dropped bits would.
+///   * Each chunk is an exact double (2^52 magic) at its weight, s + p, and
+///     add_round rounds their exact sum — saturation and sums below minpos
+///     take its round_lane_exact path to +-maxpos and +-minpos.
+template <int L>
+__attribute__((target("avx2"), always_inline)) inline __m256d round_quire_lanes(
+    __m256i* limb, const LaneFormat& f, __m256i weight0) {
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i lo32 = _mm256_set1_epi64x(0xFFFFFFFFll);
+  const __m256i negm = _mm256_cmpgt_epi64(zero, limb[L - 1]);
+  for (int l = 0; l < L; ++l) limb[l] = _mm256_sub_epi64(_mm256_xor_si256(limb[l], negm), negm);
+  for (int l = 0; l + 1 < L; ++l) {
+    limb[l + 1] = _mm256_add_epi64(limb[l + 1], srai64_32(limb[l]));
+    limb[l] = _mm256_and_si256(limb[l], lo32);
+  }
+  __m256i c[L + 1];
+  for (int l = 0; l + 1 < L; ++l) c[l] = limb[l];
+  c[L - 1] = _mm256_and_si256(limb[L - 1], lo32);
+  c[L] = _mm256_srli_epi64(limb[L - 1], 32);
+  // Walk up the chunks: where c[j] != 0 it becomes the high chunk, c[j - 1]
+  // (sticky from everything below) the low one, j their weight index.
+  __m256i hi = c[0], lo = zero, index = zero, below = zero;
+  for (int j = 1; j <= L; ++j) {
+    const __m256i empty = _mm256_cmpeq_epi64(c[j], zero);
+    const __m256i sticky =
+        _mm256_andnot_si256(_mm256_cmpeq_epi64(below, zero), _mm256_set1_epi64x(1));
+    hi = _mm256_blendv_epi8(c[j], hi, empty);
+    lo = _mm256_blendv_epi8(_mm256_or_si256(c[j - 1], sticky), lo, empty);
+    index = _mm256_blendv_epi8(_mm256_set1_epi64x(j), index, empty);
+    below = _mm256_or_si256(below, c[j - 1]);
+  }
+  const __m256i magic_bits = _mm256_set1_epi64x(0x4330000000000000ll);  // 2^52
+  const __m256d magic = _mm256_castsi256_pd(magic_bits);
+  const __m256d hi_d = _mm256_sub_pd(_mm256_castsi256_pd(_mm256_or_si256(hi, magic_bits)), magic);
+  const __m256d lo_d = _mm256_sub_pd(_mm256_castsi256_pd(_mm256_or_si256(lo, magic_bits)), magic);
+  // Chunk j weighs 2^(32 j) units: biased exponent weight0 + 32 j.
+  const __m256i hi_exp = _mm256_add_epi64(weight0, _mm256_slli_epi64(index, 5));
+  const __m256i lo_exp = _mm256_sub_epi64(hi_exp, _mm256_set1_epi64x(32));
+  const __m256d sign = _mm256_castsi256_pd(_mm256_slli_epi64(negm, 63));
+  const __m256d s = _mm256_or_pd(
+      _mm256_mul_pd(hi_d, _mm256_castsi256_pd(_mm256_slli_epi64(hi_exp, 52))), sign);
+  const __m256d p = _mm256_or_pd(
+      _mm256_mul_pd(lo_d, _mm256_castsi256_pd(_mm256_slli_epi64(lo_exp, 52))), sign);
+  return add_round(s, p, f);
+}
+
 /// The row tiles against w one at a time, L limbs per lane. Per term the
 /// exact product (_mm256_mul_epi32 of the signed significands) shifts to its
 /// bit inside a limb and adds into the limb its position selects; every
 /// `flush` terms a carry pass keeps each limb's low 32 bits and moves the
-/// rest up one limb, so no limb overflows between passes. (Interleaving two
+/// rest up one limb, so no limb overflows between passes. Each tile ends in
+/// round_quire_lanes and, with a bias, one more add_round. (Interleaving two
 /// tiles, as chain_tiles does, ran slower: the limbs alone fill the register
 /// file.)
 template <int L>
 __attribute__((target("avx2"), always_inline)) inline void quire_tiles(
     const std::int64_t* a, std::size_t tiles, const std::int64_t* w, std::size_t k,
-    const PositSpec& spec, std::uint32_t* out) {
-  const std::size_t flush = quire_lanes_flush(spec);
+    const LaneFormat& f, const double* bias, double* out) {
+  const std::size_t flush = quire_lanes_flush(f.spec);
   const __m256i lo32 = _mm256_set1_epi64x(0xFFFFFFFFll);
   const __m256i m31 = _mm256_set1_epi64x(31);
+  const __m256i weight0 = _mm256_set1_epi64x(1023 + 2 * f.spec.min_scale());
   for (std::size_t t = 0; t < tiles; ++t, a += k * kLanes, out += kLanes) {
     __m256i limb[L];
     for (int l = 0; l < L; ++l) limb[l] = _mm256_setzero_si256();
@@ -599,13 +623,9 @@ __attribute__((target("avx2"), always_inline)) inline void quire_tiles(
         limb[l] = _mm256_and_si256(limb[l], lo32);
       }
     }
-    alignas(32) std::int64_t lanes[L][kLanes];
-    for (int l = 0; l < L; ++l) _mm256_store_si256(reinterpret_cast<__m256i*>(lanes[l]), limb[l]);
-    for (std::size_t lane = 0; lane < kLanes; ++lane) {
-      std::int64_t limbs[L];
-      for (int l = 0; l < L; ++l) limbs[l] = lanes[l][lane];
-      out[lane] = round_quire_lane<L>(limbs, spec);
-    }
+    __m256d r = round_quire_lanes<L>(limb, f, weight0);
+    if (bias != nullptr) r = add_round(r, _mm256_broadcast_sd(bias), f);
+    _mm256_storeu_pd(out, r);
   }
 }
 
@@ -613,14 +633,15 @@ __attribute__((target("avx2"), always_inline)) inline void quire_tiles(
 
 __attribute__((target("avx2"), aligned(64))) void quire_lanes_avx2(
     const std::int64_t* a, std::size_t tiles, const std::int64_t* w, std::size_t k,
-    const PositSpec& spec, std::uint32_t* out) {
+    const PositSpec& spec, const double* bias, double* out) {
+  const LaneFormat f(spec);
   const int limbs = quire_lane_limbs(spec);
   if (limbs == 1) {
-    quire_tiles<1>(a, tiles, w, k, spec, out);
+    quire_tiles<1>(a, tiles, w, k, f, bias, out);
   } else if (limbs == 2) {
-    quire_tiles<2>(a, tiles, w, k, spec, out);
+    quire_tiles<2>(a, tiles, w, k, f, bias, out);
   } else {
-    quire_tiles<4>(a, tiles, w, k, spec, out);  // three limbs run as four
+    quire_tiles<4>(a, tiles, w, k, f, bias, out);  // three limbs run as four
   }
 }
 
@@ -703,7 +724,7 @@ std::size_t residual_join_lanes_avx2(const float*, const float*, std::size_t, co
 }
 
 void quire_lanes_avx2(const std::int64_t*, std::size_t, const std::int64_t*, std::size_t,
-                      const PositSpec&, std::uint32_t*) {}
+                      const PositSpec&, const double*, double*) {}
 
 #endif
 

@@ -27,7 +27,8 @@
 //     grouping nor bank splitting can change a bit).
 //   * rounded_chains_avx2 — the fma and serial chains (posit/accum.hpp) for
 //     four outputs per __m256d, one output per lane, each lane in its own
-//     ascending-k term order. Where rounded_lanes_supported(spec) holds
+//     ascending-k term order; up to four row tiles' chains interleave, so
+//     one chain's rounding latency hides behind the others' work. Where rounded_lanes_supported(spec) holds
 //     (n - 2 - es <= 26, scales within +-480) a significand has at most 26
 //     bits, so every product is exact in a double and no value overflows or
 //     goes subnormal: a lane carries its running sum as the exact double
@@ -54,10 +55,13 @@
 //     shifts to its bit inside a 32-bit-strided limb and adds into the limb
 //     its position selects (compare/and/add over at most four limbs); a
 //     carry pass every quire_lanes_flush(spec) terms keeps the limbs in 64
-//     bits. Each lane then folds its limbs once, takes 64 significand bits
-//     and a sticky bit below its MSB and rounds with round_pack — the rule
-//     of Quire::to_posit, so every output equals Quire::accumulate_dot +
-//     to_posit.
+//     bits. Each lane then folds its limbs to sign and magnitude in vector
+//     registers (the borrow of a negative sum carried across the limbs),
+//     keeps its two highest non-zero 32-bit chunks with a sticky bit for the
+//     rest, and rounds their exact sum as two doubles with the chains'
+//     add_round — the rule of Quire::to_posit, so every output is the exact
+//     double of Quire::accumulate_dot + to_posit, and a bias adds as in
+//     rounded_chains_avx2.
 //
 // Dispatch mirrors tensor/gemm_kernel.cpp: __builtin_cpu_supports("avx2")
 // resolved once, with two overrides — the PDNN_NO_AVX2=1 environment
@@ -207,12 +211,15 @@ inline std::int64_t quire_lane_operand(const Unpacked& u, const PositSpec& spec)
 bool fill_quire_row(const Unpacked* row, std::size_t k, const PositSpec& spec, std::int64_t* out);
 
 /// The exact quire dot of `tiles` row tiles (tile t at a + t * k * kLanes)
-/// against one operand row w[0..k): out[t * kLanes + l] is the posit code of
-/// sum_i a[row l][i] * w[i], rounded once to nearest-even — bit-identical to
-/// Quire::accumulate_dot + Quire::to_posit. Operands are quire_lane_operand
-/// values of `spec`; quire_lanes_supported(spec, k) must hold; NaR is the
-/// caller's. Caller must check enabled().
+/// against one operand row w[0..k): out[t * kLanes + l] is
+/// sum_i a[row l][i] * w[i], rounded once to nearest-even, as the exact
+/// double of its posit — to_double(Quire::accumulate_dot + to_posit), bit
+/// for bit — then, when `bias` is non-null, round(out + *bias) (posit::add),
+/// the output contract of rounded_chains_avx2. Operands are
+/// quire_lane_operand values of `spec`, *bias a lane_value of `spec`;
+/// quire_lanes_supported(spec, k) must hold; NaR is the caller's. Caller
+/// must check enabled().
 void quire_lanes_avx2(const std::int64_t* a, std::size_t tiles, const std::int64_t* w,
-                      std::size_t k, const PositSpec& spec, std::uint32_t* out);
+                      std::size_t k, const PositSpec& spec, const double* bias, double* out);
 
 }  // namespace pdnn::posit::simd

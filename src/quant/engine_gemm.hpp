@@ -1,7 +1,9 @@
 // engine_gemm.hpp — internal decode-once GEMM behind the compiled
 // PositSession's linear and conv steps. Not part of the public API.
-// Activations are encoded and decoded once per element, then gathered
-// (gather_activation); only resident weights stay packed (engine_gemm).
+// A step runs one GEMM per batch: its N input images are encoded and decoded
+// once per element (encode_activation), and engine_gemm gathers their
+// im2col patches — rows = N * pixels — and streams them against each weight
+// row, which stays packed until the run unpacks and decodes it once.
 #pragma once
 
 #include <cstddef>
@@ -12,6 +14,7 @@
 #include "posit/mul_lut.hpp"
 #include "posit/quire.hpp"
 #include "quant/posit_inference.hpp"
+#include "tensor/ops.hpp"
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -57,13 +60,13 @@ EngineLuts resolve_luts(const posit::PositSpec& spec, AccumMode mode);
 /// chains; posit::Unpacked for RoundedAccum and Quire; four outputs per
 /// AVX2 vector on lane_value doubles (posit::simd::rounded_chains_avx2,
 /// n - 2 - es <= 26) or quire_lane_operand int64s (quire_lanes_avx2: (8,·),
-/// (16,0), (16,1), more than one activation row).
+/// (16,0), (16,1), more than one patch row in the batch).
 enum class OperandForm { kCodes, kUnpacked, kLanes, kQuireLanes };
 
 /// One buffer per operand form, grow-only; a step grows only its own
-/// form's. Holds a step's input image — codes plus its decoded form,
+/// form's. Holds a step's encoded input batch — codes plus its decoded form,
 /// session-owned, counted by PositSession::panel_scratch_bytes() — or a
-/// thread's gathered panel.
+/// thread's gathered panel block and decoded weight rows.
 struct OperandBuffers {
   std::vector<std::uint32_t> codes;
   std::vector<posit::Unpacked> ops;
@@ -76,51 +79,58 @@ struct OperandBuffers {
   }
 };
 
-/// An activation panel: `rows` patches of k terms in the `form` buffer of
-/// `panel`, row-major, or 4-row tiles (tile[i * 4 + lane]) for the lane
-/// forms, whose `nar` word per tile has bit l set when row l holds a NaR.
-/// Views into the calling thread's scratch, valid until its next
-/// gather_activation.
-struct ActOperands {
+/// A step's activation batch, encoded once: `batch` images of geom's
+/// [in_c, in_h, in_w] input, as codes and in the `form` buffer of `plane`.
+/// Its GEMM rows are the batch's im2col patches, rows = batch * pixels:
+/// row r is image r / pixels, output pixel r % pixels, its k terms
+/// channel-major like a weight row. `has_nar` tells the lane forms, which
+/// read NaR as a zero operand, to look for it in the codes. A view into
+/// `plane`, valid until its next encode_activation.
+struct ActPlane {
   OperandForm form = OperandForm::kUnpacked;
-  std::size_t rows = 0, k = 0;
-  const OperandBuffers* panel = nullptr;
-  const unsigned* nar = nullptr;
+  posit::PositSpec spec{16, 1};
+  tensor::Conv2dGeom geom;
+  std::size_t pixels = 0, rows = 0, k = 0;
+  bool has_nar = false;
+  const OperandBuffers* plane = nullptr;
 };
 
-/// Encode the [in_c, in_h, in_w] image `x` into `plane` (codes, under
-/// kEncodeRound) and decode it into the form (mode, luts) reads, each
-/// element once; then gather geom's im2col patches — output pixel t's
-/// patch, channel-major like a weight row — from the plane into the panel,
-/// padding as the zero operand. Both passes are team-parallel over
-/// disjoint ranges.
-ActOperands gather_activation(const float* x, const tensor::Conv2dGeom& geom,
-                              const posit::PositSpec& spec, AccumMode mode,
-                              const EngineLuts& luts, OperandBuffers& plane);
+/// Encode the `batch` images at x ([batch, in_c, in_h, in_w]) into `plane`
+/// (codes, under kEncodeRound) and decode them into the form (mode, luts)
+/// reads, each element once; team-parallel over disjoint ranges. A linear
+/// step's [n, k] batch is n images of k channels under a 1x1 window.
+ActPlane encode_activation(const float* x, std::size_t batch, const tensor::Conv2dGeom& geom,
+                           const posit::PositSpec& spec, AccumMode mode, const EngineLuts& luts,
+                           OperandBuffers& plane);
 
-/// The GEMM at the heart of the engine: the rounded dot of every activation
-/// row of `a` with each of the `cols` packed weight rows of `w` — plus
-/// optional per-column bias — lands at out[r * row_stride + o * col_stride].
-/// Each weight row is unpacked and decoded once per call into its thread's
-/// O(k) scratch as the column loop streams it.
+/// The GEMM at the heart of the engine, one call per step: the rounded dot
+/// of every patch row of `a` with each of the `cols` packed weight rows of
+/// `w` — plus optional per-column bias — lands at
+/// out[(r / pixels * cols + o) * pixels + r % pixels], the [batch, cols,
+/// pixels] layout of a conv output (a linear step's [n, cols] at pixels 1).
+/// Each weight row is unpacked and decoded once per call into the calling
+/// thread's scratch. The patch rows are gathered from the plane in blocks
+/// of whole 4-row tiles sized to stay in L2, and every block is streamed
+/// against all columns before the next is gathered; a tile may straddle two
+/// images.
 ///
 /// Threading is over output columns with one quire (or rounded accumulator)
 /// per thread. Each output is accumulated start-to-finish by a single thread
-/// in ascending-k order — exactly the reference order — so results are
-/// bit-identical to the scalar reference and to any other thread count, for
-/// every AccumMode.
+/// in ascending-k order — exactly the reference order — and rounded once, so
+/// results are bit-identical to the scalar reference, to any other thread
+/// count and to any batch split, for every AccumMode.
 ///
 /// `quire_pool` must hold at least engine_threads() quires of `w.spec` when
 /// mode == kQuire (the session's pre-planned per-thread arenas). Ignored for
 /// the other modes. An empty bias (count 0) adds nothing.
-void engine_gemm(const ActOperands& a, const posit::PackedPositTensor& w,
+void engine_gemm(const ActPlane& a, const posit::PackedPositTensor& w,
                  const posit::PackedPositTensor& bias, std::size_t cols, AccumMode mode,
-                 float* out, std::size_t row_stride, std::size_t col_stride,
-                 const EngineLuts& luts, posit::Quire* quire_pool);
+                 float* out, const EngineLuts& luts, posit::Quire* quire_pool);
 
-/// Bytes of the calling thread's gathered panel and weight-row scratch,
-/// the lane kernels' tiles included (capacity, grow-only). Scratch, not
-/// model footprint: PositSession::panel_bytes() deliberately excludes it.
+/// Bytes of the calling thread's gathered panel block, decoded weight rows
+/// and column scratch, the lane kernels' tiles included (capacity,
+/// grow-only). Scratch, not model footprint: PositSession::panel_bytes()
+/// deliberately excludes it.
 std::size_t engine_scratch_bytes();
 
 }  // namespace pdnn::quant::detail

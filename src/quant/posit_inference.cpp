@@ -22,23 +22,29 @@ namespace {
 using posit::simd::kLanes;
 
 /// Per-thread engine scratch. The calling thread's `a` holds the gathered
-/// activation panel of its current GEMM and `a_nar` its lane tiles' NaR
-/// rows; each team thread's `w` holds the weight row it streams (codes, and
-/// the kernel's operand form) and out_* a lane kernel's column outputs.
+/// row block of its current GEMM (a_nar: which of its rows read a NaR, for
+/// the lane forms). `w` holds weight rows in operand form (w_nar: which
+/// rows hold a NaR): all of them in the calling thread's when the GEMM
+/// runs more than one row block, else the one each team thread streams.
+/// Each team thread's `row` stages a weight row's codes and Unpacked on
+/// the way, and out_lanes holds a lane kernel's outputs for one column.
 /// Grow-only and thread-local: scratch, not model footprint.
 struct DecodeScratch {
-  OperandBuffers a, w;
-  std::vector<unsigned> a_nar;
+  OperandBuffers a, w, row;
+  std::vector<unsigned char> a_nar, w_nar;
   std::vector<double> out_lanes;
-  std::vector<std::uint32_t> out_codes;
 };
 thread_local DecodeScratch tl_scratch;
 
 /// Input elements per work item of the plane encode and decode.
 constexpr std::size_t kEncodeChunk = 256;
 
-/// Encode and gather passes over fewer elements stay on the calling thread.
+/// Encode passes over fewer elements stay on the calling thread.
 constexpr std::size_t kParallelMin = 4096;
+
+/// Bytes of gathered patches one row block may hold: the block is streamed
+/// once per output column, so it should stay in a core's L2.
+constexpr std::size_t kPanelBlockBytes = std::size_t{512} << 10;
 
 OperandForm operand_form(const PositSpec& spec, AccumMode mode, const EngineLuts& luts,
                          std::size_t rows, std::size_t k) {
@@ -57,51 +63,109 @@ OperandForm operand_form(const PositSpec& spec, AccumMode mode, const EngineLuts
                                                                  : OperandForm::kUnpacked;
 }
 
-/// Gather every im2col patch of `plane` (one element per input element,
-/// any operand form) into `panel`: row-major, or `tiled` as 4-row lane tiles
-/// whose lanes past the last row are zero. Terms in the padding read T{},
-/// the zero operand of every form.
+std::size_t operand_bytes(OperandForm form) {
+  switch (form) {
+    case OperandForm::kCodes: return sizeof(std::uint32_t);
+    case OperandForm::kUnpacked: return sizeof(Unpacked);
+    case OperandForm::kLanes: return sizeof(double);
+    case OperandForm::kQuireLanes: return sizeof(std::int64_t);
+  }
+  return sizeof(double);
+}
+
+/// Rows [r0, r1) of the batch's patch panel (ActPlane) from `plane`, the
+/// plane's buffer in a's form, into dst: row-major, or `tiled` as 4-row lane
+/// tiles counted from r0 (a multiple of kLanes). Terms in the padding read
+/// T{}, the zero operand of every form. When row_nar is non-null,
+/// row_nar[r - r0] says whether row r reads a NaR code. A worksharing loop
+/// over output lines (one image row of output pixels): every thread of the
+/// enclosing team must call it.
 template <class T>
-void gather_panel(const std::vector<T>& plane, const tensor::Conv2dGeom& g, bool tiled,
-                  std::vector<T>& panel) {
-  const std::size_t oh = g.out_h(), ow = g.out_w(), rows = oh * ow, k = g.patch();
-  const std::size_t padded = tiled ? (rows + kLanes - 1) / kLanes * kLanes : rows;
-  panel.resize(padded * k);
-  T* const dst = panel.data();
-  // Term i of patch r: dst[r * k + i], or lane r % 4 of tile r / 4.
-  const auto at = [=](std::size_t r, std::size_t i) -> T& {
-    return tiled ? dst[(r / kLanes * k + i) * kLanes + r % kLanes] : dst[r * k + i];
-  };
+void gather_rows(const ActPlane& a, const std::vector<T>& plane, std::size_t r0, std::size_t r1,
+                 bool tiled, T* dst, unsigned char* row_nar) {
+  const tensor::Conv2dGeom& g = a.geom;
+  const std::size_t oh = g.out_h(), ow = g.out_w(), k = a.k;
+  const std::size_t image = g.in_c * g.in_h * g.in_w;
   const long h = static_cast<long>(g.in_h), w = static_cast<long>(g.in_w);
   const long pad = static_cast<long>(g.pad);
-  // One row of output pixels per work item, term by term like im2col.
-#pragma omp parallel for schedule(static) if (rows * k > kParallelMin)
-  for (std::size_t oy = 0; oy < oh; ++oy) {
-    for (std::size_t c = 0, i = 0; c < g.in_c; ++c) {
-      for (std::size_t ky = 0; ky < g.kh(); ++ky) {
-        const long y = static_cast<long>(oy * g.stride + ky) - pad;
-        const bool row_in = y >= 0 && y < h;
-        const T* line = plane.data() + c * g.in_h * g.in_w + (row_in ? y * w : 0);
-        for (std::size_t kx = 0; kx < g.kw(); ++kx, ++i) {
-          for (std::size_t ox = 0; ox < ow; ++ox) {
-            const long x = static_cast<long>(ox * g.stride + kx) - pad;
-            at(oy * ow + ox, i) = row_in && x >= 0 && x < w ? line[x] : T{};
+  const std::uint32_t* codes = a.plane->codes.data();
+  const std::uint32_t nar = a.spec.nar_code();
+#pragma omp for schedule(static)
+  for (std::size_t line = r0 / ow; line < (r1 + ow - 1) / ow; ++line) {
+    const std::size_t img = line / oh, oy = line % oh, first = line * ow;
+    const std::size_t x0 = first < r0 ? r0 - first : 0, x1 = std::min(ow, r1 - first);
+    // term(rr, i, src): term i of block row rr reads plane[src], or the
+    // padding when src < 0; term by term like im2col.
+    const auto walk = [&](auto&& term) {
+      for (std::size_t c = 0, i = 0; c < g.in_c; ++c) {
+        for (std::size_t ky = 0; ky < g.kh(); ++ky) {
+          const long y = static_cast<long>(oy * g.stride + ky) - pad;
+          const bool row_in = y >= 0 && y < h;
+          const long base = static_cast<long>(img * image + c * g.in_h * g.in_w) + y * w;
+          for (std::size_t kx = 0; kx < g.kw(); ++kx, ++i) {
+            for (std::size_t ox = x0; ox < x1; ++ox) {
+              const long x = static_cast<long>(ox * g.stride + kx) - pad;
+              term(first + ox - r0, i, row_in && x >= 0 && x < w ? base + x : -1);
+            }
           }
         }
       }
+    };
+    walk([&](std::size_t rr, std::size_t i, long src) {
+      T& slot = tiled ? dst[(rr / kLanes * k + i) * kLanes + rr % kLanes] : dst[rr * k + i];
+      slot = src >= 0 ? plane[static_cast<std::size_t>(src)] : T{};
+    });
+    if (row_nar != nullptr) {
+      for (std::size_t ox = x0; ox < x1; ++ox) row_nar[first + ox - r0] = 0;
+      walk([&](std::size_t rr, std::size_t, long src) {
+        if (src >= 0 && codes[src] == nar) row_nar[rr] = 1;
+      });
     }
   }
-  for (std::size_t r = rows; r < padded; ++r) {
-    for (std::size_t i = 0; i < k; ++i) at(r, i) = T{};
+}
+
+/// A tile's lanes past row `rows` of the block: zero rows.
+template <class T>
+void zero_tail_lanes(T* tiles, std::size_t rows, std::size_t k) {
+  for (std::size_t r = rows; r % kLanes != 0; ++r) {
+    for (std::size_t i = 0; i < k; ++i) tiles[(r / kLanes * k + i) * kLanes + r % kLanes] = T{};
   }
+}
+
+template <class T>
+T* grow(std::vector<T>& v, std::size_t n) {
+  if (v.size() < n) v.resize(n);
+  return v.data();
+}
+
+/// `count` weight rows of k terms in `form`, in s.w, and their NaR flags
+/// for the lane forms; null where the form does not read them.
+struct WeightRows {
+  std::uint32_t* codes = nullptr;
+  Unpacked* ops = nullptr;
+  double* lanes = nullptr;
+  std::int64_t* quire = nullptr;
+  unsigned char* nar = nullptr;
+};
+
+WeightRows weight_rows(DecodeScratch& s, OperandForm form, std::size_t count, std::size_t k) {
+  WeightRows r;
+  switch (form) {
+    case OperandForm::kCodes: r.codes = grow(s.w.codes, count * k); break;
+    case OperandForm::kUnpacked: r.ops = grow(s.w.ops, count * k); break;
+    case OperandForm::kLanes: r.lanes = grow(s.w.lanes, count * k); break;
+    case OperandForm::kQuireLanes: r.quire = grow(s.w.quire, count * k); break;
+  }
+  if (r.lanes != nullptr || r.quire != nullptr) r.nar = grow(s.w_nar, count);
+  return r;
 }
 
 }  // namespace
 
 std::size_t engine_scratch_bytes() {
   const DecodeScratch& s = tl_scratch;
-  return s.a.bytes() + s.w.bytes() + s.a_nar.capacity() * sizeof(unsigned) +
-         s.out_lanes.capacity() * sizeof(double) + s.out_codes.capacity() * sizeof(std::uint32_t);
+  return s.a.bytes() + s.w.bytes() + s.row.bytes() + s.a_nar.capacity() + s.w_nar.capacity() +
+         s.out_lanes.capacity() * sizeof(double);
 }
 
 EngineLuts resolve_luts(const PositSpec& spec, AccumMode mode) {
@@ -120,14 +184,19 @@ EngineLuts resolve_luts(const PositSpec& spec, AccumMode mode) {
   return luts;
 }
 
-ActOperands gather_activation(const float* x, const tensor::Conv2dGeom& g, const PositSpec& spec,
-                              AccumMode mode, const EngineLuts& luts, OperandBuffers& plane) {
-  ActOperands a;
-  a.rows = g.out_h() * g.out_w();
+ActPlane encode_activation(const float* x, std::size_t batch, const tensor::Conv2dGeom& g,
+                           const PositSpec& spec, AccumMode mode, const EngineLuts& luts,
+                           OperandBuffers& plane) {
+  ActPlane a;
+  a.spec = spec;
+  a.geom = g;
+  a.pixels = g.out_h() * g.out_w();
+  a.rows = batch * a.pixels;
   a.k = g.patch();
+  a.plane = &plane;
   const OperandForm form = a.form = operand_form(spec, mode, luts, a.rows, a.k);
   // Encode every input element once and decode it once, into the plane.
-  const std::size_t count = g.in_c * g.in_h * g.in_w;
+  const std::size_t count = batch * g.in_c * g.in_h * g.in_w;
   plane.codes.resize(count);
   if (form == OperandForm::kUnpacked) plane.ops.resize(count);
   if (form == OperandForm::kLanes) plane.lanes.resize(count);
@@ -151,41 +220,38 @@ ActOperands gather_activation(const float* x, const tensor::Conv2dGeom& g, const
       has_nar = posit::simd::fill_quire_row(ops, n, spec, plane.quire.data() + i0) || has_nar;
     }
   }
-  DecodeScratch& host = tl_scratch;
-  switch (form) {
-    case OperandForm::kCodes: gather_panel(plane.codes, g, false, host.a.codes); break;
-    case OperandForm::kUnpacked: gather_panel(plane.ops, g, false, host.a.ops); break;
-    case OperandForm::kLanes: gather_panel(plane.lanes, g, true, host.a.lanes); break;
-    case OperandForm::kQuireLanes: gather_panel(plane.quire, g, true, host.a.quire); break;
-  }
-  a.panel = &host.a;
-  if (form == OperandForm::kLanes || form == OperandForm::kQuireLanes) {
-    // The rows that gathered a NaR, found again through the codes.
-    host.a_nar.assign((a.rows + kLanes - 1) / kLanes, 0u);
-    a.nar = host.a_nar.data();
-    if (has_nar) gather_panel(plane.codes, g, false, host.a.codes);
-    for (std::size_t i = 0; has_nar && i < a.rows * a.k; ++i) {
-      const std::size_t r = i / a.k;
-      if (host.a.codes[i] == spec.nar_code()) host.a_nar[r / kLanes] |= 1u << (r % kLanes);
-    }
-  }
+  a.has_nar = has_nar;
   return a;
 }
 
-void engine_gemm(const ActOperands& a, const PackedPositTensor& w, const PackedPositTensor& bias,
-                 std::size_t cols, AccumMode mode, float* out, std::size_t row_stride,
-                 std::size_t col_stride, const EngineLuts& luts, posit::Quire* quire_pool) {
+void engine_gemm(const ActPlane& a, const PackedPositTensor& w, const PackedPositTensor& bias,
+                 std::size_t cols, AccumMode mode, float* out, const EngineLuts& luts,
+                 posit::Quire* quire_pool) {
   const PositSpec spec = w.spec;
-  const std::size_t rows = a.rows, k = a.k;
-  const OperandBuffers& panel = *a.panel;
-  const bool codes = a.form == OperandForm::kCodes;
-  const bool lanes = a.form == OperandForm::kLanes;
-  const bool qlanes = a.form == OperandForm::kQuireLanes;
-  const std::size_t lane_tiles = (rows + kLanes - 1) / kLanes;
+  const std::size_t rows = a.rows, k = a.k, pixels = a.pixels;
+  if (rows == 0 || cols == 0) return;
+  const OperandForm form = a.form;
+  const bool codes = form == OperandForm::kCodes;
+  const bool lanes = form == OperandForm::kLanes;
+  const bool qlanes = form == OperandForm::kQuireLanes;
+  const bool tiled = lanes || qlanes;
   const float nar_out = static_cast<float>(posit::to_double(spec.nar_code(), spec));
-  // The activation panel is already in operand form; the GEMM parallelizes
-  // over output columns so each packed weight row is unpacked and decoded
-  // once and streamed against every activation row.
+  // Row blocks of whole tiles that fit kPanelBlockBytes (at least one tile).
+  const std::size_t fit = kPanelBlockBytes / (std::max<std::size_t>(k, 1) * operand_bytes(form));
+  const std::size_t block =
+      std::min(std::max(fit / kLanes, std::size_t{1}), (rows + kLanes - 1) / kLanes) * kLanes;
+
+  // Shared by the team: the calling thread's panel block and, when later
+  // blocks read them again, every weight row.
+  const bool keep = rows > block;
+  DecodeScratch& host = tl_scratch;
+  const WeightRows kept = keep ? weight_rows(host, form, cols, k) : WeightRows{};
+  unsigned char* const a_nar = tiled && a.has_nar ? grow(host.a_nar, block) : nullptr;
+  std::uint32_t* const pcodes = codes ? grow(host.a.codes, block * k) : nullptr;
+  Unpacked* const pops = form == OperandForm::kUnpacked ? grow(host.a.ops, block * k) : nullptr;
+  double* const planes = lanes ? grow(host.a.lanes, block * k) : nullptr;
+  std::int64_t* const pquire = qlanes ? grow(host.a.quire, block * k) : nullptr;
+
 #pragma omp parallel
   {
     posit::Quire* quire = mode == AccumMode::kQuire ? &quire_pool[engine_thread_id()] : nullptr;
@@ -193,94 +259,108 @@ void engine_gemm(const ActOperands& a, const PackedPositTensor& w, const PackedP
     // stays unpacked and is packed once per output (posit/accum.hpp).
     posit::RoundedAccum racc(spec);
     DecodeScratch& scratch = tl_scratch;
-    scratch.w.codes.resize(k);
-    if (!codes) scratch.w.ops.resize(k);
-    if (lanes) {
-      scratch.w.lanes.resize(k);
-      scratch.out_lanes.resize(lane_tiles * kLanes);
-    }
-    if (qlanes) {
-      scratch.w.quire.resize(k);
-      scratch.out_codes.resize(lane_tiles * kLanes);
-    }
+    const WeightRows wr = keep ? kept : weight_rows(scratch, form, 1, k);
+    std::uint32_t* const row_codes = codes ? nullptr : grow(scratch.row.codes, k);
+    Unpacked* const row_ops = tiled ? grow(scratch.row.ops, k) : nullptr;
+    double* const sums = tiled ? grow(scratch.out_lanes, block) : nullptr;
+
+    for (std::size_t r0 = 0; r0 < rows; r0 += block) {
+      const std::size_t r1 = std::min(rows, r0 + block), n = r1 - r0;
+      const std::size_t tiles = (n + kLanes - 1) / kLanes;
+#pragma omp single nowait
+      {
+        if (lanes) zero_tail_lanes(planes, n, k);
+        if (qlanes) zero_tail_lanes(pquire, n, k);
+      }
+      switch (form) {
+        case OperandForm::kCodes: gather_rows(a, a.plane->codes, r0, r1, false, pcodes, nullptr); break;
+        case OperandForm::kUnpacked: gather_rows(a, a.plane->ops, r0, r1, false, pops, nullptr); break;
+        case OperandForm::kLanes: gather_rows(a, a.plane->lanes, r0, r1, true, planes, a_nar); break;
+        case OperandForm::kQuireLanes: gather_rows(a, a.plane->quire, r0, r1, true, pquire, a_nar); break;
+      }
+
 #pragma omp for schedule(static)
-    for (std::size_t o = 0; o < cols; ++o) {
-      posit::unpack_codes(w.packed.data(), o * k, k, spec, scratch.w.codes.data());
-      const std::uint32_t* wcodes = scratch.w.codes.data();
-      const Unpacked* wrow = scratch.w.ops.data();
-      if (!codes) posit::decode_unpacked(wcodes, k, spec, scratch.w.ops.data());
-      const std::uint32_t bcode =
-          bias.count != 0 ? posit::unpack_one(bias.packed.data(), o, bias.spec) : 0u;
-      if (lanes) {
-        // Each output as the exact double of its posit, bias added in the
-        // same domain; static_cast<float> of it is the float to_double of
-        // the code would give. NaR in a row, the weight row or the bias
-        // makes the output NaR whatever the order.
-        const Unpacked bu = posit::decode_unpacked(bcode, spec);
-        const double bvalue = posit::simd::lane_value(bu);
-        const bool col_nar = posit::simd::fill_lane_row(wrow, k, scratch.w.lanes.data()) ||
-                             (bias.count != 0 && bu.is_nar());
-        double* const sums = scratch.out_lanes.data();
-        posit::simd::rounded_chains_avx2(panel.lanes.data(), lane_tiles, scratch.w.lanes.data(), k, spec,
-                                         mode == AccumMode::kFma,
-                                         bias.count != 0 ? &bvalue : nullptr, sums);
-        for (std::size_t r = 0; r < rows; ++r) {
-          const bool nar = col_nar || ((a.nar[r / kLanes] >> (r % kLanes)) & 1u) != 0;
-          out[r * row_stride + o * col_stride] = nar ? nar_out : static_cast<float>(sums[r]);
+      for (std::size_t o = 0; o < cols; ++o) {
+        // Weight row o in operand form: wr's row `wo`, unpacked and decoded
+        // by the first block.
+        const std::size_t wo = keep ? o : 0, wk = wo * k;
+        if (r0 == 0) {
+          std::uint32_t* const c = codes ? wr.codes + wk : row_codes;
+          posit::unpack_codes(w.packed.data(), o * k, k, spec, c);
+          if (!codes) posit::decode_unpacked(c, k, spec, wr.ops != nullptr ? wr.ops + wk : row_ops);
+          if (lanes) wr.nar[wo] = posit::simd::fill_lane_row(row_ops, k, wr.lanes + wk);
+          if (qlanes) wr.nar[wo] = posit::simd::fill_quire_row(row_ops, k, spec, wr.quire + wk);
         }
-        continue;
-      }
-      // The exact quire on the lane kernel: every row's dot of this column
-      // at once, rounded once per output. NaR in a row or the weight row
-      // makes the output NaR.
-      const bool qcol_nar =
-          qlanes && posit::simd::fill_quire_row(wrow, k, spec, scratch.w.quire.data());
-      if (qlanes) {
-        posit::simd::quire_lanes_avx2(panel.quire.data(), lane_tiles, scratch.w.quire.data(), k, spec,
-                                      scratch.out_codes.data());
-      }
-      for (std::size_t r = 0; r < rows; ++r) {
-        const Unpacked* arow = codes || qlanes ? nullptr : panel.ops.data() + r * k;
-        const std::uint32_t* acodes = codes ? panel.codes.data() + r * k : nullptr;
-        std::uint32_t acc = 0;
-        switch (mode) {
-          case AccumMode::kQuire:
-            if (qlanes) {
-              const bool nar = qcol_nar || ((a.nar[r / kLanes] >> (r % kLanes)) & 1u) != 0;
-              acc = nar ? spec.nar_code() : scratch.out_codes[r];
-            } else {
+        const std::uint32_t bcode =
+            bias.count != 0 ? posit::unpack_one(bias.packed.data(), o, bias.spec) : 0u;
+        // Row r's output: image r / pixels, plane o, pixel r % pixels.
+        std::size_t img = r0 / pixels, px = r0 % pixels;
+        const auto store = [&](float v) {
+          out[(img * cols + o) * pixels + px] = v;
+          if (++px == pixels) {
+            px = 0;
+            ++img;
+          }
+        };
+        if (tiled) {
+          // Each output as the exact double of its posit, bias added in the
+          // same domain; static_cast<float> of it is the float to_double of
+          // the code would give. NaR in a row, the weight row or the bias
+          // makes the output NaR whatever the order.
+          const Unpacked bu = posit::decode_unpacked(bcode, spec);
+          const double bvalue = posit::simd::lane_value(bu);
+          const double* const bptr = bias.count != 0 ? &bvalue : nullptr;
+          const bool col_nar = wr.nar[wo] != 0 || (bias.count != 0 && bu.is_nar());
+          if (lanes) {
+            posit::simd::rounded_chains_avx2(planes, tiles, wr.lanes + wk, k, spec,
+                                             mode == AccumMode::kFma, bptr, sums);
+          } else {
+            posit::simd::quire_lanes_avx2(pquire, tiles, wr.quire + wk, k, spec, bptr, sums);
+          }
+          for (std::size_t r = 0; r < n; ++r) {
+            const bool nar = col_nar || (a_nar != nullptr && a_nar[r] != 0);
+            store(nar ? nar_out : static_cast<float>(sums[r]));
+          }
+          continue;
+        }
+        const std::uint32_t* const wc = codes ? wr.codes + wk : nullptr;
+        const Unpacked* const wrow = codes ? nullptr : wr.ops + wk;
+        for (std::size_t r = 0; r < n; ++r) {
+          std::uint32_t acc = 0;
+          switch (mode) {
+            case AccumMode::kQuire:
               quire->clear();
-              quire->accumulate_dot(arow, wrow, k);
+              quire->accumulate_dot(pops + r * k, wrow, k);
               acc = quire->to_posit();
-            }
-            break;
-          case AccumMode::kSerial:
-            if (codes) {
-              // Two table reads per term: the multiply and the accumulator
-              // add both come out of L2-resident LUTs.
-              for (std::size_t i = 0; i < k; ++i) {
-                acc = luts.add->at(acc, luts.mul->at(acodes[i], wcodes[i]));
+              break;
+            case AccumMode::kSerial:
+              if (codes) {
+                // Two table reads per term: the multiply and the accumulator
+                // add both come out of L2-resident LUTs.
+                const std::uint32_t* const ac = pcodes + r * k;
+                for (std::size_t i = 0; i < k; ++i) acc = luts.add->at(acc, luts.mul->at(ac[i], wc[i]));
+              } else {
+                racc.clear();
+                racc.serial_dot(pops + r * k, wrow, k);
+                acc = racc.to_posit();
               }
-            } else {
-              racc.clear();
-              racc.serial_dot(arow, wrow, k);
-              acc = racc.to_posit();
-            }
-            break;
-          case AccumMode::kFma:
-            if (codes) {
-              for (std::size_t i = 0; i < k; ++i) acc = luts.fma->at(acodes[i], wcodes[i], acc);
-            } else {
-              racc.clear();
-              racc.fma_dot(arow, wrow, k);
-              acc = racc.to_posit();
-            }
-            break;
+              break;
+            case AccumMode::kFma:
+              if (codes) {
+                const std::uint32_t* const ac = pcodes + r * k;
+                for (std::size_t i = 0; i < k; ++i) acc = luts.fma->at(ac[i], wc[i], acc);
+              } else {
+                racc.clear();
+                racc.fma_dot(pops + r * k, wrow, k);
+                acc = racc.to_posit();
+              }
+              break;
+          }
+          if (bias.count != 0) {
+            acc = luts.add != nullptr ? luts.add->at(acc, bcode) : posit::add(acc, bcode, spec);
+          }
+          store(static_cast<float>(posit::to_double(acc, spec)));
         }
-        if (bias.count != 0) {
-          acc = luts.add != nullptr ? luts.add->at(acc, bcode) : posit::add(acc, bcode, spec);
-        }
-        out[r * row_stride + o * col_stride] = static_cast<float>(posit::to_double(acc, spec));
       }
     }
   }

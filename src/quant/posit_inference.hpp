@@ -12,10 +12,10 @@
 //               the behavior of the paper's Fig. 4 MAC pipeline).
 //
 // Weight panels are stored bit-packed at format width
-// (posit::PackedPositTensor), each weight row decoded once per GEMM as the
-// column loop streams it; activations are encoded and decoded once per
-// element, their im2col patches gathered in the kernel's operand form
-// (quant/engine_gemm.hpp). Per-thread quires are OpenMP-distributed over
+// (posit::PackedPositTensor); a step runs one GEMM over its whole batch,
+// each weight row decoded once per run; activations are encoded and decoded
+// once per element, their im2col patches gathered in the kernel's operand
+// form, a row block at a time (quant/engine_gemm.hpp). Per-thread quires are OpenMP-distributed over
 // output columns; n <= 8 formats dispatch at runtime onto tabulated kernels
 // (MulLut/AddLut for the serial chain and every bias add, the pair-classed
 // FmaLut for the fma chain). Results are bit-identical to the retained

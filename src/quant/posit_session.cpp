@@ -166,8 +166,7 @@ struct PositSession::Impl final : exec::Backend {
 
   const Tensor& run_impl(const Tensor& x) override;
 
-  void exec_linear(const exec::Step& step, StepState& s, const Tensor& in, Tensor& out);
-  void exec_conv(const exec::Step& step, StepState& s, const Tensor& in, Tensor& out);
+  void exec_gemm(const exec::Step& step, StepState& s, const Tensor& in, Tensor& out);
   void exec_bn(StepState& s, const Tensor& in, Tensor& out);
   void exec_gap(StepState& s, const Tensor& in, Tensor& out);
   void exec_join(StepState& s, const Tensor& main, const Tensor& skip, Tensor& out);
@@ -182,6 +181,10 @@ void PositSession::Impl::compile_step(const exec::Step& step, StepState& s) {
   // lowering); ReLU and max pooling resolve a format they never use.
   s.spec = cfg.spec_for(step.name, step.cls);
   s.mode = cfg.mode_for(step.name, step.cls);
+  // BN and the join run on the AVX2 lane kernels where they can; only the
+  // coded step needs the (8,·) tables, and building one costs tens of ms.
+  const bool coded_elementwise =
+      !posit::simd::enabled() || !posit::simd::rounded_lanes_supported(s.spec);
   // GEMMs dispatch LUT kernels and, in kQuire mode, a quire pool.
   const auto resolve_accum = [&] {
     s.luts = detail::resolve_luts(s.spec, s.mode);
@@ -206,9 +209,11 @@ void PositSession::Impl::compile_step(const exec::Step& step, StepState& s) {
       if (step.conv->has_bias()) bind(s.bias, step.conv->bias(), s.spec);
       break;
     case exec::OpKind::kBatchNorm:
-      // The per-element transform is one fma: dispatch its table when the BN
-      // format is small enough, whatever the accumulation mode.
-      if (posit::fma_lut_supported(s.spec, posit::RoundMode::kNearestEven)) {
+      // The per-element transform is one fma: where the lane kernel cannot
+      // run it, dispatch its table when the BN format is small enough,
+      // whatever the accumulation mode. Under a later force_disable the coded
+      // step runs posit::fma itself: the same bits, only slower.
+      if (coded_elementwise && posit::fma_lut_supported(s.spec, posit::RoundMode::kNearestEven)) {
         s.luts.fma = &posit::fma_lut(s.spec, posit::RoundMode::kNearestEven);
       }
       encode_bn(step, s);
@@ -217,7 +222,10 @@ void PositSession::Impl::compile_step(const exec::Step& step, StepState& s) {
       s.arena = arena_for(s.spec);  // the plane sum always runs through a quire
       break;
     case exec::OpKind::kResidualJoin:
-      s.luts.add = detail::resolve_luts(s.spec, s.mode).add;  // one rounded add, any mode
+      // One rounded add, any mode; its table only off the lane kernel, as BN.
+      if (coded_elementwise && posit::add_lut_supported(s.spec, posit::RoundMode::kNearestEven)) {
+        s.luts.add = &posit::add_lut(s.spec, posit::RoundMode::kNearestEven);
+      }
       break;
     case exec::OpKind::kRelu:
     case exec::OpKind::kMaxPool2x2:
@@ -256,8 +264,8 @@ const Tensor& PositSession::Impl::run_impl(const Tensor& x) {
                                                 const Tensor& in, const Tensor* skip, Tensor& out) {
     StepState& s = state[i];
     switch (step.op) {
-      case exec::OpKind::kLinear: exec_linear(step, s, in, out); break;
-      case exec::OpKind::kConv2d: exec_conv(step, s, in, out); break;
+      case exec::OpKind::kLinear:
+      case exec::OpKind::kConv2d: exec_gemm(step, s, in, out); break;
       case exec::OpKind::kBatchNorm: exec_bn(s, in, out); break;
       case exec::OpKind::kRelu: exec::relu_kernel(in, out); break;
       case exec::OpKind::kMaxPool2x2: exec::maxpool2x2_kernel(in, out); break;
@@ -273,29 +281,19 @@ const Tensor& PositSession::Impl::run_impl(const Tensor& x) {
   });
 }
 
-void PositSession::Impl::exec_linear(const exec::Step& step, StepState& s, const Tensor& in,
-                                     Tensor& out) {
-  if (in.shape()[0] == 0) return;
-  // The [n, k] batch is one image whose 1 x k windows are its rows.
-  const tensor::Conv2dGeom rows{1, in.shape()[0], step.in_c, step.out_c, 1, 1, 0, step.in_c};
-  detail::engine_gemm(detail::gather_activation(in.data(), rows, s.spec, s.mode, s.luts, s.input),
-                      s.weight.panel, s.bias.panel, step.out_c, s.mode, out.data(), step.out_c, 1,
-                      s.luts, pool(s));
-}
-
-void PositSession::Impl::exec_conv(const exec::Step& step, StepState& s, const Tensor& in,
+void PositSession::Impl::exec_gemm(const exec::Step& step, StepState& s, const Tensor& in,
                                    Tensor& out) {
-  const tensor::Conv2dGeom geom{step.in_c,   in.shape()[2], in.shape()[3], step.out_c,
-                                step.kernel, step.stride,   step.pad,      step.kernel_w};
-  const std::size_t image = geom.in_c * geom.in_h * geom.in_w;
-  const std::size_t pixels = geom.out_h() * geom.out_w();
-  for (std::size_t n = 0; n < in.shape()[0]; ++n) {
-    const detail::ActOperands a =
-        detail::gather_activation(in.data() + n * image, geom, s.spec, s.mode, s.luts, s.input);
-    // Image n's output plane is [out_c, pixels]: column stride `pixels`.
-    detail::engine_gemm(a, s.weight.panel, s.bias.panel, step.out_c, s.mode,
-                        out.data() + n * step.out_c * pixels, 1, pixels, s.luts, pool(s));
-  }
+  // One GEMM over the whole batch: rows = N * pixels, each weight row
+  // decoded once per run; the output lands as [N, out_c, pixels]. A linear
+  // step's [n, k] batch is n images of k channels under a 1x1 window.
+  const tensor::Conv2dGeom geom =
+      step.op == exec::OpKind::kLinear
+          ? tensor::Conv2dGeom{step.in_c, 1, 1, step.out_c, 1, 1, 0}
+          : tensor::Conv2dGeom{step.in_c,   in.shape()[2], in.shape()[3], step.out_c,
+                               step.kernel, step.stride,   step.pad,      step.kernel_w};
+  detail::engine_gemm(
+      detail::encode_activation(in.data(), in.shape()[0], geom, s.spec, s.mode, s.luts, s.input),
+      s.weight.panel, s.bias.panel, step.out_c, s.mode, out.data(), s.luts, pool(s));
 }
 
 namespace {
@@ -321,7 +319,8 @@ void PositSession::Impl::exec_bn(StepState& s, const Tensor& in, Tensor& out) {
   // scale/mean/shift pre-encoded per channel. The AVX2 lane kernel reads the
   // constants as exact doubles, decoded once per channel here; a channel
   // with a NaR constant, (32, *) and hosts without AVX2 run the coded step
-  // (its table at small n) on every element.
+  // on every element (with its table at small n when compiled off the
+  // lanes).
   const std::size_t n = in.shape()[0], c = in.shape()[1];
   const std::size_t plane = in.shape()[2] * in.shape()[3];
   const bool lanes = posit::simd::enabled() && posit::simd::rounded_lanes_supported(s.spec);
@@ -393,7 +392,8 @@ void PositSession::Impl::exec_join(StepState& s, const Tensor& main, const Tenso
   float* dst = out.data();
   // Join then ReLU, all in the block's format: one rounded add per element
   // in every mode (a quire sum of two terms rounds to the same code), on the
-  // AVX2 lane kernel or as the coded step (its table at small n).
+  // AVX2 lane kernel or as the coded step (with its table at small n when
+  // compiled off the lanes).
   const bool lanes = posit::simd::enabled() && posit::simd::rounded_lanes_supported(s.spec);
   const auto coded = [&](std::size_t i) {
     const std::uint32_t a = posit::from_double(ma[i], s.spec, kEncodeRound);

@@ -1,11 +1,13 @@
 // quire_test.cpp — exact accumulation invariants of the quire, and the
 // AVX2 lane kernel (posit::simd::quire_lanes_avx2, four exact dots per
-// vector in int64 limbs) against Quire::accumulate_dot + to_posit, output
-// by output, at every spec the kernel covers.
+// vector in int64 limbs, rounded in vector registers to exact doubles)
+// against to_double(Quire::accumulate_dot + to_posit), bit for bit, with and
+// without a bias, output by output, at every spec the kernel covers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <random>
 #include <string>
@@ -296,12 +298,20 @@ unsigned quire_tile(const Unpacked* rows, std::size_t nrows, std::size_t k, cons
   return nar;
 }
 
+std::uint64_t bits_of(double v) {
+  std::uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+
 /// The lane kernel over `st` at each of the eight lane positions of two row
-/// tiles. Every other lane holds a different row against the same weight
-/// row — the stream's row negated, reversed, Gaussian or all zero, NaR-free
-/// — so each stream meets different neighbours in every position. Each
-/// tile's NaR mask must flag exactly the rows holding a NaR, and every
-/// other lane must carry the quire's code for its own row.
+/// tiles, without a bias and with a Gaussian one. Every other lane holds a different row against the same
+/// weight row — the stream's row negated, reversed, Gaussian or all zero,
+/// NaR-free — so each stream meets different neighbours in every position.
+/// Each tile's NaR mask must flag exactly the rows holding a NaR, and every
+/// other lane must carry the exact double of the quire's code for its own
+/// row (or of add(code, bias)), bit for bit.
 void check_lanes(const Stream& st, const PositSpec& s) {
   constexpr std::size_t kRows = 2 * simd::kLanes;
   const std::size_t k = st.a.size();
@@ -315,6 +325,8 @@ void check_lanes(const Stream& st, const PositSpec& s) {
   const Codes reversed(clean.rbegin(), clean.rend());
   const Codes gauss = gaussian_row(k, s, rng, 1.0, false);
   const Codes zeros(k, 0u);
+  const std::uint32_t bias = gaussian_row(1, s, rng, 1.0, false)[0];
+  const double bvalue = to_double(bias, s);
   const std::vector<const Codes*> fillers = {&negated, &reversed, &gauss, &zeros};
   std::map<const Codes*, std::uint32_t> want;
   want[&st.a] = quire_code(st.a, st.w, s);
@@ -335,16 +347,21 @@ void check_lanes(const Stream& st, const PositSpec& s) {
     const unsigned nar =
         quire_tile(ops.data(), simd::kLanes, k, s, tiles.data()) |
         quire_tile(ops.data() + tile, simd::kLanes, k, s, tiles.data() + tile) << simd::kLanes;
-    std::uint32_t got[kRows];
-    simd::quire_lanes_avx2(tiles.data(), 2, w.data(), k, s, got);
-    for (std::size_t r = 0; r < kRows; ++r) {
-      const bool row_nar = holds_nar(*rows[r], s);
-      EXPECT_EQ(((nar >> r) & 1u) != 0, row_nar) << s.to_string() << " " << st.name << " row " << r;
-      if (row_nar) continue;
-      if (got[r] != want[rows[r]]) {
-        ADD_FAILURE() << s.to_string() << " " << st.name << " k " << k << " lane pos " << pos
-                      << " row " << r << ": got " << got[r] << " want " << want[rows[r]];
-        return;
+    for (const bool biased : {false, true}) {
+      double got[kRows];
+      simd::quire_lanes_avx2(tiles.data(), 2, w.data(), k, s, biased ? &bvalue : nullptr, got);
+      for (std::size_t r = 0; r < kRows; ++r) {
+        const bool row_nar = holds_nar(*rows[r], s);
+        EXPECT_EQ(((nar >> r) & 1u) != 0, row_nar) << s.to_string() << " " << st.name << " row " << r;
+        if (row_nar) continue;
+        const std::uint32_t code = want[rows[r]];
+        const double expect = to_double(biased ? add(code, bias, s) : code, s);
+        if (bits_of(got[r]) != bits_of(expect)) {
+          ADD_FAILURE() << s.to_string() << " " << st.name << " k " << k << " lane pos " << pos
+                        << " row " << r << (biased ? " with bias " : "") << ": got " << got[r]
+                        << " want " << expect << " (code " << code << ")";
+          return;
+        }
       }
     }
   }
@@ -544,6 +561,150 @@ TEST(QuireLanes, ExactTiesRoundToTheEvenCode) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// The kernel's rounding epilogue: sign and magnitude across the limbs, the
+// two highest chunks plus a sticky bit, the tie rule, the saturation bands
+// ---------------------------------------------------------------------------
+
+/// Codes x, y of two powers of two with x * y == 2^e exactly, or false when
+/// no split of 2^e into two posit powers of two exists.
+bool pow2_product(int e, const PositSpec& s, std::uint32_t* x, std::uint32_t* y) {
+  const auto exact = [&](int p, std::uint32_t* code) {
+    if (p < s.min_scale() || p > s.max_scale()) return false;
+    *code = from_double(std::ldexp(1.0, p), s);
+    return to_double(*code, s) == std::ldexp(1.0, p);
+  };
+  for (int p = s.min_scale(); p <= s.max_scale(); ++p) {
+    if (exact(p, x) && exact(e - p, y)) return true;
+  }
+  return false;
+}
+
+TEST(QuireLanes, TiesBrokenAtEveryBitBelowTheRoundingBit) {
+  // c + ulp(c) / 2 is an exact tie; a term of 2^(2 min_scale + b) more or
+  // less breaks it, up to c + 1 or down to c, for every bit b below the
+  // rounding bit. Where b falls into the low chunk the kernel keeps, its
+  // bits decide; further down only the sticky bit carries the term. Codes c
+  // spread over the scales put the sum's top chunk in every limb.
+  REQUIRE_QUIRE_LANES();
+  for (const PositSpec& s : lane_specs()) {
+    const std::uint32_t one = from_double(1.0, s);
+    const int unit = 2 * s.min_scale();
+    int by_low_chunk = 0, by_sticky = 0;
+    const std::uint32_t step = std::max<std::uint32_t>(1, s.maxpos_code() / 40);
+    for (std::uint32_t c = 1; c < s.maxpos_code(); c += step) {
+      const Decoded d = decode(c, s);
+      if (d.frac_width < 1) continue;
+      const int half_bit = d.scale - d.frac_width - 1 - unit;  // ulp(c) / 2, in units
+      std::uint32_t hx, hy;
+      if (!pow2_product(half_bit + unit, s, &hx, &hy)) continue;
+      const Stream tie{"tie", {c, hx}, {one, hy}};
+      const std::uint32_t even = (c & 1u) == 0 ? c : c + 1;
+      ASSERT_EQ(quire_code(tie.a, tie.w, s), even) << s.to_string() << " code " << c;
+      check_lanes(tie, s);
+      const int top_chunk = (d.scale - unit) / 32;
+      for (int b = 0; b < half_bit; ++b) {
+        std::uint32_t bx, by;
+        if (!pow2_product(b + unit, s, &bx, &by)) continue;
+        for (const bool up : {true, false}) {
+          const Stream near{up ? "tie + 2^b" : "tie - 2^b", {c, hx, bx},
+                            {one, hy, up ? by : neg(by, s)}};
+          ASSERT_EQ(quire_code(near.a, near.w, s), up ? c + 1 : c)
+              << s.to_string() << " code " << c << " b " << b;
+          check_lanes(near, s);
+        }
+        ++(b / 32 + 1 >= top_chunk ? by_low_chunk : by_sticky);
+      }
+    }
+    EXPECT_GE(by_low_chunk, 1) << s.to_string();
+    // Only (16,1) has codes with fraction bits whose top bit reaches chunk
+    // 2, above a whole chunk of sticky bits.
+    if (s == PositSpec{16, 1}) {
+      EXPECT_GE(by_sticky, 1) << s.to_string() << ": no tie reached the sticky bit";
+    }
+  }
+}
+
+TEST(QuireLanes, SumsAroundMaxposSaturate) {
+  // Around maxpos the posit grid thins out (truncated exponent bits) and
+  // past it every sum saturates: the halfway point of the last two codes,
+  // a minpos^2 either side of it, maxpos plus a little and twice maxpos,
+  // both signs, must round as the quire does.
+  REQUIRE_QUIRE_LANES();
+  for (const PositSpec& s : lane_specs()) {
+    const std::uint32_t one = from_double(1.0, s), half = from_double(0.5, s);
+    const std::uint32_t big = s.maxpos_code(), prev = big - 1, tiny = s.minpos_code();
+    ASSERT_EQ(to_double(half, s), 0.5);
+    for (const std::uint32_t sign : {one, neg(one, s)}) {
+      const std::uint32_t hs = sign == one ? half : neg(half, s);
+      check_lanes({"halfway below maxpos", {big, prev}, {hs, hs}}, s);
+      check_lanes({"halfway + minpos^2", {big, prev, tiny}, {hs, hs, sign == one ? tiny : neg(tiny, s)}},
+                  s);
+      check_lanes({"halfway - minpos^2", {big, prev, tiny}, {hs, hs, sign == one ? neg(tiny, s) : tiny}},
+                  s);
+      check_lanes({"maxpos + minpos^2", {big, tiny}, {sign, sign == one ? tiny : neg(tiny, s)}}, s);
+      check_lanes({"maxpos + prev", {big, prev}, {sign, sign}}, s);
+      check_lanes({"twice maxpos", {big, big}, {sign, sign}}, s);
+      const std::uint32_t twice = quire_code({big, big}, {sign, sign}, s);
+      EXPECT_EQ(twice, sign == one ? big : neg(big, s)) << s.to_string();
+    }
+  }
+}
+
+TEST(QuireLanes, SumsBelowMinposRoundToMinposNotZero) {
+  // A non-zero sum never rounds to zero: minpos^2, a few of them, and
+  // minpos / 2 (halfway to zero) round to +-minpos, the sign kept.
+  REQUIRE_QUIRE_LANES();
+  for (const PositSpec& s : lane_specs()) {
+    const std::uint32_t tiny = s.minpos_code(), half = from_double(0.5, s);
+    for (const bool negative : {false, true}) {
+      const std::uint32_t t = negative ? neg(tiny, s) : tiny;
+      const std::uint32_t want = negative ? neg(tiny, s) : tiny;
+      const std::vector<Stream> streams = {
+          {"minpos^2", {tiny}, {t}},
+          {"5 minpos^2", Codes(5, tiny), Codes(5, t)},
+          {"minpos / 2", {half}, {t}},
+          {"minpos / 2 + minpos^2", {half, tiny}, {t, t}},
+      };
+      for (const Stream& st : streams) {
+        EXPECT_EQ(quire_code(st.a, st.w, s), want) << s.to_string() << " " << st.name;
+        check_lanes(st, s);
+      }
+    }
+  }
+}
+
+TEST(QuireLanes, NegativeSumsBorrowAcrossEveryLimb) {
+  // -2^(32 j) + 1 and -1 in units of minpos^2: a negative sum whose
+  // magnitude is all ones over every chunk below 32 j, so negating it
+  // borrows across every limb; -2^(32 j) - 1 and -2^(32 j) beside them,
+  // and the positive mirror images, at every chunk boundary a product
+  // reaches.
+  REQUIRE_QUIRE_LANES();
+  for (const PositSpec& s : lane_specs()) {
+    const int unit = 2 * s.min_scale();
+    const std::uint32_t tiny = s.minpos_code();
+    int boundaries = 0;
+    check_lanes({"-1 unit", {tiny}, {neg(tiny, s)}}, s);
+    for (int j = 1; 32 * j <= 2 * (s.max_scale() - s.min_scale()); ++j) {
+      std::uint32_t x, y;
+      if (!pow2_product(32 * j + unit, s, &x, &y)) continue;
+      ++boundaries;
+      for (const bool negative : {true, false}) {
+        const std::uint32_t ny = negative ? neg(y, s) : y;
+        const std::uint32_t t = negative ? tiny : neg(tiny, s);
+        check_lanes({"-+2^(32 j) +- 1", {x, tiny}, {ny, t}}, s);
+        check_lanes({"-+2^(32 j) -+ 1", {x, tiny}, {ny, neg(t, s)}}, s);
+        check_lanes({"-+2^(32 j)", {x}, {ny}}, s);
+        const std::uint32_t code = quire_code({x, tiny}, {ny, t}, s);
+        EXPECT_EQ((code & s.sign_bit()) != 0, negative) << s.to_string() << " j " << j;
+      }
+    }
+    // One limb ((5,1), (8,0)) has no boundary between limbs to borrow across.
+    EXPECT_EQ(boundaries >= 1, simd::quire_lane_limbs(s) >= 2) << s.to_string();
+  }
+}
+
 TEST(QuireLanes, CarryPassBoundariesMatchTheQuire) {
   // k = F - 1, F, F + 1 (F = terms between carry passes), 2F + 1 and
   // 4F + 1, with
@@ -643,14 +804,15 @@ TEST(QuireLanes, RaggedLastTileHasZeroLanes) {
       EXPECT_EQ(quire_tile(ops.data() + simd::kLanes * k, rows - simd::kLanes, k, s,
                            tiles.data() + simd::kLanes * k),
                 0u);
-      std::uint32_t two[2 * simd::kLanes], one[simd::kLanes];
-      simd::quire_lanes_avx2(tiles.data(), 2, wl.data(), k, s, two);
-      simd::quire_lanes_avx2(tiles.data() + simd::kLanes * k, 1, wl.data(), k, s, one);
+      double two[2 * simd::kLanes], one[simd::kLanes];
+      simd::quire_lanes_avx2(tiles.data(), 2, wl.data(), k, s, nullptr, two);
+      simd::quire_lanes_avx2(tiles.data() + simd::kLanes * k, 1, wl.data(), k, s, nullptr, one);
       for (std::size_t r = 0; r < 2 * simd::kLanes; ++r) {
-        const std::uint32_t want = r < rows ? quire_code(a[r], w, s) : 0u;
-        EXPECT_EQ(two[r], want) << s.to_string() << " rows " << rows << " row " << r;
+        const double want = to_double(r < rows ? quire_code(a[r], w, s) : 0u, s);
+        EXPECT_EQ(bits_of(two[r]), bits_of(want)) << s.to_string() << " rows " << rows << " row " << r;
         if (r >= simd::kLanes) {
-          EXPECT_EQ(one[r - simd::kLanes], want) << s.to_string() << " one tile, row " << r;
+          EXPECT_EQ(bits_of(one[r - simd::kLanes]), bits_of(want))
+              << s.to_string() << " one tile, row " << r;
         }
       }
     }

@@ -3,7 +3,9 @@
 // spec x mode grid, a hand-rolled scalar walk of a ResNet (residual joins
 // included), the AVX2 element-wise BN/join kernels against the coded steps
 // (non-finite inputs and NaR constants included), compile-once/run-many
-// weight-mutation invalidation, thread-count invariance,
+// weight-mutation invalidation, whole-batch GEMMs against solo runs
+// (ragged planes, multi-block panels, a NaN in one image), thread-count
+// invariance,
 // zero-heap-allocation steady state, per-layer precision
 // overrides, and the empty/degenerate edge cases.
 #include <gtest/gtest.h>
@@ -11,6 +13,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -426,6 +429,104 @@ TEST(PositSession, BatchShapeMayVaryBetweenRuns) {
 }
 
 // ---------------------------------------------------------------------------
+// Whole-batch GEMMs: one GEMM per step over N * pixels patch rows
+// ---------------------------------------------------------------------------
+
+/// Whether the whole-batch run of `x` equals running its images one at a
+/// time, image by image, bit for bit; `label` names the case on failure.
+void expect_batch_matches_solo(PositSession& session, const Tensor& x, const std::string& label) {
+  const Tensor batched = session.run(x);  // copy: the solo runs reuse the arena
+  ASSERT_EQ(batched.shape()[0], x.shape()[0]) << label;
+  const std::size_t per_image = batched.numel() / x.shape()[0];
+  Tensor one;
+  for (std::size_t i = 0; i < x.shape()[0]; ++i) {
+    tensor::extract_span(x, i, 1, one);
+    const Tensor& solo = session.run(one);
+    ASSERT_EQ(solo.numel(), per_image) << label;
+    EXPECT_EQ(std::memcmp(solo.data(), batched.data() + i * per_image, per_image * sizeof(float)),
+              0)
+        << label << " image " << i;
+  }
+}
+
+/// One wide conv (k = 64 * 9 = 576) on 12x12 planes: 144 pixels an image,
+/// so three or more images fill more than one L2-sized row block of the
+/// batch's panel, and the blocks end mid-image.
+std::unique_ptr<nn::Sequential> wide_conv(Rng& rng) {
+  auto net = std::make_unique<nn::Sequential>("wide");
+  net->add(std::make_unique<nn::Conv2d>("conv", 64, 4, 3, 1, 1, rng, true));
+  return net;
+}
+
+TEST(PositSession, WholeBatchRunsMatchSoloRunsOnRaggedPlanes) {
+  // ResNet-8 at 9x9: conv planes of 81, 25 and 9 pixels, none a multiple
+  // of four, so lane tiles straddle two images; the wide conv runs several
+  // row blocks. Batches of 1, 3 and 8 must give every image the bits of its
+  // solo run, with the AVX2 kernels on and forced off, in every mode.
+  Rng rng(173);
+  auto resnet = small_resnet8(rng);
+  auto wide = wide_conv(rng);
+  const Tensor x8 = Tensor::randn({8, 3, 9, 9}, rng);
+  const Tensor w8 = Tensor::randn({8, 64, 12, 12}, rng);
+  Tensor x, w;
+  for (const bool scalar : {false, true}) {
+    posit::simd::force_disable(scalar);
+    for (const PositSpec spec : {PositSpec{8, 1}, PositSpec{16, 1}}) {
+      for (const AccumMode mode : mode_grid()) {
+        const OracleFormats f{spec, spec, spec, mode};
+        PositSession rs = PositSession::compile(*resnet, config_for(f));
+        PositSession ws = PositSession::compile(*wide, config_for(f));
+        for (const std::size_t batch : {1u, 3u, 8u}) {
+          const std::string label = spec.to_string() + " mode " +
+                                    std::to_string(static_cast<int>(mode)) + " batch " +
+                                    std::to_string(batch) + (scalar ? " scalar" : "");
+          tensor::extract_span(x8, 0, batch, x);
+          tensor::extract_span(w8, 0, batch, w);
+          expect_batch_matches_solo(rs, x, "resnet " + label);
+          expect_batch_matches_solo(ws, w, "wide conv " + label);
+        }
+        tensor::extract_span(x8, 0, 3, x);
+        EXPECT_TRUE(bit_identical(rs.run(x), oracle_forward(*resnet, x, f))) << spec.to_string();
+      }
+    }
+    posit::simd::force_disable(false);
+  }
+}
+
+TEST(PositSession, WholeBatchNarInOneImageStaysInThatImage) {
+  // A NaN pixel in image 1 of 3 poisons its own conv windows (NaR -> NaN)
+  // and nothing of images 0 and 2, although tiles and row blocks mix rows
+  // of all three: each image keeps the bits of its solo run.
+  Rng rng(179);
+  auto resnet = small_resnet8(rng);
+  auto wide = wide_conv(rng);
+  Tensor x = Tensor::randn({3, 3, 9, 9}, rng);
+  Tensor w = Tensor::randn({3, 64, 12, 12}, rng);
+  x.at(1, 2, 4, 4) = std::numeric_limits<float>::quiet_NaN();
+  w.at(1, 10, 0, 11) = std::numeric_limits<float>::quiet_NaN();
+  for (const bool scalar : {false, true}) {
+    posit::simd::force_disable(scalar);
+    for (const AccumMode mode : mode_grid()) {
+      const OracleFormats f{{16, 1}, {16, 1}, {16, 1}, mode};
+      PositSession rs = PositSession::compile(*resnet, config_for(f));
+      PositSession ws = PositSession::compile(*wide, config_for(f));
+      const std::string label = "mode " + std::to_string(static_cast<int>(mode)) +
+                                (scalar ? " scalar" : "");
+      expect_batch_matches_solo(rs, x, "resnet " + label);
+      expect_batch_matches_solo(ws, w, "wide conv " + label);
+      const Tensor& y = ws.run(w);
+      const std::size_t per_image = y.numel() / 3;
+      std::size_t nans[3] = {};
+      for (std::size_t i = 0; i < y.numel(); ++i) nans[i / per_image] += std::isnan(y[i]) ? 1 : 0;
+      EXPECT_EQ(nans[0], 0u) << label;
+      EXPECT_GT(nans[1], 0u) << label;
+      EXPECT_EQ(nans[2], 0u) << label;
+    }
+    posit::simd::force_disable(false);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Threading
 // ---------------------------------------------------------------------------
 
@@ -528,14 +629,15 @@ TEST(PositSession, SteadyStateRunPerformsZeroHeapAllocations) {
 }
 
 TEST(PositSession, EngineScratchCountsTheLaneKernelTiles) {
-  // The lane kernels' tiles are thread-local scratch: run one layer on a
-  // fresh thread (empty scratch) with the kernel on and forced off, and
-  // the difference engine_scratch_bytes() reports is exactly the tiles —
-  // 5 rows pad to two 4-row tiles of k = 40 operands (doubles for the fma
-  // chain, int64 for the exact quire), gathered straight from the input
-  // plane, one NaR mask per tile, the weight row as operands, and one output
-  // (a double, or a posit code) per padded row — less the gathered Unpacked
-  // panel the scalar path reads instead of the tiles.
+  // The engine's scratch is thread-local: run one layer on a fresh thread
+  // (empty scratch) with the lane kernel on and forced off and count it.
+  // 5 rows pad to one block of two 4-row tiles of k = 40 operands (doubles
+  // for the fma chain, int64 for the exact quire; Unpacked off the kernel),
+  // gathered straight from the input plane. One block reads each weight
+  // row once, so the thread keeps one row in operand form (and, on the
+  // kernel, its NaR flag), staged through one row of codes (and of
+  // Unpacked for the lane forms); on the kernel, one double output per
+  // block row. No NaR in the input: no row flags.
   if (!posit::simd::available()) GTEST_SKIP() << "no AVX2 lane kernel on this host";
   Rng rng(157);
   auto net = nn::mlp(40, 6, 6, 0, rng);
@@ -558,14 +660,16 @@ TEST(PositSession, EngineScratchCountsTheLaneKernelTiles) {
       }).join();
       return bytes;
     };
-    const bool fma = mode == AccumMode::kFma;
-    const std::size_t operand = fma ? sizeof(double) : sizeof(std::int64_t);
-    const std::size_t output = fma ? sizeof(double) : sizeof(std::uint32_t);
-    const std::size_t tiles = 2 * posit::simd::kLanes * 40 * operand + 2 * sizeof(unsigned);
-    const std::size_t column = 40 * operand + 2 * posit::simd::kLanes * output;
-    const std::size_t panel = 5 * 40 * sizeof(posit::Unpacked);
-    EXPECT_EQ(scratch_after_run(false) + panel - scratch_after_run(true), tiles + column)
+    static_assert(sizeof(double) == sizeof(std::int64_t), "both lane operands are 8 bytes");
+    const std::size_t rows = 2 * posit::simd::kLanes, k = 40;
+    const std::size_t tiles = rows * k * sizeof(double);
+    const std::size_t weight = k * sizeof(double) + 1;
+    const std::size_t staging = k * (sizeof(std::uint32_t) + sizeof(posit::Unpacked));
+    const std::size_t outputs = rows * sizeof(double);
+    EXPECT_EQ(scratch_after_run(false), tiles + weight + staging + outputs)
         << "mode " << static_cast<int>(mode);
+    const std::size_t scalar = (rows + 1) * k * sizeof(posit::Unpacked) + k * sizeof(std::uint32_t);
+    EXPECT_EQ(scratch_after_run(true), scalar) << "mode " << static_cast<int>(mode);
   }
 }
 
