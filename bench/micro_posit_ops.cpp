@@ -9,6 +9,7 @@
 #include "posit/quire.hpp"
 #include "posit/simd.hpp"
 #include "posit/unpacked.hpp"
+#include "quant/engine_gemm.hpp"
 #include "quant/posit_transform.hpp"
 #include "tensor/random.hpp"
 #include "tensor/tensor.hpp"
@@ -397,6 +398,110 @@ BENCHMARK(BM_BatchNormSpan)->Apply(elementwise_args);
 
 void BM_ResidualJoinSpan(benchmark::State& state) { elementwise_span<true>(state); }
 BENCHMARK(BM_ResidualJoinSpan)->Apply(elementwise_args);
+
+/// An activation plane of perfbench's ResNet-8 (base 8, 16x16 images,
+/// batch 8) as its conv step sees it: geometry, and ReLU'd N(0,1) floats.
+struct Plane {
+  tensor::Conv2dGeom geom;
+  std::vector<float> x;
+};
+
+constexpr std::size_t kPlaneBatch = 8;
+
+/// The distinct conv inputs of that ResNet-8, by gather shape: conv1,
+/// stage1, stage2 (3x3 stride 2, 3x3, 1x1 stride-2 down), stage3 (same).
+const tensor::Conv2dGeom kResNet8Convs[] = {
+    {3, 16, 16, 8, 3, 1, 1},  {8, 16, 16, 8, 3, 1, 1},  {8, 16, 16, 16, 3, 2, 1},
+    {16, 8, 8, 16, 3, 1, 1},  {8, 16, 16, 16, 1, 2, 0}, {16, 8, 8, 32, 3, 2, 1},
+    {32, 4, 4, 32, 3, 1, 1},  {16, 8, 8, 32, 1, 2, 0},
+};
+
+Plane resnet8_plane(std::size_t shape) {
+  Plane p{kResNet8Convs[shape], {}};
+  tensor::Rng rng(31);
+  p.x.resize(kPlaneBatch * p.geom.in_c * p.geom.in_h * p.geom.in_w);
+  for (auto& v : p.x) v = std::max(0.0f, static_cast<float>(rng.normal()));
+  return p;
+}
+
+/// The session's operand form for (mode, simd) at (16,1): kQuire reads
+/// int64 quire lanes (simd:1) or Unpacked (simd:0), kFma lane doubles or
+/// Unpacked; (8,1) kFma reads codes (its fma table) either way.
+struct FormCase {
+  posit::PositSpec spec;
+  quant::AccumMode mode;
+};
+
+const FormCase kFormCases[] = {
+    {{16, 1}, quant::AccumMode::kQuire},
+    {{16, 1}, quant::AccumMode::kFma},
+    {{8, 1}, quant::AccumMode::kFma},
+};
+
+/// quant::detail::encode_activation, one conv step's whole-batch input
+/// plane per iteration on the calling thread: /simd:1 the AVX2 lane encode
+/// (posit::simd::encode_lanes_avx2 / encode_quire_lanes_avx2), /simd:0 the
+/// coded encode (from_double, then decode_unpacked). items/s counts input
+/// elements.
+void BM_EncodeActivation(benchmark::State& state) {
+  const FormCase& fc = kFormCases[state.range(0)];
+  const bool lanes = state.range(1) != 0;
+  if (lanes && !posit::simd::available()) {
+    state.SkipWithError("AVX2 unavailable");
+    return;
+  }
+  const Plane p = resnet8_plane(static_cast<std::size_t>(state.range(2)));
+  const quant::detail::EngineLuts luts = quant::detail::resolve_luts(fc.spec, fc.mode);
+  quant::detail::OperandBuffers plane;
+  posit::simd::force_disable(!lanes);
+  for (auto _ : state) {
+    const auto a = quant::detail::encode_activation(p.x.data(), kPlaneBatch, p.geom, fc.spec,
+                                                    fc.mode, luts, plane);
+    benchmark::DoNotOptimize(a.plane);
+    benchmark::ClobberMemory();
+  }
+  posit::simd::force_disable(false);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(p.x.size()));
+}
+BENCHMARK(BM_EncodeActivation)
+    ->ArgNames({"form", "simd", "shape"})
+    ->ArgsProduct({{0, 1, 2}, {0, 1}, {0, 1, 3, 6}});
+
+/// quant::detail::gather_panel over a whole conv step's patch panel (every
+/// row of the batch at once), per distinct ResNet-8 gather shape: /simd:1
+/// the kQuireLanes tiles of (16,1) kQuire, /simd:0 its Unpacked rows; both
+/// move 8-byte operands. ns/term is per gathered patch term.
+void BM_GatherPanel(benchmark::State& state) {
+  const bool lanes = state.range(0) != 0;
+  if (lanes && !posit::simd::available()) {
+    state.SkipWithError("AVX2 unavailable");
+    return;
+  }
+  const FormCase& fc = kFormCases[0];
+  const Plane p = resnet8_plane(static_cast<std::size_t>(state.range(1)));
+  quant::detail::OperandBuffers plane, block;
+  posit::simd::force_disable(!lanes);
+  const auto a = quant::detail::encode_activation(p.x.data(), kPlaneBatch, p.geom, fc.spec,
+                                                  fc.mode, {}, plane);
+  posit::simd::force_disable(false);
+  const std::size_t padded = (a.rows + posit::simd::kLanes - 1) / posit::simd::kLanes *
+                             posit::simd::kLanes;
+  block.ops.resize(padded * a.k);
+  block.quire.resize(padded * a.k);
+  for (auto _ : state) {
+    quant::detail::gather_panel(a, 0, a.rows, block, nullptr);
+    benchmark::DoNotOptimize(block.quire.data());
+    benchmark::DoNotOptimize(block.ops.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["ns/term"] = benchmark::Counter(
+      static_cast<double>(a.rows * a.k) * 1e-9,
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_GatherPanel)
+    ->ArgNames({"simd", "shape"})
+    ->ArgsProduct({{0, 1}, {0, 1, 2, 3, 4, 5, 6, 7}});
 
 }  // namespace
 

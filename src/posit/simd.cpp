@@ -516,6 +516,106 @@ __attribute__((target("avx2"), aligned(64))) std::size_t residual_join_lanes_avx
 
 namespace {
 
+/// What quire_operands needs of the spec: the fraction and hidden-bit masks
+/// of a double and 1075 + min_scale, so that biased exponent - 1075 is the
+/// weight of the significand's last bit.
+struct QuireEncode {
+  __m256i frac_mask, hidden, abs_mask, bias, lo32;
+
+  __attribute__((target("avx2"))) explicit QuireEncode(const PositSpec& s)
+      : frac_mask(_mm256_set1_epi64x((1ll << 52) - 1)),
+        hidden(_mm256_set1_epi64x(1ll << 52)),
+        abs_mask(_mm256_set1_epi64x(0x7FFFFFFFFFFFFFFFll)),
+        bias(_mm256_set1_epi64x(1075 + s.min_scale())),
+        lo32(_mm256_set1_epi64x(0xFFFFFFFFll)) {}
+};
+
+/// quire_lane_operand of four exact posit doubles: the double's 53-bit
+/// significand with its trailing zeros shifted out is Unpacked's odd sig,
+/// and its last bit's weight plus that shift is lsb_weight. The trailing
+/// zeros are the exponent of the lowest set fraction bit as an exact double
+/// (2^52 magic: the bit sits below 2^52), or 52 when no fraction bit is set.
+/// Zero lanes give 0.
+__attribute__((target("avx2"), always_inline)) inline __m256i quire_operands(__m256d v,
+                                                                           const QuireEncode& q) {
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i bits = _mm256_castpd_si256(v);
+  const __m256i frac = _mm256_and_si256(bits, q.frac_mask);
+  const __m256i lowest = _mm256_and_si256(frac, _mm256_sub_epi64(zero, frac));
+  const __m256i magic_bits = _mm256_set1_epi64x(0x4330000000000000ll);  // 2^52
+  const __m256i lowest_d = _mm256_castpd_si256(
+      _mm256_sub_pd(_mm256_castsi256_pd(_mm256_or_si256(lowest, magic_bits)),
+                    _mm256_castsi256_pd(magic_bits)));
+  const __m256i lowest_exp = _mm256_srli_epi64(lowest_d, 52);
+  const __m256i tz = _mm256_blendv_epi8(_mm256_sub_epi64(lowest_exp, _mm256_set1_epi64x(1023)),
+                                        _mm256_set1_epi64x(52), _mm256_cmpeq_epi64(frac, zero));
+  const __m256i sig = _mm256_srlv_epi64(_mm256_or_si256(frac, q.hidden), tz);
+  const __m256i mag = _mm256_and_si256(bits, q.abs_mask);
+  const __m256i offset = _mm256_sub_epi64(_mm256_add_epi64(_mm256_srli_epi64(mag, 52), tz), q.bias);
+  const __m256i negm = _mm256_cmpgt_epi64(zero, bits);
+  const __m256i signed_sig =
+      _mm256_and_si256(_mm256_sub_epi64(_mm256_xor_si256(sig, negm), negm), q.lo32);
+  return _mm256_andnot_si256(_mm256_cmpeq_epi64(mag, zero),
+                             _mm256_or_si256(_mm256_slli_epi64(offset, 32), signed_sig));
+}
+
+__attribute__((target("avx2"), always_inline)) inline void store_encoded(__m256d v, double* out,
+                                                                        const QuireEncode&) {
+  _mm256_storeu_pd(out, v);
+}
+
+__attribute__((target("avx2"), always_inline)) inline void store_encoded(__m256d v,
+                                                                        std::int64_t* out,
+                                                                        const QuireEncode& q) {
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(out), quire_operands(v, q));
+}
+
+/// The encode both lane forms share: round(0 + x) per four floats, stored
+/// as the lane form. A row's ragged tail runs as one group padded with
+/// zeros. False at the first group holding a NaN or +-Inf.
+template <class T>
+__attribute__((target("avx2"), always_inline)) inline bool encode_rows(
+    const float* x, std::size_t rows, std::size_t width, const PositSpec& spec, T* out,
+    std::size_t out_stride) {
+  const LaneFormat f(spec);
+  const QuireEncode q(spec);
+  const __m256d zero = _mm256_setzero_pd();
+  const std::size_t tail = width % kLanes, body = width - tail;
+  for (std::size_t r = 0; r < rows; ++r, x += width, out += out_stride) {
+    for (std::size_t i = 0; i < body; i += kLanes) {
+      const __m128 xv = _mm_loadu_ps(x + i);
+      if (any_nonfinite(xv)) return false;
+      store_encoded(add_round(zero, _mm256_cvtps_pd(xv), f), out + i, q);
+    }
+    if (tail != 0) {
+      alignas(16) float xs[kLanes] = {};
+      alignas(32) T ys[kLanes];
+      std::memcpy(xs, x + body, tail * sizeof(float));
+      const __m128 xv = _mm_load_ps(xs);
+      if (any_nonfinite(xv)) return false;
+      store_encoded(add_round(zero, _mm256_cvtps_pd(xv), f), ys, q);
+      std::memcpy(out + body, ys, tail * sizeof(T));
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+__attribute__((target("avx2"), aligned(64))) bool encode_lanes_avx2(
+    const float* x, std::size_t rows, std::size_t width, const PositSpec& spec, double* out,
+    std::size_t out_stride) {
+  return encode_rows(x, rows, width, spec, out, out_stride);
+}
+
+__attribute__((target("avx2"), aligned(64))) bool encode_quire_lanes_avx2(
+    const float* x, std::size_t rows, std::size_t width, const PositSpec& spec, std::int64_t* out,
+    std::size_t out_stride) {
+  return encode_rows(x, rows, width, spec, out, out_stride);
+}
+
+namespace {
+
 /// Arithmetic shift right by 32 of each int64 lane (AVX2 has no srai_epi64):
 /// the high dword moves down, its sign fills the high dword.
 __attribute__((target("avx2"), always_inline)) inline __m256i srai64_32(__m256i x) {
@@ -721,6 +821,16 @@ std::size_t batchnorm_lanes_avx2(const float*, std::size_t, const PositSpec&, do
 std::size_t residual_join_lanes_avx2(const float*, const float*, std::size_t, const PositSpec&,
                                      float*) {
   return 0;
+}
+
+bool encode_lanes_avx2(const float*, std::size_t, std::size_t, const PositSpec&, double*,
+                       std::size_t) {
+  return false;
+}
+
+bool encode_quire_lanes_avx2(const float*, std::size_t, std::size_t, const PositSpec&,
+                             std::int64_t*, std::size_t) {
+  return false;
 }
 
 void quire_lanes_avx2(const std::int64_t*, std::size_t, const std::int64_t*, std::size_t,

@@ -1,6 +1,6 @@
 // simd.hpp — runtime-dispatched AVX2 kernels for the posit engine hot path.
 //
-// Five kernels live behind the dispatcher, each bit-identical to its scalar
+// Six kernels live behind the dispatcher, each bit-identical to its scalar
 // reference by construction (and pinned by the oracle tests in
 // tests/posit/pack_codec_test.cpp, tests/posit/accum_test.cpp,
 // tests/posit/quire_test.cpp and tests/posit/elementwise_test.cpp):
@@ -46,6 +46,14 @@
 //     each step rounds once as above. The join is round(round(a) + round(b))
 //     clamped at +0. A group of four holding a NaN or +-Inf, and the ragged
 //     tail, stop the kernel; the caller runs the coded step on them.
+//   * encode_lanes_avx2 / encode_quire_lanes_avx2 — the engine's activation
+//     encode straight into the lane kernels' operand forms: round(0 + x),
+//     BN's encode, gives the exact posit double (lane_value of
+//     from_double's code) four floats per __m256d; for the exact quire the
+//     double's significand, its trailing zeros shifted out, and its last
+//     bit's weight become quire_lane_operand's int64. No code or Unpacked
+//     is produced. A group holding a NaN or +-Inf (the only source of NaR)
+//     stops the kernel; the caller re-runs the coded encode.
 //   * quire_lanes_avx2 — the exact quire (Deep Positron's EMAC) for four
 //     outputs per __m256i, one output per lane, in 64-bit integer limbs.
 //     Where quire_lanes_supported(spec, k) holds ((8,0), (8,1), (8,2),
@@ -166,6 +174,24 @@ std::size_t batchnorm_lanes_avx2(const float* x, std::size_t count, const PositS
 /// y may alias a or b. Caller must check enabled().
 std::size_t residual_join_lanes_avx2(const float* a, const float* b, std::size_t count,
                                      const PositSpec& spec, float* y);
+
+/// The activation encode of the fma/serial lane kernels: for r < rows and
+/// i < width, out[r * out_stride + i] = lane_value(decode_unpacked(
+/// from_double(x[r * width + i]))) under nearest-even, bit for bit.
+/// rounded_lanes_supported(spec) must hold. A row's ragged tail runs as one
+/// zero-padded group. Returns false at the first group of four holding a
+/// NaN or +-Inf (rows before it encoded, the rest unspecified): the caller
+/// re-runs the coded encode, which yields the NaR codes. Caller must check
+/// enabled().
+bool encode_lanes_avx2(const float* x, std::size_t rows, std::size_t width, const PositSpec& spec,
+                       double* out, std::size_t out_stride);
+
+/// encode_lanes_avx2 for the exact-quire lane kernel: out[...] =
+/// quire_lane_operand(decode_unpacked(from_double(x[...]))), derived from
+/// the exact double without a code. quire_lanes_supported(spec, .) must
+/// hold; the same stop at a NaN or +-Inf. Caller must check enabled().
+bool encode_quire_lanes_avx2(const float* x, std::size_t rows, std::size_t width,
+                             const PositSpec& spec, std::int64_t* out, std::size_t out_stride);
 
 /// Limbs of the exact-quire lane kernel: product positions, counted from
 /// minpos^2, run 0..4 * max_scale, one 32-bit limb per 32 of them.

@@ -1,6 +1,7 @@
 #include "quant/posit_inference.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 
 #include "posit/accum.hpp"
@@ -73,68 +74,137 @@ std::size_t operand_bytes(OperandForm form) {
   return sizeof(double);
 }
 
-/// Rows [r0, r1) of the batch's patch panel (ActPlane) from `plane`, the
-/// plane's buffer in a's form, into dst: row-major, or `tiled` as 4-row lane
-/// tiles counted from r0 (a multiple of kLanes). Terms in the padding read
-/// T{}, the zero operand of every form. When row_nar is non-null,
-/// row_nar[r - r0] says whether row r reads a NaR code. A worksharing loop
-/// over output lines (one image row of output pixels): every thread of the
-/// enclosing team must call it.
-template <class T>
-void gather_rows(const ActPlane& a, const std::vector<T>& plane, std::size_t r0, std::size_t r1,
-                 bool tiled, T* dst, unsigned char* row_nar) {
-  const tensor::Conv2dGeom& g = a.geom;
-  const std::size_t oh = g.out_h(), ow = g.out_w(), k = a.k;
-  const std::size_t image = g.in_c * g.in_h * g.in_w;
-  const long h = static_cast<long>(g.in_h), w = static_cast<long>(g.in_w);
-  const long pad = static_cast<long>(g.pad);
-  const std::uint32_t* codes = a.plane->codes.data();
-  const std::uint32_t nar = a.spec.nar_code();
-#pragma omp for schedule(static)
-  for (std::size_t line = r0 / ow; line < (r1 + ow - 1) / ow; ++line) {
-    const std::size_t img = line / oh, oy = line % oh, first = line * ow;
-    const std::size_t x0 = first < r0 ? r0 - first : 0, x1 = std::min(ow, r1 - first);
-    // term(rr, i, src): term i of block row rr reads plane[src], or the
-    // padding when src < 0; term by term like im2col.
-    const auto walk = [&](auto&& term) {
-      for (std::size_t c = 0, i = 0; c < g.in_c; ++c) {
-        for (std::size_t ky = 0; ky < g.kh(); ++ky) {
-          const long y = static_cast<long>(oy * g.stride + ky) - pad;
-          const bool row_in = y >= 0 && y < h;
-          const long base = static_cast<long>(img * image + c * g.in_h * g.in_w) + y * w;
-          for (std::size_t kx = 0; kx < g.kw(); ++kx, ++i) {
-            for (std::size_t ox = x0; ox < x1; ++ox) {
-              const long x = static_cast<long>(ox * g.stride + kx) - pad;
-              term(first + ox - r0, i, row_in && x >= 0 && x < w ? base + x : -1);
-            }
-          }
-        }
-      }
-    };
-    walk([&](std::size_t rr, std::size_t i, long src) {
-      T& slot = tiled ? dst[(rr / kLanes * k + i) * kLanes + rr % kLanes] : dst[rr * k + i];
-      slot = src >= 0 ? plane[static_cast<std::size_t>(src)] : T{};
-    });
-    if (row_nar != nullptr) {
-      for (std::size_t ox = x0; ox < x1; ++ox) row_nar[first + ox - r0] = 0;
-      walk([&](std::size_t rr, std::size_t, long src) {
-        if (src >= 0 && codes[src] == nar) row_nar[rr] = 1;
-      });
+/// Row r's first patch term in the halo plane (see ActPlane), stepped one
+/// row at a time: seek() divides once, next() only adds.
+class RowCursor {
+ public:
+  explicit RowCursor(const ActPlane& a)
+      : ow_(a.geom.out_w()),
+        oh_(a.geom.out_h()),
+        pixels_(a.pixels),
+        step_x_(a.geom.stride),
+        step_y_(a.geom.stride * a.plane_w),
+        image_(a.geom.in_c * a.plane_h * a.plane_w) {}
+
+  void seek(std::size_t r) {
+    img_ = r / pixels_;
+    oy_ = r % pixels_ / ow_;
+    ox_ = r % pixels_ % ow_;
+    base_ = img_ * image_ + oy_ * step_y_ + ox_ * step_x_;
+  }
+
+  void next() {
+    base_ += step_x_;
+    if (++ox_ != ow_) return;
+    ox_ = 0;
+    if (++oy_ == oh_) {
+      oy_ = 0;
+      ++img_;
     }
+    base_ = img_ * image_ + oy_ * step_y_;
+  }
+
+  std::size_t base() const { return base_; }
+
+ private:
+  std::size_t ow_, oh_, pixels_, step_x_, step_y_, image_;
+  std::size_t img_ = 0, oy_ = 0, ox_ = 0, base_ = 0;
+};
+
+/// Rows [r0, r1) of the batch's patch panel from `plane`, the plane's
+/// buffer in a's row-major form, into dst (row rr - r0 at dst + rr * k).
+/// A worksharing loop over rows: every thread of the enclosing team must
+/// call it.
+template <class T>
+void gather_rows(const ActPlane& a, const T* plane, std::size_t r0, std::size_t r1, T* dst) {
+  const std::size_t k = a.k, n = r1 - r0;
+  const std::size_t* const off = a.plane->term_off.data();
+  RowCursor cur(a);
+  std::size_t at = n;  // the row `cur` stands at
+#pragma omp for schedule(static)
+  for (std::size_t rr = 0; rr < n; ++rr) {
+    if (rr != at) cur.seek(r0 + rr);
+    const T* const src = plane + cur.base();
+    T* const d = dst + rr * k;
+    for (std::size_t i = 0; i < k; ++i) d[i] = src[off[i]];
+    cur.next();
+    at = rr + 1;
   }
 }
 
-/// A tile's lanes past row `rows` of the block: zero rows.
+/// The lane forms only run where posit::simd::enabled() holds, so their
+/// gather may use AVX2: a tile's four operands per term move as one
+/// 32-byte load and store.
+#if defined(__x86_64__) || defined(__i386__)
+#define PDNN_LANE_GATHER __attribute__((target("avx2")))
+#else
+#define PDNN_LANE_GATHER
+#endif
+
+/// gather_rows for the lane forms: 4-row tiles counted from r0 (a multiple
+/// of kLanes), tile-major, lanes past r1 zero. A tile whose four rows are
+/// adjacent in the plane (one output line, stride 1) copies four operands
+/// per term; any other reads each lane on its own. When row_nar is
+/// non-null, row_nar[r - r0] says whether row r reads a NaR code.
 template <class T>
-void zero_tail_lanes(T* tiles, std::size_t rows, std::size_t k) {
-  for (std::size_t r = rows; r % kLanes != 0; ++r) {
-    for (std::size_t i = 0; i < k; ++i) tiles[(r / kLanes * k + i) * kLanes + r % kLanes] = T{};
+PDNN_LANE_GATHER void gather_tiles(const ActPlane& a, const T* plane, std::size_t r0,
+                                   std::size_t r1, T* dst, unsigned char* row_nar) {
+  const std::size_t k = a.k, n = r1 - r0, tiles = (n + kLanes - 1) / kLanes;
+  const std::size_t* const off = a.plane->term_off.data();
+  const std::uint32_t* const codes = a.plane->codes.data();
+  const std::uint32_t nar = a.spec.nar_code();
+  RowCursor cur(a);
+  std::size_t at = tiles;  // the tile `cur` stands at
+#pragma omp for schedule(static)
+  for (std::size_t t = 0; t < tiles; ++t) {
+    if (t != at) cur.seek(r0 + t * kLanes);
+    const std::size_t lanes = std::min(kLanes, n - t * kLanes);
+    std::size_t base[kLanes] = {};
+    for (std::size_t l = 0; l < lanes; ++l, cur.next()) base[l] = cur.base();
+    at = t + 1;
+    T* const tile = dst + t * k * kLanes;
+    if (lanes == kLanes && base[kLanes - 1] - base[0] == kLanes - 1) {
+      // Row bases only grow, so this span holds the four rows in order.
+      const T* const src = plane + base[0];
+      for (std::size_t i = 0; i < k; ++i) {
+        std::memcpy(tile + i * kLanes, src + off[i], kLanes * sizeof(T));
+      }
+    } else if (lanes == kLanes) {
+      for (std::size_t i = 0; i < k; ++i) {
+        const T* const src = plane + off[i];
+        T* const d = tile + i * kLanes;
+        d[0] = src[base[0]];
+        d[1] = src[base[1]];
+        d[2] = src[base[2]];
+        d[3] = src[base[3]];
+      }
+    } else {
+      for (std::size_t i = 0; i < k; ++i) {
+        for (std::size_t l = 0; l < kLanes; ++l) {
+          tile[i * kLanes + l] = l < lanes ? plane[base[l] + off[i]] : T{};
+        }
+      }
+    }
+    if (row_nar != nullptr) {
+      for (std::size_t l = 0; l < lanes; ++l) {
+        bool hit = false;
+        for (std::size_t i = 0; i < k; ++i) hit = hit || codes[base[l] + off[i]] == nar;
+        row_nar[t * kLanes + l] = hit ? 1 : 0;
+      }
+    }
   }
 }
 
 template <class T>
 T* grow(std::vector<T>& v, std::size_t n) {
   if (v.size() < n) v.resize(n);
+  return v.data();
+}
+
+/// v sized to exactly n elements (capacity grow-only).
+template <class T>
+T* grow_to(std::vector<T>& v, std::size_t n) {
+  v.resize(n);
   return v.data();
 }
 
@@ -184,6 +254,32 @@ EngineLuts resolve_luts(const PositSpec& spec, AccumMode mode) {
   return luts;
 }
 
+namespace {
+
+/// Zero the pad-wide border of one image channel's [plane_h, plane_w] grid:
+/// the top rows, each right pad with the next row's left pad, the bottom
+/// rows.
+template <class T>
+void zero_halo(T* ch, const ActPlane& a) {
+  const std::size_t pad = a.geom.pad, pw = a.plane_w, in_w = a.geom.in_w;
+  const std::size_t last = pad + a.geom.in_h - 1;  // the last interior row
+  std::fill(ch, ch + pad * pw + pad, T{});
+  for (std::size_t y = pad; y < last; ++y) {
+    T* const right = ch + y * pw + pad + in_w;
+    std::fill(right, right + 2 * pad, T{});
+  }
+  std::fill(ch + last * pw + pad + in_w, ch + a.plane_h * pw, T{});
+}
+
+/// One work item of the plane encode: `rows` rows of `width` floats at src,
+/// row r landing at plane offset dst + r * stride.
+struct EncodeItem {
+  const float* src;
+  std::size_t rows, width, dst, stride;
+};
+
+}  // namespace
+
 ActPlane encode_activation(const float* x, std::size_t batch, const tensor::Conv2dGeom& g,
                            const PositSpec& spec, AccumMode mode, const EngineLuts& luts,
                            OperandBuffers& plane) {
@@ -193,35 +289,121 @@ ActPlane encode_activation(const float* x, std::size_t batch, const tensor::Conv
   a.pixels = g.out_h() * g.out_w();
   a.rows = batch * a.pixels;
   a.k = g.patch();
+  a.plane_h = g.in_h + 2 * g.pad;
+  a.plane_w = g.in_w + 2 * g.pad;
   a.plane = &plane;
   const OperandForm form = a.form = operand_form(spec, mode, luts, a.rows, a.k);
-  // Encode every input element once and decode it once, into the plane.
-  const std::size_t count = batch * g.in_c * g.in_h * g.in_w;
-  plane.codes.resize(count);
-  if (form == OperandForm::kUnpacked) plane.ops.resize(count);
-  if (form == OperandForm::kLanes) plane.lanes.resize(count);
-  if (form == OperandForm::kQuireLanes) plane.quire.resize(count);
+
+  plane.term_off.resize(a.k);
+  for (std::size_t c = 0, i = 0; c < g.in_c; ++c) {
+    for (std::size_t ky = 0; ky < g.kh(); ++ky) {
+      for (std::size_t kx = 0; kx < g.kw(); ++kx, ++i) {
+        plane.term_off[i] = (c * a.plane_h + ky) * a.plane_w + kx;
+      }
+    }
+  }
+
+  // Work items: one image channel each under a halo; without one the plane
+  // is x's own layout, cut into kEncodeChunk elements.
+  const std::size_t channel = a.plane_h * a.plane_w;
+  const std::size_t count = batch * g.in_c * channel;
+  const bool haloed = g.pad != 0;
+  const std::size_t items = haloed ? batch * g.in_c : (count + kEncodeChunk - 1) / kEncodeChunk;
+  const auto item = [&](std::size_t j) {
+    if (haloed) {
+      return EncodeItem{x + j * g.in_h * g.in_w, g.in_h, g.in_w,
+                        j * channel + g.pad * a.plane_w + g.pad, a.plane_w};
+    }
+    const std::size_t i0 = j * kEncodeChunk, n = std::min(kEncodeChunk, count - i0);
+    return EncodeItem{x + i0, 1, n, i0, n};
+  };
+  const bool team = count > kParallelMin;
+
+  // The lane forms encode straight from the floats; a NaN or +-Inf stops
+  // them, and the coded encode below redoes the plane with its NaR codes.
+  bool coded = true;
+  if (form == OperandForm::kLanes || form == OperandForm::kQuireLanes) {
+    const bool quire = form == OperandForm::kQuireLanes;
+    double* const lanes = quire ? nullptr : grow_to(plane.lanes, count);
+    std::int64_t* const qops = quire ? grow_to(plane.quire, count) : nullptr;
+    bool finite = true;
+#pragma omp parallel for schedule(static) reduction(&& : finite) if (team)
+    for (std::size_t j = 0; j < items; ++j) {
+      const EncodeItem it = item(j);
+      if (quire) {
+        if (haloed) zero_halo(qops + j * channel, a);
+        finite = posit::simd::encode_quire_lanes_avx2(it.src, it.rows, it.width, spec,
+                                                      qops + it.dst, it.stride) &&
+                 finite;
+      } else {
+        if (haloed) zero_halo(lanes + j * channel, a);
+        finite = posit::simd::encode_lanes_avx2(it.src, it.rows, it.width, spec, lanes + it.dst,
+                                                it.stride) &&
+                 finite;
+      }
+    }
+    coded = !finite;
+  }
+  if (!coded) return a;
+
+  // The coded encode: every element through from_double into the halo
+  // plane of codes, then the whole plane (code 0 in the halo decodes to
+  // T{}) decoded once into the form.
+  std::uint32_t* const codes = grow_to(plane.codes, count);
+  if (form == OperandForm::kUnpacked) grow_to(plane.ops, count);
+  if (form == OperandForm::kLanes) grow_to(plane.lanes, count);
+  if (form == OperandForm::kQuireLanes) grow_to(plane.quire, count);
   bool has_nar = false;  // read by the lane forms, where NaR becomes a zero operand
   const std::size_t chunks = (count + kEncodeChunk - 1) / kEncodeChunk;
-#pragma omp parallel for schedule(static) reduction(|| : has_nar) if (count > kParallelMin)
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t i0 = c * kEncodeChunk, n = std::min(kEncodeChunk, count - i0);
-    std::uint32_t* const codes = plane.codes.data() + i0;
-    for (std::size_t i = 0; i < n; ++i) {
-      codes[i] = posit::from_double(x[i0 + i], spec, kEncodeRound);
+#pragma omp parallel if (team)
+  {
+#pragma omp for schedule(static)
+    for (std::size_t j = 0; j < items; ++j) {
+      const EncodeItem it = item(j);
+      if (haloed) zero_halo(codes + j * channel, a);
+      for (std::size_t r = 0; r < it.rows; ++r) {
+        std::uint32_t* const dst = codes + it.dst + r * it.stride;
+        const float* const src = it.src + r * it.width;
+        for (std::size_t i = 0; i < it.width; ++i) {
+          dst[i] = posit::from_double(src[i], spec, kEncodeRound);
+        }
+      }
     }
-    if (form == OperandForm::kCodes) continue;
-    Unpacked buf[kEncodeChunk];
-    Unpacked* const ops = form == OperandForm::kUnpacked ? plane.ops.data() + i0 : buf;
-    posit::decode_unpacked(codes, n, spec, ops);
-    if (form == OperandForm::kLanes) {
-      has_nar = posit::simd::fill_lane_row(ops, n, plane.lanes.data() + i0) || has_nar;
-    } else if (form == OperandForm::kQuireLanes) {
-      has_nar = posit::simd::fill_quire_row(ops, n, spec, plane.quire.data() + i0) || has_nar;
+    if (form != OperandForm::kCodes) {
+#pragma omp for schedule(static) reduction(|| : has_nar)
+      for (std::size_t c = 0; c < chunks; ++c) {
+        const std::size_t i0 = c * kEncodeChunk, n = std::min(kEncodeChunk, count - i0);
+        Unpacked buf[kEncodeChunk];
+        Unpacked* const ops = form == OperandForm::kUnpacked ? plane.ops.data() + i0 : buf;
+        posit::decode_unpacked(codes + i0, n, spec, ops);
+        if (form == OperandForm::kLanes) {
+          has_nar = posit::simd::fill_lane_row(ops, n, plane.lanes.data() + i0) || has_nar;
+        } else if (form == OperandForm::kQuireLanes) {
+          has_nar = posit::simd::fill_quire_row(ops, n, spec, plane.quire.data() + i0) || has_nar;
+        }
+      }
     }
   }
   a.has_nar = has_nar;
   return a;
+}
+
+void gather_panel(const ActPlane& a, std::size_t r0, std::size_t r1, OperandBuffers& block,
+                  unsigned char* row_nar) {
+  switch (a.form) {
+    case OperandForm::kCodes:
+      gather_rows(a, a.plane->codes.data(), r0, r1, block.codes.data());
+      break;
+    case OperandForm::kUnpacked:
+      gather_rows(a, a.plane->ops.data(), r0, r1, block.ops.data());
+      break;
+    case OperandForm::kLanes:
+      gather_tiles(a, a.plane->lanes.data(), r0, r1, block.lanes.data(), row_nar);
+      break;
+    case OperandForm::kQuireLanes:
+      gather_tiles(a, a.plane->quire.data(), r0, r1, block.quire.data(), row_nar);
+      break;
+  }
 }
 
 void engine_gemm(const ActPlane& a, const PackedPositTensor& w, const PackedPositTensor& bias,
@@ -267,17 +449,7 @@ void engine_gemm(const ActPlane& a, const PackedPositTensor& w, const PackedPosi
     for (std::size_t r0 = 0; r0 < rows; r0 += block) {
       const std::size_t r1 = std::min(rows, r0 + block), n = r1 - r0;
       const std::size_t tiles = (n + kLanes - 1) / kLanes;
-#pragma omp single nowait
-      {
-        if (lanes) zero_tail_lanes(planes, n, k);
-        if (qlanes) zero_tail_lanes(pquire, n, k);
-      }
-      switch (form) {
-        case OperandForm::kCodes: gather_rows(a, a.plane->codes, r0, r1, false, pcodes, nullptr); break;
-        case OperandForm::kUnpacked: gather_rows(a, a.plane->ops, r0, r1, false, pops, nullptr); break;
-        case OperandForm::kLanes: gather_rows(a, a.plane->lanes, r0, r1, true, planes, a_nar); break;
-        case OperandForm::kQuireLanes: gather_rows(a, a.plane->quire, r0, r1, true, pquire, a_nar); break;
-      }
+      gather_panel(a, r0, r1, host.a, a_nar);
 
 #pragma omp for schedule(static)
       for (std::size_t o = 0; o < cols; ++o) {

@@ -66,7 +66,7 @@ struct Binding {
 
 /// The posit-side state attached to one plan step: resolved format and
 /// accumulation mode, LUT kernels, quire-arena index, encoded weight panels,
-/// BN constants, and the encoded and decoded input image the hot loop reuses.
+/// BN constants, and the encoded input batch plane the hot loop reuses.
 struct StepState {
   PositSpec spec{16, 1};
   AccumMode mode = AccumMode::kQuire;

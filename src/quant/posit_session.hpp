@@ -14,7 +14,7 @@
 //     pre-encodes every weight/bias/BN constant into session-owned
 //     posit::PackedPositTensor panels, resolves the n <= 8 LUT kernels, and
 //     plans per-thread quire arenas plus per-step scratch (each GEMM step's
-//     input image, encoded and decoded once per element).
+//     input batch, encoded once per element into the kernel's operand form).
 //   * run() executes the compiled plan through exec::PlanRunner, the exec
 //     layer's one step interpreter, with posit per-op kernels. In steady state (shapes repeat, no
 //     weight mutation) it performs no allocation and takes no lock: panels,

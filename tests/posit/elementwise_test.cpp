@@ -541,5 +541,143 @@ TEST(ElementwiseLanes, ResidualJoinMatchesTheCodedSteps) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Activation encode: encode_lanes_avx2 / encode_quire_lanes_avx2 against
+// lane_value / quire_lane_operand of decode_unpacked(from_double(x)).
+// ---------------------------------------------------------------------------
+
+std::vector<PositSpec> encode_specs() {
+  return {{5, 1}, {8, 0}, {8, 1}, {8, 2}, {12, 1}, {16, 0}, {16, 1}};
+}
+
+/// Every posit value of s as a float; every rounding tie — the (n+1)-bit
+/// code 2c + 1 lies exactly halfway between codes c and c + 1, and for
+/// c = maxpos and -minpos beyond maxpos and below minpos — with its two
+/// float neighbours; values far below minpos and around maxpos; +-0 and
+/// float subnormals. Each is a float for these formats (scales within
+/// +-60, at most 15 significant bits).
+Floats encode_inputs(const PositSpec& s) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const PositSpec wide{s.n + 1, s.es};
+  Floats x;
+  for (std::uint32_t c = 0; c <= s.mask(); ++c) {
+    if (c == s.nar_code()) continue;
+    x.push_back(static_cast<float>(to_double(c, s)));
+    const std::uint32_t tie_code = (2 * c + 1) & wide.mask();
+    const double tie = to_double(tie_code, wide);
+    EXPECT_EQ(static_cast<double>(static_cast<float>(tie)), tie) << s.to_string();
+    const float t = static_cast<float>(tie);
+    x.insert(x.end(), {t, std::nextafter(t, inf), std::nextafter(t, -inf)});
+  }
+  const auto minpos = static_cast<float>(to_double(s.minpos_code(), s));
+  const auto maxpos = static_cast<float>(to_double(s.maxpos_code(), s));
+  const float fmax = std::numeric_limits<float>::max();
+  const float sub = std::numeric_limits<float>::denorm_min();
+  for (const float v : {minpos / 2, minpos / 3, minpos * 0.75f, minpos / 1024, 1e-30f, maxpos,
+                        std::nextafter(maxpos, inf), maxpos * 1.5f, maxpos * 2, 1e30f, fmax, 0.0f,
+                        sub, 2 * sub, 1000 * sub, std::numeric_limits<float>::min(),
+                        std::nextafter(std::numeric_limits<float>::min(), 0.0f)}) {
+    x.insert(x.end(), {v, -v});
+  }
+  return x;
+}
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+/// The coded encode of x in the lane forms.
+Unpacked coded_operand(float x, const PositSpec& s) {
+  return decode_unpacked(from_double(x, s, RoundMode::kNearestEven), s);
+}
+
+/// Both kernels over x: as one row (its ragged tail zero-padded), and as
+/// rows of 7 at an output stride of 10 whose gaps must keep their fill.
+void check_encode(const Floats& x, const PositSpec& s) {
+  const bool quire = simd::quire_lanes_supported(s, 1);
+  const double fill = -3.25;
+  constexpr std::size_t kWidth = 7, kStride = 10;
+  const std::size_t rows = x.size() / kWidth;
+  std::vector<double> one(x.size()), strided(rows * kStride, fill);
+  std::vector<std::int64_t> q_one(x.size()), q_strided(rows * kStride, -1);
+  ASSERT_TRUE(simd::encode_lanes_avx2(x.data(), 1, x.size(), s, one.data(), x.size()));
+  ASSERT_TRUE(simd::encode_lanes_avx2(x.data(), rows, kWidth, s, strided.data(), kStride));
+  if (quire) {
+    ASSERT_TRUE(simd::encode_quire_lanes_avx2(x.data(), 1, x.size(), s, q_one.data(), x.size()));
+    ASSERT_TRUE(
+        simd::encode_quire_lanes_avx2(x.data(), rows, kWidth, s, q_strided.data(), kStride));
+  }
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const Unpacked u = coded_operand(x[i], s);
+    const double want = simd::lane_value(u);
+    const std::size_t at = i / kWidth * kStride + i % kWidth;
+    ASSERT_EQ(bits_of(one[i]), bits_of(want))
+        << s.to_string() << " x " << x[i] << ": got " << one[i] << " want " << want;
+    if (i < rows * kWidth) {
+      ASSERT_EQ(bits_of(strided[at]), bits_of(want)) << s.to_string();
+    }
+    if (!quire) continue;
+    const std::int64_t want_q = simd::quire_lane_operand(u, s);
+    ASSERT_EQ(q_one[i], want_q) << s.to_string() << " x " << x[i] << std::hex << ": got 0x"
+                                << q_one[i] << " want 0x" << want_q;
+    if (i < rows * kWidth) {
+      ASSERT_EQ(q_strided[at], want_q) << s.to_string();
+    }
+  }
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t i = kWidth; i < kStride; ++i) {
+      ASSERT_EQ(strided[r * kStride + i], fill) << "gap written, row " << r;
+      ASSERT_EQ(q_strided[r * kStride + i], -1) << "gap written, row " << r;
+    }
+  }
+}
+
+TEST(EncodeLanes, MatchesTheCodedEncodeOnEveryValueTieAndEdge) {
+  REQUIRE_LANES();
+  for (const PositSpec& s : encode_specs()) {
+    ASSERT_TRUE(simd::rounded_lanes_supported(s)) << s.to_string();
+    check_encode(encode_inputs(s), s);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  // The kernels cover every quire-lane format among these.
+  EXPECT_TRUE(simd::quire_lanes_supported({16, 1}, 1));
+  EXPECT_TRUE(simd::quire_lanes_supported({8, 2}, 1));
+}
+
+TEST(EncodeLanes, MatchesTheCodedEncodeOnRandomFloats) {
+  REQUIRE_LANES();
+  std::mt19937_64 rng(41);
+  for (const PositSpec& s : encode_specs()) {
+    Floats x = gaussian(4099, rng, 3.0);
+    for (float& v : random_bits(4099, rng)) x.push_back(std::isfinite(v) ? v : 1.5f);
+    check_encode(x, s);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(EncodeLanes, StopAtNanOrInfInEveryLaneAndTheRaggedTail) {
+  // 11 floats: two whole groups and a tail of three, one non-finite value
+  // at each position in turn, in a single row and in the second of two.
+  REQUIRE_LANES();
+  const float inf = std::numeric_limits<float>::infinity();
+  const PositSpec s{16, 1};
+  std::vector<double> out(32);
+  std::vector<std::int64_t> q_out(32);
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(), inf, -inf}) {
+    for (std::size_t at = 0; at < 11; ++at) {
+      Floats x(22, 0.5f);
+      x[at] = bad;
+      EXPECT_FALSE(simd::encode_lanes_avx2(x.data(), 1, 11, s, out.data(), 11)) << at;
+      EXPECT_FALSE(simd::encode_quire_lanes_avx2(x.data(), 1, 11, s, q_out.data(), 11)) << at;
+      std::swap(x[at], x[11 + at]);
+      EXPECT_FALSE(simd::encode_lanes_avx2(x.data(), 2, 11, s, out.data(), 12)) << at;
+      EXPECT_FALSE(simd::encode_quire_lanes_avx2(x.data(), 2, 11, s, q_out.data(), 12)) << at;
+      EXPECT_TRUE(simd::encode_lanes_avx2(x.data(), 1, 11, s, out.data(), 11)) << at;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pdnn::posit

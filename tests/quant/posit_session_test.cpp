@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,6 +29,7 @@
 #include "quant/posit_session.hpp"
 #include "support/bits.hpp"
 #include "support/heap_counter.hpp"
+#include "support/posit_layer.hpp"
 #include "tensor/ops.hpp"
 
 namespace pdnn::quant {
@@ -523,6 +525,112 @@ TEST(PositSession, WholeBatchNarInOneImageStaysInThatImage) {
       EXPECT_EQ(nans[2], 0u) << label;
     }
     posit::simd::force_disable(false);
+  }
+}
+
+TEST(PositSession, GatherGeometrySweepMatchesTheReference) {
+  // The halo-plane gather of every operand form — (8,1) codes, (16,1) lane
+  // doubles and quire lanes, (32,2) and every forced-scalar run Unpacked —
+  // against the scalar reference, one-layer sessions: strides 1 and 2, pads
+  // 0-2, a rectangular window, output lines of 7 and 5 pixels (tiles
+  // straddle lines and images) beside lines of 8 (whole tiles per line), a
+  // 1x1 stride-2 conv and a linear step, batches of 1, 3 and 8, AVX2 on and
+  // forced off. With a NaN in image 1 the NaR outputs stay in image 1.
+  struct Geometry {
+    std::size_t in_c, in_h, in_w, kh, kw, stride, pad;
+  };
+  const Geometry convs[] = {
+      {3, 9, 7, 3, 3, 1, 1}, {2, 9, 7, 3, 2, 2, 2}, {2, 6, 10, 3, 3, 1, 0},
+      {4, 7, 7, 1, 1, 2, 0}, {3, 5, 6, 2, 3, 2, 1},
+  };
+  const std::pair<PositSpec, std::vector<AccumMode>> formats[] = {
+      {{8, 1}, mode_grid()}, {{16, 1}, mode_grid()}, {{32, 2}, {AccumMode::kQuire}}};
+  const std::size_t out_c = 5, linear_in = 13;
+  Rng rng(191);
+  std::set<int> forms;
+  // cs < size(convs) runs that conv; cs == size(convs) the linear step.
+  for (std::size_t cs = 0; cs <= std::size(convs); ++cs) {
+    const bool linear = cs == std::size(convs);
+    const Geometry c = linear ? Geometry{linear_in, 1, 1, 1, 1, 1, 0} : convs[cs];
+    const tensor::Conv2dGeom g{c.in_c, c.in_h, c.in_w, out_c, c.kh, c.stride, c.pad, c.kw};
+    const Tensor w = linear ? Tensor::randn({out_c, linear_in}, rng, 0.4f)
+                            : Tensor::randn({out_c, c.in_c, c.kh, c.kw}, rng, 0.4f);
+    const Tensor bias = Tensor::randn({out_c}, rng, 0.2f);
+    for (const std::size_t batch : {1u, 3u, 8u}) {
+      for (const bool poisoned : {false, true}) {
+        if (poisoned && batch != 3) continue;
+        Tensor x = linear ? Tensor::randn({batch, linear_in}, rng)
+                          : Tensor::randn({batch, c.in_c, c.in_h, c.in_w}, rng);
+        if (poisoned) x[x.numel() / 3 + 2] = std::numeric_limits<float>::quiet_NaN();
+        for (const auto& [spec, modes] : formats) {
+          for (const AccumMode mode : modes) {
+            const Tensor ref = linear ? posit_linear_reference(x, w, bias, spec, mode)
+                                      : posit_conv2d_reference(x, w, bias, g, spec, mode);
+            auto layer = test_support::posit_layer(w, bias, spec, mode,
+                                                   linear ? std::nullopt : std::optional(g));
+            for (const bool scalar : {false, true}) {
+              posit::simd::force_disable(scalar);
+              detail::OperandBuffers probe;
+              forms.insert(static_cast<int>(
+                  detail::encode_activation(x.data(), batch, g, spec, mode,
+                                            detail::resolve_luts(spec, mode), probe)
+                      .form));
+              const Tensor& y = layer.run(x);
+              posit::simd::force_disable(false);
+              const std::string label = (linear ? "linear" : "conv " + std::to_string(cs)) +
+                                        " " + spec.to_string() + " mode " +
+                                        std::to_string(static_cast<int>(mode)) + " batch " +
+                                        std::to_string(batch) + (poisoned ? " NaN" : "") +
+                                        (scalar ? " scalar" : " avx2");
+              EXPECT_TRUE(bit_identical(y, ref)) << label;
+              if (!poisoned) continue;
+              std::size_t nans[3] = {};
+              const std::size_t per_image = y.numel() / 3;
+              for (std::size_t i = 0; i < y.numel(); ++i) nans[i / per_image] += std::isnan(y[i]);
+              EXPECT_EQ(nans[0], 0u) << label;
+              EXPECT_GT(nans[1], 0u) << label;
+              EXPECT_EQ(nans[2], 0u) << label;
+            }
+          }
+        }
+      }
+    }
+  }
+  const std::set<int> all = {static_cast<int>(detail::OperandForm::kCodes),
+                             static_cast<int>(detail::OperandForm::kUnpacked),
+                             static_cast<int>(detail::OperandForm::kLanes),
+                             static_cast<int>(detail::OperandForm::kQuireLanes)};
+  if (posit::simd::available()) {
+    EXPECT_EQ(forms, all);
+  }
+}
+
+TEST(PositSession, HaloStaysZeroWhenTheInputPlaneChangesSize) {
+  // A conv step's input plane is re-laid out when a run brings new image
+  // sizes: border slots that held a larger image's pixels must read zero
+  // again. Each size in turn, in every operand form, against the reference.
+  Rng rng(193);
+  const std::size_t in_c = 3, out_c = 4;
+  const Tensor w = Tensor::randn({out_c, in_c, 3, 3}, rng, 0.4f);
+  const Tensor bias = Tensor::randn({out_c}, rng, 0.2f);
+  const std::pair<std::size_t, std::size_t> sizes[] = {{9, 11}, {6, 6}, {11, 9}, {5, 14}};
+  for (const PositSpec spec : {PositSpec{8, 1}, PositSpec{16, 1}}) {
+    for (const AccumMode mode : mode_grid()) {
+      for (const bool scalar : {false, true}) {
+        const tensor::Conv2dGeom g0{in_c, 9, 11, out_c, 3, 1, 1};
+        auto layer = test_support::posit_layer(w, bias, spec, mode, g0);
+        for (const auto& [h, wd] : sizes) {
+          const Tensor x = Tensor::randn({2, in_c, h, wd}, rng);
+          const tensor::Conv2dGeom g{in_c, h, wd, out_c, 3, 1, 1};
+          posit::simd::force_disable(scalar);
+          const Tensor& y = layer.run(x);
+          posit::simd::force_disable(false);
+          EXPECT_TRUE(bit_identical(y, posit_conv2d_reference(x, w, bias, g, spec, mode)))
+              << spec.to_string() << " mode " << static_cast<int>(mode) << " " << h << "x" << wd
+              << (scalar ? " scalar" : " avx2");
+        }
+      }
+    }
   }
 }
 
