@@ -3,6 +3,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "posit/accum.hpp"
 #include "posit/arith.hpp"
@@ -151,19 +152,24 @@ BENCHMARK(BM_QuireAccumulateDot)
     ->Args({32, 2, 0})
     ->Args({32, 2, 1});
 
-/// `tiles` x 4 outputs' exact quire dot products of length k over ReLU'd
-/// Gaussian activations against one Gaussian weight row — the engine's
-/// kQuire inner loop. /simd=0: Quire::accumulate_dot + to_posit + to_double
-/// per output, forced onto the scalar deposit (the fallback PDNN_NO_AVX2
-/// runs). /simd=1: the AVX2 lane kernel, four outputs per vector of int64
-/// limbs, rounded in registers to exact doubles. Same values out; items/s is
-/// MAC/s. k = 27, 72, 144 and 576 are ResNet-8 patch lengths; k = 1 shows
-/// the per-output epilogue alone.
+/// `tiles` x 4 outputs' exact quire dot products of length k — the
+/// engine's kQuire inner loop. /window:1: ReLU'd Gaussian activations
+/// against one Gaussian weight row, narrow spans that sum in the kernel's
+/// 64-bit window; /window:0: operands of random sign spread log-uniformly
+/// over the whole format, so (16,1) tiles (and (8,1) ones past k = 16) fail
+/// the window rule and run on the limbs. /simd=0: Quire::accumulate_dot +
+/// to_posit + to_double per output, forced onto the scalar deposit (the
+/// fallback PDNN_NO_AVX2 runs). /simd=1: the AVX2 lane kernel, four outputs
+/// per vector, rounded in registers to exact doubles, fed the tile spans
+/// posit::simd::quire_span gives (what the engine's gather writes). Same
+/// values out; items/s is MAC/s. k = 27, 72, 144 and 576 are ResNet-8 patch
+/// lengths; k = 1 shows the per-output epilogue alone.
 void BM_QuireLanes(benchmark::State& state) {
   const posit::PositSpec spec{static_cast<int>(state.range(0)), static_cast<int>(state.range(1))};
   const auto k = static_cast<std::size_t>(state.range(2));
   const auto tiles = static_cast<std::size_t>(state.range(3));
   const bool lanes = state.range(4) != 0;
+  const bool narrow = state.range(5) != 0;
   if (lanes && !posit::simd::available()) {
     state.SkipWithError("AVX2 unavailable");
     return;
@@ -172,12 +178,19 @@ void BM_QuireLanes(benchmark::State& state) {
   constexpr std::size_t kLanes = posit::simd::kLanes;
   const std::size_t outs = tiles * kLanes;
   tensor::Rng rng(23);
+  const auto wide = [&] {
+    const double e = spec.min_scale() + rng.uniform() * (spec.max_scale() - spec.min_scale());
+    return (rng.uniform() < 0.5 ? -1.0 : 1.0) * std::exp2(e);
+  };
   std::vector<posit::Unpacked> a(outs * k), b(k);
   for (auto& u : a) {
-    const double x = rng.normal();
-    u = posit::decode_unpacked(posit::from_double(x > 0.0 ? x : 0.0, spec), spec);
+    const double x = narrow ? std::max(rng.normal(), 0.0) : wide();
+    u = posit::decode_unpacked(posit::from_double(x, spec), spec);
   }
-  for (auto& u : b) u = posit::decode_unpacked(posit::from_double(0.3 * rng.normal(), spec), spec);
+  for (auto& u : b) {
+    const double x = narrow ? 0.3 * rng.normal() : wide();
+    u = posit::decode_unpacked(posit::from_double(x, spec), spec);
+  }
   std::vector<std::int64_t> tile(outs * k), w(k);
   for (std::size_t r = 0; r < outs; ++r) {
     for (std::size_t i = 0; i < k; ++i) {
@@ -185,12 +198,17 @@ void BM_QuireLanes(benchmark::State& state) {
           posit::simd::quire_lane_operand(a[r * k + i], spec);
     }
   }
+  std::vector<posit::simd::QuireSpan> spans(tiles);
+  for (std::size_t t = 0; t < tiles; ++t) {
+    spans[t] = posit::simd::quire_span(tile.data() + t * k * kLanes, k * kLanes);
+  }
   posit::simd::fill_quire_row(b.data(), k, spec, w.data());
   posit::Quire q(spec);
   std::vector<double> values(outs);
   for (auto _ : state) {
     if (lanes) {
-      posit::simd::quire_lanes_avx2(tile.data(), tiles, w.data(), k, spec, nullptr, values.data());
+      posit::simd::quire_lanes_avx2(tile.data(), tiles, spans.data(), w.data(), k, spec, nullptr,
+                                    values.data());
     } else {
       for (std::size_t r = 0; r < outs; ++r) {
         q.clear();
@@ -207,12 +225,14 @@ void BM_QuireLanes(benchmark::State& state) {
 }
 
 void quire_lane_args(benchmark::internal::Benchmark* bm) {
-  bm->ArgNames({"n", "es", "k", "tiles", "simd"});
+  bm->ArgNames({"n", "es", "k", "tiles", "simd", "window"});
   for (const int k : {1, 27, 72, 144, 576}) {
     for (const int n : {8, 16}) {
       for (const int tiles : {1, 16}) {
-        bm->Args({n, 1, k, tiles, 0});
-        bm->Args({n, 1, k, tiles, 1});
+        for (const int window : {1, 0}) {
+          bm->Args({n, 1, k, tiles, 0, window});
+          bm->Args({n, 1, k, tiles, 1, window});
+        }
       }
     }
   }
@@ -470,8 +490,9 @@ BENCHMARK(BM_EncodeActivation)
 
 /// quant::detail::gather_panel over a whole conv step's patch panel (every
 /// row of the batch at once), per distinct ResNet-8 gather shape: /simd:1
-/// the kQuireLanes tiles of (16,1) kQuire, /simd:0 its Unpacked rows; both
-/// move 8-byte operands. ns/term is per gathered patch term.
+/// the kQuireLanes tiles of (16,1) kQuire with each tile's span, /simd:0
+/// its Unpacked rows; both move 8-byte operands. ns/term is per gathered
+/// patch term.
 void BM_GatherPanel(benchmark::State& state) {
   const bool lanes = state.range(0) != 0;
   if (lanes && !posit::simd::available()) {
@@ -489,6 +510,7 @@ void BM_GatherPanel(benchmark::State& state) {
                              posit::simd::kLanes;
   block.ops.resize(padded * a.k);
   block.quire.resize(padded * a.k);
+  block.spans.resize(padded / posit::simd::kLanes);
   for (auto _ : state) {
     quant::detail::gather_panel(a, 0, a.rows, block, nullptr);
     benchmark::DoNotOptimize(block.quire.data());

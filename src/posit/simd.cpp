@@ -679,69 +679,160 @@ __attribute__((target("avx2"), always_inline)) inline __m256d round_quire_lanes(
   return add_round(s, p, f);
 }
 
-/// The row tiles against w one at a time, L limbs per lane. Per term the
-/// exact product (_mm256_mul_epi32 of the signed significands) shifts to its
-/// bit inside a limb and adds into the limb its position selects; every
-/// `flush` terms a carry pass keeps each limb's low 32 bits and moves the
-/// rest up one limb, so no limb overflows between passes. Each tile ends in
-/// round_quire_lanes and, with a bias, one more add_round. (Interleaving two
-/// tiles, as chain_tiles does, ran slower: the limbs alone fill the register
-/// file.)
+/// One row tile against w on the whole quire, L limbs per lane. Per term
+/// the exact product (_mm256_mul_epi32 of the signed significands) shifts
+/// to its bit inside a limb and adds into the limb its position selects;
+/// every `flush` terms a carry pass keeps each limb's low 32 bits and moves
+/// the rest up one limb, so no limb overflows between passes. The tile ends
+/// in round_quire_lanes and, with a bias, one more add_round.
 template <int L>
-__attribute__((target("avx2"), always_inline)) inline void quire_tiles(
-    const std::int64_t* a, std::size_t tiles, const std::int64_t* w, std::size_t k,
-    const LaneFormat& f, const double* bias, double* out) {
+__attribute__((target("avx2"), always_inline)) inline void limb_tile(
+    const std::int64_t* a, const std::int64_t* w, std::size_t k, const LaneFormat& f,
+    const double* bias, double* out) {
   const std::size_t flush = quire_lanes_flush(f.spec);
   const __m256i lo32 = _mm256_set1_epi64x(0xFFFFFFFFll);
   const __m256i m31 = _mm256_set1_epi64x(31);
-  const __m256i weight0 = _mm256_set1_epi64x(1023 + 2 * f.spec.min_scale());
-  for (std::size_t t = 0; t < tiles; ++t, a += k * kLanes, out += kLanes) {
-    __m256i limb[L];
-    for (int l = 0; l < L; ++l) limb[l] = _mm256_setzero_si256();
-    for (std::size_t i0 = 0; i0 < k; i0 += flush) {
-      const std::size_t i1 = k - i0 > flush ? i0 + flush : k;
-      for (std::size_t i = i0; i < i1; ++i) {
-        const __m256i wv = _mm256_set1_epi64x(w[i]);
-        const __m256i av = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i * kLanes));
-        // Dword adds cannot carry across lanes: the high dwords sum the two
-        // offsets whatever the significands in the low dwords.
-        const __m256i pos = _mm256_srli_epi64(_mm256_add_epi32(av, wv), 32);
-        const __m256i chunk =
-            _mm256_sllv_epi64(_mm256_mul_epi32(av, wv), _mm256_and_si256(pos, m31));
-        if (L == 1) {
-          limb[0] = _mm256_add_epi64(limb[0], chunk);
-        } else {
-          const __m256i idx = _mm256_srli_epi64(pos, 5);
-          for (int l = 0; l < L; ++l) {
-            const __m256i hit = _mm256_cmpeq_epi64(idx, _mm256_set1_epi64x(l));
-            limb[l] = _mm256_add_epi64(limb[l], _mm256_and_si256(hit, chunk));
-          }
+  __m256i limb[L];
+  for (int l = 0; l < L; ++l) limb[l] = _mm256_setzero_si256();
+  for (std::size_t i0 = 0; i0 < k; i0 += flush) {
+    const std::size_t i1 = k - i0 > flush ? i0 + flush : k;
+    for (std::size_t i = i0; i < i1; ++i) {
+      const __m256i wv = _mm256_set1_epi64x(w[i]);
+      const __m256i av = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i * kLanes));
+      // Dword adds cannot carry across lanes: the high dwords sum the two
+      // offsets whatever the significands in the low dwords.
+      const __m256i pos = _mm256_srli_epi64(_mm256_add_epi32(av, wv), 32);
+      const __m256i chunk = _mm256_sllv_epi64(_mm256_mul_epi32(av, wv), _mm256_and_si256(pos, m31));
+      if (L == 1) {
+        limb[0] = _mm256_add_epi64(limb[0], chunk);
+      } else {
+        const __m256i idx = _mm256_srli_epi64(pos, 5);
+        for (int l = 0; l < L; ++l) {
+          const __m256i hit = _mm256_cmpeq_epi64(idx, _mm256_set1_epi64x(l));
+          limb[l] = _mm256_add_epi64(limb[l], _mm256_and_si256(hit, chunk));
         }
       }
-      for (int l = 0; l + 1 < L; ++l) {
-        limb[l + 1] = _mm256_add_epi64(limb[l + 1], srai64_32(limb[l]));
-        limb[l] = _mm256_and_si256(limb[l], lo32);
-      }
     }
-    __m256d r = round_quire_lanes<L>(limb, f, weight0);
+    for (int l = 0; l + 1 < L; ++l) {
+      limb[l + 1] = _mm256_add_epi64(limb[l + 1], srai64_32(limb[l]));
+      limb[l] = _mm256_and_si256(limb[l], lo32);
+    }
+  }
+  __m256d r = round_quire_lanes<L>(limb, f, _mm256_set1_epi64x(1023 + 2 * f.spec.min_scale()));
+  if (bias != nullptr) r = add_round(r, _mm256_broadcast_sd(bias), f);
+  _mm256_storeu_pd(out, r);
+}
+
+/// kVecs tiles (at a[j], window base base[j]) against w in the 64-bit
+/// window: one int64 per lane, each product shifted by its position minus
+/// the base — the high dword of av + wv - base << 32, which a zero
+/// operand's lane may take negative: the unsigned count is then >= 2^31
+/// and the shift gives 0 — and added; no carries, since quire_window_fits
+/// held. The tiles share each weight broadcast, and their epilogues (the
+/// window as round_quire_lanes' one signed limb, its chunk 0 weighing
+/// 2^(2 min_scale + base)) run side by side.
+template <int kVecs>
+__attribute__((target("avx2"), always_inline)) inline void window_tiles(
+    const std::int64_t* const* a, const int* base, const std::int64_t* w, std::size_t k,
+    const LaneFormat& f, const double* bias, double* const* out) {
+  __m256i acc[kVecs], shift[kVecs];
+  for (int j = 0; j < kVecs; ++j) {
+    acc[j] = _mm256_setzero_si256();
+    shift[j] = _mm256_set1_epi64x(static_cast<long long>(-(std::uint64_t{1} << 32) * base[j]));
+  }
+  for (std::size_t i = 0; i < k; ++i) {
+    const __m256i wv = _mm256_set1_epi64x(w[i]);
+    for (int j = 0; j < kVecs; ++j) {
+      const __m256i av = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a[j] + i * kLanes));
+      const __m256i rel =
+          _mm256_srli_epi64(_mm256_add_epi32(_mm256_add_epi32(av, wv), shift[j]), 32);
+      acc[j] = _mm256_add_epi64(acc[j], _mm256_sllv_epi64(_mm256_mul_epi32(av, wv), rel));
+    }
+  }
+  for (int j = 0; j < kVecs; ++j) {
+    __m256d r = round_quire_lanes<1>(&acc[j], f,
+                                     _mm256_set1_epi64x(1023 + 2 * f.spec.min_scale() + base[j]));
     if (bias != nullptr) r = add_round(r, _mm256_broadcast_sd(bias), f);
-    _mm256_storeu_pd(out, r);
+    _mm256_storeu_pd(out[j], r);
+  }
+}
+
+/// quire_span of w[0..k), four operands per vector: per dword pair the high
+/// dword is the offset; a zero operand's pair turns to INT32_MAX for the
+/// min and -1 for the max. The low dwords' results are never read.
+__attribute__((target("avx2"), always_inline)) inline QuireSpan weight_span(const std::int64_t* w,
+                                                                            std::size_t k) {
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i top = _mm256_set1_epi64x(static_cast<long long>(INT32_MAX) << 32);
+  __m256i lo = _mm256_set1_epi32(INT32_MAX), hi = _mm256_set1_epi32(-1);
+  std::size_t i = 0;
+  for (; i + kLanes <= k; i += kLanes) {
+    const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i));
+    const __m256i z = _mm256_cmpeq_epi64(v, zero);
+    lo = _mm256_min_epi32(lo, _mm256_or_si256(v, _mm256_and_si256(z, top)));
+    hi = _mm256_max_epi32(hi, _mm256_or_si256(v, z));
+  }
+  QuireSpan s = quire_span(w + i, k - i);
+  alignas(32) std::int32_t los[8], his[8];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(los), lo);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(his), hi);
+  for (int d = 1; d < 8; d += 2) {
+    s.lo = los[d] < s.lo ? los[d] : s.lo;
+    s.hi = his[d] > s.hi ? his[d] : s.hi;
+  }
+  return s;
+}
+
+/// The row tiles against w: each tile whose span passes the window rule
+/// joins the pending group of window tiles, run four at a time (the rest
+/// in twos and ones at the end); every other tile runs on L limbs at once,
+/// alone (interleaving limb tiles ran slower: their limbs fill the register
+/// file). Outputs land in their own slots, so the order tiles run in is
+/// free.
+template <int L>
+__attribute__((target("avx2"), always_inline)) inline void quire_tiles(
+    const std::int64_t* a, std::size_t tiles, const QuireSpan* spans, const std::int64_t* w,
+    std::size_t k, const LaneFormat& f, const double* bias, double* out) {
+  const QuireSpan ws = weight_span(w, k);
+  const std::int64_t* pa[4];
+  double* po[4];
+  int pb[4];
+  int pending = 0;
+  for (std::size_t t = 0; t < tiles; ++t) {
+    const std::int64_t* const at = a + t * k * kLanes;
+    double* const ot = out + t * kLanes;
+    if (!quire_window_fits(f.spec, spans[t], ws, k)) {
+      limb_tile<L>(at, w, k, f, bias, ot);
+      continue;
+    }
+    pa[pending] = at;
+    po[pending] = ot;
+    pb[pending] = quire_window_base(spans[t], ws);
+    if (++pending == 4) {
+      window_tiles<4>(pa, pb, w, k, f, bias, po);
+      pending = 0;
+    }
+  }
+  if (pending >= 2) window_tiles<2>(pa, pb, w, k, f, bias, po);
+  if (pending % 2 == 1) {
+    const int j = pending - 1;
+    window_tiles<1>(pa + j, pb + j, w, k, f, bias, po + j);
   }
 }
 
 }  // namespace
 
 __attribute__((target("avx2"), aligned(64))) void quire_lanes_avx2(
-    const std::int64_t* a, std::size_t tiles, const std::int64_t* w, std::size_t k,
-    const PositSpec& spec, const double* bias, double* out) {
+    const std::int64_t* a, std::size_t tiles, const QuireSpan* spans, const std::int64_t* w,
+    std::size_t k, const PositSpec& spec, const double* bias, double* out) {
   const LaneFormat f(spec);
   const int limbs = quire_lane_limbs(spec);
   if (limbs == 1) {
-    quire_tiles<1>(a, tiles, w, k, f, bias, out);
+    quire_tiles<1>(a, tiles, spans, w, k, f, bias, out);
   } else if (limbs == 2) {
-    quire_tiles<2>(a, tiles, w, k, f, bias, out);
+    quire_tiles<2>(a, tiles, spans, w, k, f, bias, out);
   } else {
-    quire_tiles<4>(a, tiles, w, k, f, bias, out);  // three limbs run as four
+    quire_tiles<4>(a, tiles, spans, w, k, f, bias, out);  // three limbs run as four
   }
 }
 
@@ -833,8 +924,8 @@ bool encode_quire_lanes_avx2(const float*, std::size_t, std::size_t, const Posit
   return false;
 }
 
-void quire_lanes_avx2(const std::int64_t*, std::size_t, const std::int64_t*, std::size_t,
-                      const PositSpec&, const double*, double*) {}
+void quire_lanes_avx2(const std::int64_t*, std::size_t, const QuireSpan*, const std::int64_t*,
+                      std::size_t, const PositSpec&, const double*, double*) {}
 
 #endif
 

@@ -55,21 +55,47 @@
 //     is produced. A group holding a NaN or +-Inf (the only source of NaR)
 //     stops the kernel; the caller re-runs the coded encode.
 //   * quire_lanes_avx2 — the exact quire (Deep Positron's EMAC) for four
-//     outputs per __m256i, one output per lane, in 64-bit integer limbs.
+//     outputs per __m256i, one output per lane, in 64-bit integers.
 //     Where quire_lanes_supported(spec, k) holds ((8,0), (8,1), (8,2),
-//     (16,0), (16,1)) an operand is one int64 — signed significand low,
-//     lsb_weight - min_scale high — so _mm256_mul_epi32 gives the exact
-//     product and its position counts from minpos^2. Per term the product
-//     shifts to its bit inside a 32-bit-strided limb and adds into the limb
-//     its position selects (compare/and/add over at most four limbs); a
-//     carry pass every quire_lanes_flush(spec) terms keeps the limbs in 64
-//     bits. Each lane then folds its limbs to sign and magnitude in vector
-//     registers (the borrow of a negative sum carried across the limbs),
-//     keeps its two highest non-zero 32-bit chunks with a sticky bit for the
-//     rest, and rounds their exact sum as two doubles with the chains'
-//     add_round — the rule of Quire::to_posit, so every output is the exact
-//     double of Quire::accumulate_dot + to_posit, and a bias adds as in
-//     rounded_chains_avx2.
+//     (16,0), (16,1)) an operand is one int64 — signed significand low, its
+//     offset lsb_weight - min_scale high — so _mm256_mul_epi32 gives the
+//     exact product and the offsets' sum its position counted from
+//     minpos^2. A real dot uses a narrow slice of the quire, so a tile
+//     whose products provably fit one signed 64-bit window sums there: one
+//     int64 per lane, each product shifted by its position minus the
+//     tile's base and added, no carries (the window rule below). Any other
+//     tile runs on the whole register in 32-bit-strided limbs: per term
+//     the product shifts to its bit inside a limb and adds into the limb
+//     its position selects (compare/and/add over at most four limbs), and
+//     a carry pass every quire_lanes_flush(spec) terms keeps the limbs in
+//     64 bits. Either way each lane then folds its limbs to sign and
+//     magnitude in vector registers (the borrow of a negative sum carried
+//     across the limbs), keeps its two highest non-zero 32-bit chunks with
+//     a sticky bit for the rest, and rounds their exact sum as two doubles
+//     with the chains' add_round — the rule of Quire::to_posit, so every
+//     output is the exact double of Quire::accumulate_dot + to_posit
+//     whichever path its tile took, and a bias adds as in
+//     rounded_chains_avx2. Up to four window tiles run per pass over the
+//     weight row, sharing its broadcasts, and their epilogues overlap.
+//
+//     The window rule (quire_window_fits). Let s = n - 2 - es, so every
+//     significand is below 2^s and every product's magnitude below 2^(2s).
+//     Let [t_lo, t_hi] hold the offsets of a tile's non-zero operands and
+//     [w_lo, w_hi] those of the weight row's (QuireSpan), and base = t_lo +
+//     w_lo. A product of two non-zero operands sits at position p with
+//     base <= p <= base + D, D = (t_hi + w_hi) - (t_lo + w_lo), so as a
+//     multiple of 2^base it is below 2^(2s + D) in magnitude, and a sum of
+//     at most k of them below k 2^(2s + D) <= 2^(2s + D + ceil(log2 k)).
+//     The window path runs iff D + 2s + ceil(log2 k) <= 62: every shifted
+//     product and every partial sum then lies in (-2^62, 2^62), so the
+//     int64 adds are exact (no wrap, and the epilogue's negation cannot
+//     overflow) and the lane holds the quire's value divided by 2^base. A
+//     term with a zero (or NaR, which reads as zero) operand has product 0
+//     whatever its shift; its shift p - base may be negative, which the
+//     unsigned 64-bit shift count turns into 2^32 - |p - base| >= 64, and
+//     _mm256_sllv_epi64 gives 0 there too. An all-zero tile or weight row
+//     has an empty span; its sum is 0 and it runs at base 0, so no exponent
+//     the epilogue builds leaves the normal doubles.
 //
 // Dispatch mirrors tensor/gemm_kernel.cpp: __builtin_cpu_supports("avx2")
 // resolved once, with two overrides — the PDNN_NO_AVX2=1 environment
@@ -236,16 +262,66 @@ inline std::int64_t quire_lane_operand(const Unpacked& u, const PositSpec& spec)
 /// NaR.
 bool fill_quire_row(const Unpacked* row, std::size_t k, const PositSpec& spec, std::int64_t* out);
 
+/// The offsets (the high dword of quire_lane_operand, lsb_weight -
+/// min_scale) of a set of operands' non-zero members lie in [lo, hi]; an
+/// empty span (lo > hi) when every member is zero.
+struct QuireSpan {
+  std::int32_t lo = INT32_MAX;
+  std::int32_t hi = -1;
+  constexpr bool empty() const { return lo > hi; }
+};
+
+/// The tightest QuireSpan of ops[0..count): zero operands (and so NaR)
+/// left out.
+inline QuireSpan quire_span(const std::int64_t* ops, std::size_t count) {
+  QuireSpan s;
+  for (std::size_t i = 0; i < count; ++i) {
+    if (ops[i] == 0) continue;
+    const auto off = static_cast<std::int32_t>(ops[i] >> 32);
+    s.lo = off < s.lo ? off : s.lo;
+    s.hi = off > s.hi ? off : s.hi;
+  }
+  return s;
+}
+
+/// ceil(log2 k) for k >= 1 (0 for k <= 1).
+constexpr int ceil_log2(std::size_t k) {
+  int b = 0;
+  while ((std::size_t{1} << b) < k) ++b;
+  return b;
+}
+
+/// The window rule (proof in the header comment): the exact dot of k terms
+/// between operands within `tile` and `w` fits one signed 64-bit window at
+/// quire_window_base. Always true when either span is empty.
+constexpr bool quire_window_fits(const PositSpec& spec, QuireSpan tile, QuireSpan w,
+                                 std::size_t k) {
+  if (tile.empty() || w.empty()) return true;
+  const int s = spec.n - 2 - spec.es;
+  return (tile.hi + w.hi) - (tile.lo + w.lo) + 2 * s + ceil_log2(k) <= 62;
+}
+
+/// The window's lowest position, in offsets from minpos^2: tile.lo + w.lo,
+/// or 0 when either span is empty (the sum is then 0).
+constexpr int quire_window_base(QuireSpan tile, QuireSpan w) {
+  return tile.empty() || w.empty() ? 0 : tile.lo + w.lo;
+}
+
 /// The exact quire dot of `tiles` row tiles (tile t at a + t * k * kLanes)
 /// against one operand row w[0..k): out[t * kLanes + l] is
 /// sum_i a[row l][i] * w[i], rounded once to nearest-even, as the exact
 /// double of its posit — to_double(Quire::accumulate_dot + to_posit), bit
 /// for bit — then, when `bias` is non-null, round(out + *bias) (posit::add),
-/// the output contract of rounded_chains_avx2. Operands are
-/// quire_lane_operand values of `spec`, *bias a lane_value of `spec`;
-/// quire_lanes_supported(spec, k) must hold; NaR is the caller's. Caller
-/// must check enabled().
-void quire_lanes_avx2(const std::int64_t* a, std::size_t tiles, const std::int64_t* w,
-                      std::size_t k, const PositSpec& spec, const double* bias, double* out);
+/// the output contract of rounded_chains_avx2. spans[t] must contain the
+/// offset of every non-zero operand of tile t — quire_span of the tile is
+/// the tightest, and a wider one (up to [0, 2 max_scale], which holds
+/// every offset) is as exact — and picks the tile's path: the 64-bit
+/// window where quire_window_fits(spec, spans[t], quire_span(w, k), k),
+/// the limbs otherwise. Operands are quire_lane_operand values of `spec`,
+/// *bias a lane_value of `spec`; quire_lanes_supported(spec, k) must hold;
+/// NaR is the caller's. Caller must check enabled().
+void quire_lanes_avx2(const std::int64_t* a, std::size_t tiles, const QuireSpan* spans,
+                      const std::int64_t* w, std::size_t k, const PositSpec& spec,
+                      const double* bias, double* out);
 
 }  // namespace pdnn::posit::simd

@@ -13,6 +13,7 @@
 #include "posit/add_lut.hpp"
 #include "posit/mul_lut.hpp"
 #include "posit/quire.hpp"
+#include "posit/simd.hpp"
 #include "quant/posit_inference.hpp"
 #include "tensor/ops.hpp"
 
@@ -67,17 +68,21 @@ enum class OperandForm { kCodes, kUnpacked, kLanes, kQuireLanes };
 /// form's. Holds a step's encoded input batch — session-owned, counted by
 /// PositSession::panel_scratch_bytes() — or a thread's gathered panel block
 /// and decoded weight rows. `term_off` is the plane's gather table (see
-/// ActPlane); the thread buffers leave it empty.
+/// ActPlane); the thread buffers leave it empty. `spans` holds a gathered
+/// kQuireLanes block's tile spans (see gather_panel); only the calling
+/// thread's block grows it.
 struct OperandBuffers {
   std::vector<std::uint32_t> codes;
   std::vector<posit::Unpacked> ops;
   std::vector<double> lanes;
   std::vector<std::int64_t> quire;
+  std::vector<posit::simd::QuireSpan> spans;
   std::vector<std::size_t> term_off;
 
   std::size_t bytes() const {
     return codes.capacity() * sizeof(std::uint32_t) + ops.capacity() * sizeof(posit::Unpacked) +
            lanes.capacity() * sizeof(double) + quire.capacity() * sizeof(std::int64_t) +
+           spans.capacity() * sizeof(posit::simd::QuireSpan) +
            term_off.capacity() * sizeof(std::size_t);
   }
 };
@@ -128,10 +133,13 @@ ActPlane encode_activation(const float* x, std::size_t batch, const tensor::Conv
 /// into block's buffer in a's form, which must hold the rows' k operands
 /// each (rounded up to whole tiles for the lane forms): row-major for kCodes
 /// and kUnpacked, 4-row lane tiles (posit::simd::kLanes) for kLanes and
-/// kQuireLanes, the lanes past r1 zero. For the lane forms, when row_nar is
-/// non-null, row_nar[r - r0] says whether row r reads a NaR code (a.has_nar
-/// planes only). A worksharing loop: inside a parallel region every thread
-/// of the team must call it.
+/// kQuireLanes, the lanes past r1 zero. For kQuireLanes block.spans must
+/// hold one entry per tile too: the gather writes each tile's
+/// posit::simd::quire_span (the offsets of its non-zero operands, what
+/// quire_lanes_avx2 picks a tile's path by) in the pass that copies it. For
+/// the lane forms, when row_nar is non-null, row_nar[r - r0] says whether
+/// row r reads a NaR code (a.has_nar planes only). A worksharing loop:
+/// inside a parallel region every thread of the team must call it.
 void gather_panel(const ActPlane& a, std::size_t r0, std::size_t r1, OperandBuffers& block,
                   unsigned char* row_nar);
 

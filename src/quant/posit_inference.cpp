@@ -3,6 +3,11 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <type_traits>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 #include "posit/accum.hpp"
 #include "posit/simd.hpp"
@@ -137,18 +142,74 @@ void gather_rows(const ActPlane& a, const T* plane, std::size_t r0, std::size_t 
 /// 32-byte load and store.
 #if defined(__x86_64__) || defined(__i386__)
 #define PDNN_LANE_GATHER __attribute__((target("avx2")))
+
+/// A quire tile's QuireSpan, accumulated four operands (one term) at a time
+/// as the gather copies them: per dword pair the high dword is the offset,
+/// turned to INT32_MAX for the min and -1 for the max where the operand is
+/// zero; the low dwords' results are never read.
+class TileSpan {
+ public:
+  PDNN_LANE_GATHER TileSpan()
+      : lo_(_mm256_set1_epi32(INT32_MAX)),
+        hi_(_mm256_set1_epi32(-1)),
+        top_(_mm256_set1_epi64x(static_cast<long long>(INT32_MAX) << 32)) {}
+
+  PDNN_LANE_GATHER void add(__m256i v) {
+    const __m256i z = _mm256_cmpeq_epi64(v, _mm256_setzero_si256());
+    lo_ = _mm256_min_epi32(lo_, _mm256_or_si256(v, _mm256_and_si256(z, top_)));
+    hi_ = _mm256_max_epi32(hi_, _mm256_or_si256(v, z));
+  }
+  PDNN_LANE_GATHER void add(const std::int64_t* four) {
+    add(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(four)));
+  }
+  PDNN_LANE_GATHER void add(std::int64_t v0, std::int64_t v1, std::int64_t v2, std::int64_t v3) {
+    add(_mm256_setr_epi64x(v0, v1, v2, v3));
+  }
+
+  PDNN_LANE_GATHER posit::simd::QuireSpan span() const {
+    alignas(32) std::int32_t lo[8], hi[8];
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lo), lo_);
+    _mm256_store_si256(reinterpret_cast<__m256i*>(hi), hi_);
+    return {std::min({lo[1], lo[3], lo[5], lo[7]}), std::max({hi[1], hi[3], hi[5], hi[7]})};
+  }
+
+ private:
+  __m256i lo_, hi_, top_;
+};
 #else
 #define PDNN_LANE_GATHER
+
+/// TileSpan off x86, where the lane forms never run: one operand at a time.
+class TileSpan {
+ public:
+  void add(const std::int64_t* four) { widen(posit::simd::quire_span(four, kLanes)); }
+  void add(std::int64_t v0, std::int64_t v1, std::int64_t v2, std::int64_t v3) {
+    const std::int64_t four[kLanes] = {v0, v1, v2, v3};
+    add(four);
+  }
+  posit::simd::QuireSpan span() const { return s_; }
+
+ private:
+  void widen(posit::simd::QuireSpan t) {
+    s_.lo = std::min(s_.lo, t.lo);
+    s_.hi = std::max(s_.hi, t.hi);
+  }
+  posit::simd::QuireSpan s_;
+};
 #endif
 
 /// gather_rows for the lane forms: 4-row tiles counted from r0 (a multiple
 /// of kLanes), tile-major, lanes past r1 zero. A tile whose four rows are
 /// adjacent in the plane (one output line, stride 1) copies four operands
-/// per term; any other reads each lane on its own. When row_nar is
-/// non-null, row_nar[r - r0] says whether row r reads a NaR code.
+/// per term; any other reads each lane on its own. For the quire lanes
+/// (T = int64) spans[t] gets tile t's QuireSpan from the same pass. When
+/// row_nar is non-null, row_nar[r - r0] says whether row r reads a NaR
+/// code.
 template <class T>
 PDNN_LANE_GATHER void gather_tiles(const ActPlane& a, const T* plane, std::size_t r0,
-                                   std::size_t r1, T* dst, unsigned char* row_nar) {
+                                   std::size_t r1, T* dst, posit::simd::QuireSpan* spans,
+                                   unsigned char* row_nar) {
+  constexpr bool kQuire = std::is_same_v<T, std::int64_t>;
   const std::size_t k = a.k, n = r1 - r0, tiles = (n + kLanes - 1) / kLanes;
   const std::size_t* const off = a.plane->term_off.data();
   const std::uint32_t* const codes = a.plane->codes.data();
@@ -163,11 +224,13 @@ PDNN_LANE_GATHER void gather_tiles(const ActPlane& a, const T* plane, std::size_
     for (std::size_t l = 0; l < lanes; ++l, cur.next()) base[l] = cur.base();
     at = t + 1;
     T* const tile = dst + t * k * kLanes;
+    TileSpan span;
     if (lanes == kLanes && base[kLanes - 1] - base[0] == kLanes - 1) {
       // Row bases only grow, so this span holds the four rows in order.
       const T* const src = plane + base[0];
       for (std::size_t i = 0; i < k; ++i) {
         std::memcpy(tile + i * kLanes, src + off[i], kLanes * sizeof(T));
+        if constexpr (kQuire) span.add(src + off[i]);
       }
     } else if (lanes == kLanes) {
       for (std::size_t i = 0; i < k; ++i) {
@@ -177,14 +240,17 @@ PDNN_LANE_GATHER void gather_tiles(const ActPlane& a, const T* plane, std::size_
         d[1] = src[base[1]];
         d[2] = src[base[2]];
         d[3] = src[base[3]];
+        if constexpr (kQuire) span.add(d[0], d[1], d[2], d[3]);
       }
     } else {
       for (std::size_t i = 0; i < k; ++i) {
         for (std::size_t l = 0; l < kLanes; ++l) {
           tile[i * kLanes + l] = l < lanes ? plane[base[l] + off[i]] : T{};
         }
+        if constexpr (kQuire) span.add(tile + i * kLanes);
       }
     }
+    if constexpr (kQuire) spans[t] = span.span();
     if (row_nar != nullptr) {
       for (std::size_t l = 0; l < lanes; ++l) {
         bool hit = false;
@@ -398,10 +464,11 @@ void gather_panel(const ActPlane& a, std::size_t r0, std::size_t r1, OperandBuff
       gather_rows(a, a.plane->ops.data(), r0, r1, block.ops.data());
       break;
     case OperandForm::kLanes:
-      gather_tiles(a, a.plane->lanes.data(), r0, r1, block.lanes.data(), row_nar);
+      gather_tiles(a, a.plane->lanes.data(), r0, r1, block.lanes.data(), nullptr, row_nar);
       break;
     case OperandForm::kQuireLanes:
-      gather_tiles(a, a.plane->quire.data(), r0, r1, block.quire.data(), row_nar);
+      gather_tiles(a, a.plane->quire.data(), r0, r1, block.quire.data(), block.spans.data(),
+                   row_nar);
       break;
   }
 }
@@ -433,6 +500,8 @@ void engine_gemm(const ActPlane& a, const PackedPositTensor& w, const PackedPosi
   Unpacked* const pops = form == OperandForm::kUnpacked ? grow(host.a.ops, block * k) : nullptr;
   double* const planes = lanes ? grow(host.a.lanes, block * k) : nullptr;
   std::int64_t* const pquire = qlanes ? grow(host.a.quire, block * k) : nullptr;
+  const posit::simd::QuireSpan* const pspans =
+      qlanes ? grow(host.a.spans, block / kLanes) : nullptr;
 
 #pragma omp parallel
   {
@@ -487,7 +556,8 @@ void engine_gemm(const ActPlane& a, const PackedPositTensor& w, const PackedPosi
             posit::simd::rounded_chains_avx2(planes, tiles, wr.lanes + wk, k, spec,
                                              mode == AccumMode::kFma, bptr, sums);
           } else {
-            posit::simd::quire_lanes_avx2(pquire, tiles, wr.quire + wk, k, spec, bptr, sums);
+            posit::simd::quire_lanes_avx2(pquire, tiles, pspans, wr.quire + wk, k, spec, bptr,
+                                          sums);
           }
           for (std::size_t r = 0; r < n; ++r) {
             const bool nar = col_nar || (a_nar != nullptr && a_nar[r] != 0);

@@ -70,7 +70,8 @@ void micro_8x8_scalar(std::size_t kc, const float* ap, const float* bp, float* c
 #ifdef PDNN_GEMM_X86
 // The target attribute lets this translation unit stay buildable with baseline
 // x86-64 flags; gemm_kernel_vectorized() gates the call at runtime. The
-// 64-byte alignment pins the kernel's loop placement: without it, unrelated
+// 64-byte alignment, which src/CMakeLists.txt now gives every function of
+// the FP32 layers, pins the kernel's loop placement: without it, unrelated
 // code growing elsewhere in the binary moved it by 32 bytes and cost FP32
 // training ~7 % (perfbench samples_per_s on a 4-vCPU AVX2 Xeon).
 __attribute__((target("avx2"), aligned(64))) void micro_8x8_avx2(

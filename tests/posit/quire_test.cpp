@@ -298,6 +298,20 @@ unsigned quire_tile(const Unpacked* rows, std::size_t nrows, std::size_t k, cons
   return nar;
 }
 
+/// The spans of `count` consecutive row tiles of k terms: each tile's
+/// quire_span, or, when `whole`, the whole offset range [0, 2 max_scale],
+/// which holds every operand and sends each tile the window rule rejects
+/// for that range to the limbs.
+std::vector<simd::QuireSpan> tile_spans(const std::int64_t* tiles, std::size_t count,
+                                        std::size_t k, const PositSpec& s, bool whole) {
+  std::vector<simd::QuireSpan> spans(count);
+  for (std::size_t t = 0; t < count; ++t) {
+    spans[t] = whole ? simd::QuireSpan{0, 2 * s.max_scale()}
+                     : simd::quire_span(tiles + t * simd::kLanes * k, simd::kLanes * k);
+  }
+  return spans;
+}
+
 std::uint64_t bits_of(double v) {
   std::uint64_t b;
   std::memcpy(&b, &v, sizeof b);
@@ -306,12 +320,15 @@ std::uint64_t bits_of(double v) {
 
 
 /// The lane kernel over `st` at each of the eight lane positions of two row
-/// tiles, without a bias and with a Gaussian one. Every other lane holds a different row against the same
-/// weight row — the stream's row negated, reversed, Gaussian or all zero,
-/// NaR-free — so each stream meets different neighbours in every position.
-/// Each tile's NaR mask must flag exactly the rows holding a NaR, and every
-/// other lane must carry the exact double of the quire's code for its own
-/// row (or of add(code, bias)), bit for bit.
+/// tiles, without a bias and with a Gaussian one, each tile once on its own
+/// span (the 64-bit window where the window rule admits it) and once on the
+/// whole offset range (the limbs where the rule rejects that). Every other
+/// lane holds a different row against the same weight row — the stream's
+/// row negated, reversed, Gaussian or all zero, NaR-free — so each stream
+/// meets different neighbours in every position. Each tile's NaR mask must
+/// flag exactly the rows holding a NaR, and every other lane must carry the
+/// exact double of the quire's code for its own row (or of add(code,
+/// bias)), bit for bit.
 void check_lanes(const Stream& st, const PositSpec& s) {
   constexpr std::size_t kRows = 2 * simd::kLanes;
   const std::size_t k = st.a.size();
@@ -347,20 +364,26 @@ void check_lanes(const Stream& st, const PositSpec& s) {
     const unsigned nar =
         quire_tile(ops.data(), simd::kLanes, k, s, tiles.data()) |
         quire_tile(ops.data() + tile, simd::kLanes, k, s, tiles.data() + tile) << simd::kLanes;
-    for (const bool biased : {false, true}) {
-      double got[kRows];
-      simd::quire_lanes_avx2(tiles.data(), 2, w.data(), k, s, biased ? &bvalue : nullptr, got);
-      for (std::size_t r = 0; r < kRows; ++r) {
-        const bool row_nar = holds_nar(*rows[r], s);
-        EXPECT_EQ(((nar >> r) & 1u) != 0, row_nar) << s.to_string() << " " << st.name << " row " << r;
-        if (row_nar) continue;
-        const std::uint32_t code = want[rows[r]];
-        const double expect = to_double(biased ? add(code, bias, s) : code, s);
-        if (bits_of(got[r]) != bits_of(expect)) {
-          ADD_FAILURE() << s.to_string() << " " << st.name << " k " << k << " lane pos " << pos
-                        << " row " << r << (biased ? " with bias " : "") << ": got " << got[r]
-                        << " want " << expect << " (code " << code << ")";
-          return;
+    for (const bool whole : {false, true}) {
+      const std::vector<simd::QuireSpan> spans = tile_spans(tiles.data(), 2, k, s, whole);
+      for (const bool biased : {false, true}) {
+        double got[kRows];
+        simd::quire_lanes_avx2(tiles.data(), 2, spans.data(), w.data(), k, s,
+                               biased ? &bvalue : nullptr, got);
+        for (std::size_t r = 0; r < kRows; ++r) {
+          const bool row_nar = holds_nar(*rows[r], s);
+          EXPECT_EQ(((nar >> r) & 1u) != 0, row_nar)
+              << s.to_string() << " " << st.name << " row " << r;
+          if (row_nar) continue;
+          const std::uint32_t code = want[rows[r]];
+          const double expect = to_double(biased ? add(code, bias, s) : code, s);
+          if (bits_of(got[r]) != bits_of(expect)) {
+            ADD_FAILURE() << s.to_string() << " " << st.name << " k " << k << " lane pos " << pos
+                          << " row " << r << (biased ? " with bias" : "")
+                          << (whole ? " on the whole span" : " on the tile's span") << ": got "
+                          << got[r] << " want " << expect << " (code " << code << ")";
+            return;
+          }
         }
       }
     }
@@ -805,8 +828,10 @@ TEST(QuireLanes, RaggedLastTileHasZeroLanes) {
                            tiles.data() + simd::kLanes * k),
                 0u);
       double two[2 * simd::kLanes], one[simd::kLanes];
-      simd::quire_lanes_avx2(tiles.data(), 2, wl.data(), k, s, nullptr, two);
-      simd::quire_lanes_avx2(tiles.data() + simd::kLanes * k, 1, wl.data(), k, s, nullptr, one);
+      const std::vector<simd::QuireSpan> spans = tile_spans(tiles.data(), 2, k, s, false);
+      simd::quire_lanes_avx2(tiles.data(), 2, spans.data(), wl.data(), k, s, nullptr, two);
+      simd::quire_lanes_avx2(tiles.data() + simd::kLanes * k, 1, spans.data() + 1, wl.data(), k, s,
+                             nullptr, one);
       for (std::size_t r = 0; r < 2 * simd::kLanes; ++r) {
         const double want = to_double(r < rows ? quire_code(a[r], w, s) : 0u, s);
         EXPECT_EQ(bits_of(two[r]), bits_of(want)) << s.to_string() << " rows " << rows << " row " << r;
@@ -816,6 +841,231 @@ TEST(QuireLanes, RaggedLastTileHasZeroLanes) {
         }
       }
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The 64-bit window: a tile the window rule admits sums in one int64 per
+// lane relative to its base, every other one on the limbs
+// ---------------------------------------------------------------------------
+
+/// Per operand offset o in [0, 2 max_scale]: the positive code of the
+/// widest significand whose operand offset (lsb_weight - min_scale) is o,
+/// or 0 when no posit has that offset.
+std::vector<std::uint32_t> widest_by_offset(const PositSpec& s) {
+  std::vector<std::uint32_t> code(2 * s.max_scale() + 1, 0u);
+  std::vector<std::uint32_t> sig(code.size(), 0u);
+  for (std::uint32_t c = 1; c <= s.maxpos_code(); ++c) {
+    const Unpacked u = decode_unpacked(c, s);
+    const auto o = static_cast<std::size_t>(u.lsb_weight - s.min_scale());
+    if (u.sig > sig[o]) {
+      sig[o] = u.sig;
+      code[o] = c;
+    }
+  }
+  return code;
+}
+
+/// A tile exactly at the window bound, D + 2s + ceil(log2 k) == 62, and
+/// the same tile one bit wider. The tile's widest operand `hi` sits at
+/// offset t_hi and its narrowest `lo` at t_lo (`lower` at t_lo - 1 for the
+/// wider tile); the weight row holds `w_hi` at every term but term 1,
+/// which holds `w_lo`. Among the splits of D, the one whose two top
+/// operands have the widest significands: the sums reach as near 2^62
+/// window units as the format lets them.
+struct BoundCase {
+  std::uint32_t hi = 0, lo = 0, lower = 0, w_hi = 0, w_lo = 0;
+  int D = 0;
+};
+
+BoundCase bound_case(const PositSpec& s, std::size_t k) {
+  const std::vector<std::uint32_t> at = widest_by_offset(s);
+  const int top = 2 * s.max_scale();
+  BoundCase best;
+  best.D = 62 - 2 * (s.n - 2 - s.es) - simd::ceil_log2(k);
+  std::uint64_t score = 0;
+  for (int dt = 1; dt <= best.D; ++dt) {
+    const int dw = best.D - dt;
+    for (int th = dt + 1; th <= top; ++th) {
+      for (int wh = dw; wh <= top; ++wh) {
+        const std::uint32_t c[5] = {at[th], at[th - dt], at[th - dt - 1], at[wh], at[wh - dw]};
+        if (std::find(std::begin(c), std::end(c), 0u) != std::end(c)) continue;
+        const std::uint64_t sc =
+            std::uint64_t{decode_unpacked(c[0], s).sig} * decode_unpacked(c[3], s).sig;
+        if (sc > score) {
+          score = sc;
+          best = {c[0], c[1], c[2], c[3], c[4], best.D};
+        }
+      }
+    }
+  }
+  return best;
+}
+
+/// One row tile of four code rows against w, run through the kernel with
+/// the spans given, beside the oracle: each row's quire dot with its NaRs
+/// read as zeros, without and with a bias.
+void check_tile_rows(const std::vector<Codes>& rows, const Codes& w, const PositSpec& s,
+                     const std::string& name) {
+  const std::size_t tiles = rows.size() / simd::kLanes, k = w.size();
+  std::vector<Unpacked> ops;
+  for (const Codes& r : rows) {
+    const std::vector<Unpacked> u = unpack(r, s);
+    ops.insert(ops.end(), u.begin(), u.end());
+  }
+  std::vector<std::int64_t> tile(rows.size() * k);
+  for (std::size_t t = 0; t < tiles; ++t) {
+    const std::size_t at = t * simd::kLanes * k;
+    quire_tile(ops.data() + at, simd::kLanes, k, s, tile.data() + at);
+  }
+  const std::vector<Unpacked> uw = unpack(w, s);
+  std::vector<std::int64_t> wl(k);
+  simd::fill_quire_row(uw.data(), k, s, wl.data());
+  const std::vector<simd::QuireSpan> spans = tile_spans(tile.data(), tiles, k, s, false);
+  const std::uint32_t bias = from_double(-0.75, s);
+  const double bvalue = to_double(bias, s);
+  for (const bool biased : {false, true}) {
+    std::vector<double> got(rows.size());
+    simd::quire_lanes_avx2(tile.data(), tiles, spans.data(), wl.data(), k, s,
+                           biased ? &bvalue : nullptr, got.data());
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      Codes clean = rows[r];
+      std::replace(clean.begin(), clean.end(), s.nar_code(), 0u);
+      const std::uint32_t code = quire_code(clean, w, s);
+      const double want = to_double(biased ? add(code, bias, s) : code, s);
+      EXPECT_EQ(bits_of(got[r]), bits_of(want))
+          << s.to_string() << " " << name << " k " << k << " row " << r
+          << (biased ? " with bias" : "") << ": got " << got[r] << " want " << want;
+    }
+  }
+}
+
+/// The window rule's specs: the engine's (8,1), (16,0) and (16,1), with a
+/// dot length each that puts the bound inside the offsets the format has.
+const std::vector<std::pair<PositSpec, std::size_t>>& window_cases() {
+  static const std::vector<std::pair<PositSpec, std::size_t>> cases = {
+      {{8, 1}, 128}, {{16, 0}, 16}, {{16, 1}, 1024}};
+  return cases;
+}
+
+TEST(QuireWindow, TheRuleIsTheProvenBoundAndEmptySpansSumAtBaseZero) {
+  const PositSpec s{16, 1};  // s = 13 significand bits per operand
+  EXPECT_EQ(simd::ceil_log2(1), 0);
+  EXPECT_EQ(simd::ceil_log2(2), 1);
+  EXPECT_EQ(simd::ceil_log2(3), 2);
+  EXPECT_EQ(simd::ceil_log2(1024), 10);
+  EXPECT_EQ(simd::ceil_log2(1025), 11);
+  // D + 26 + ceil(log2 k) <= 62.
+  EXPECT_TRUE(simd::quire_window_fits(s, {4, 17}, {8, 17}, 1024));   // D = 22
+  EXPECT_TRUE(simd::quire_window_fits(s, {4, 17}, {4, 17}, 1024));   // D = 26
+  EXPECT_FALSE(simd::quire_window_fits(s, {3, 17}, {4, 17}, 1024));  // D = 27
+  EXPECT_FALSE(simd::quire_window_fits(s, {4, 17}, {4, 17}, 1025));  // one more term bit
+  EXPECT_TRUE(simd::quire_window_fits(s, {0, 36}, {0, 0}, 1));
+  EXPECT_FALSE(simd::quire_window_fits(s, {0, 37}, {0, 0}, 1));
+  EXPECT_EQ(simd::quire_window_base({4, 17}, {8, 17}), 12);
+  // An all-zero tile or weight row: the sum is 0, at base 0, whatever the
+  // other span.
+  const simd::QuireSpan empty;
+  EXPECT_TRUE(empty.empty());
+  for (const simd::QuireSpan other :
+       {simd::QuireSpan{}, simd::QuireSpan{0, 56}, simd::QuireSpan{40, 50}}) {
+    EXPECT_TRUE(simd::quire_window_fits(s, empty, other, 1024));
+    EXPECT_TRUE(simd::quire_window_fits(s, other, empty, 1024));
+    EXPECT_EQ(simd::quire_window_base(empty, other), 0);
+    EXPECT_EQ(simd::quire_window_base(other, empty), 0);
+  }
+  // quire_span leaves zero operands (and NaR, which reads as zero) out.
+  const std::int64_t ops[] = {0, (std::int64_t{9} << 32) | 5, 0,
+                              (std::int64_t{3} << 32) | 0xFFFFFFFF, 0};
+  const simd::QuireSpan sp = simd::quire_span(ops, 5);
+  EXPECT_EQ(sp.lo, 3);
+  EXPECT_EQ(sp.hi, 9);
+  EXPECT_TRUE(simd::quire_span(ops, 1).empty());
+  EXPECT_TRUE(simd::quire_span(ops, 0).empty());
+}
+
+TEST(QuireWindow, TilesAtTheBoundSumInTheWindowAndOneBitWiderOnTheLimbs) {
+  // Per spec a tile exactly at the bound (D + 2s + ceil(log2 k) == 62) and
+  // the same tile one bit wider. Lane 0 sums hi * w_hi over every term but
+  // one — at (16,1) within 2^-9 of 2^62 window units — lane 2 the same
+  // negated; lane 1 mixes zeros, a NaR (read as zero) and the tile's lo,
+  // lane 3 hi, zeros and -lo in turn. In one call of eight tiles: the bound
+  // tile in two lane orders, the wider tile, all-zero tiles — so window
+  // tiles run four, two and one at a time beside the limb tile.
+  REQUIRE_QUIRE_LANES();
+  for (const auto& [s, k] : window_cases()) {
+    const BoundCase b = bound_case(s, k);
+    ASSERT_NE(b.hi, 0u) << s.to_string();
+    const std::uint32_t nar = s.nar_code();
+    Codes w(k, b.w_hi);
+    w[1] = b.w_lo;
+    const auto rows_with = [&](std::uint32_t lo) {
+      std::vector<Codes> rows(simd::kLanes, Codes(k, 0u));
+      for (std::size_t i = 0; i < k; ++i) {
+        rows[0][i] = b.hi;
+        rows[2][i] = neg(b.hi, s);
+        rows[3][i] = i % 3 == 0 ? b.hi : i % 3 == 1 ? 0u : neg(lo, s);
+      }
+      rows[1][0] = lo;
+      rows[1][2] = nar;
+      rows[1][3] = b.hi;
+      return rows;
+    };
+    const std::vector<Codes> bound = rows_with(b.lo), wider = rows_with(b.lower);
+
+    // The spans the kernel reads, and the rule's verdict on each tile.
+    const auto span_of = [&](const std::vector<Codes>& rows) {
+      std::vector<Unpacked> ops;
+      for (const Codes& r : rows) {
+        const std::vector<Unpacked> u = unpack(r, s);
+        ops.insert(ops.end(), u.begin(), u.end());
+      }
+      std::vector<std::int64_t> tile(simd::kLanes * k);
+      quire_tile(ops.data(), simd::kLanes, k, s, tile.data());
+      return simd::quire_span(tile.data(), tile.size());
+    };
+    const std::vector<Unpacked> uw = unpack(w, s);
+    std::vector<std::int64_t> wl(k);
+    simd::fill_quire_row(uw.data(), k, s, wl.data());
+    const simd::QuireSpan ws = simd::quire_span(wl.data(), k), ts = span_of(bound);
+    const int width = s.n - 2 - s.es;
+    EXPECT_EQ((ts.hi + ws.hi) - (ts.lo + ws.lo) + 2 * width + simd::ceil_log2(k), 62)
+        << s.to_string();
+    EXPECT_TRUE(simd::quire_window_fits(s, ts, ws, k)) << s.to_string() << ": the bound tile";
+    EXPECT_FALSE(simd::quire_window_fits(s, span_of(wider), ws, k))
+        << s.to_string() << ": one bit wider";
+    EXPECT_EQ(span_of(wider).lo, ts.lo - 1);
+
+    // Lane 0's exact window value: (k - 1) hi * w_hi terms and one hi * w_lo.
+    const Unpacked h = decode_unpacked(b.hi, s), wh = decode_unpacked(b.w_hi, s),
+                   wlo = decode_unpacked(b.w_lo, s);
+    const int base = ts.lo + ws.lo;
+    const auto term = [&](const Unpacked& x, const Unpacked& y) {
+      return static_cast<__int128>(x.sig) * y.sig
+             << (x.lsb_weight + y.lsb_weight - 2 * s.min_scale() - base);
+    };
+    const __int128 lane0 = static_cast<__int128>(k - 1) * term(h, wh) + term(h, wlo);
+    EXPECT_LT(lane0, static_cast<__int128>(1) << 62) << s.to_string();
+    if (s == PositSpec{16, 1}) {
+      EXPECT_GT(lane0, (static_cast<__int128>(1) << 62) - (static_cast<__int128>(1) << 53))
+          << "the bound tile's sum stays far below 2^62";
+    }
+
+    const Codes zeros(k, 0u);
+    std::vector<Codes> rotated(bound.rbegin(), bound.rend());
+    std::vector<Codes> rows;
+    const std::vector<Codes>* const order[] = {&bound, &wider,   nullptr, &rotated,
+                                               &bound, &rotated, nullptr, &bound};
+    for (const std::vector<Codes>* tile : order) {
+      for (std::size_t l = 0; l < simd::kLanes; ++l) {
+        rows.push_back(tile != nullptr ? (*tile)[l] : zeros);
+      }
+    }
+    check_tile_rows(bound, w, s, "bound tile");
+    check_tile_rows(wider, w, s, "one bit wider");
+    check_tile_rows(rows, w, s, "eight tiles");
+    // An all-zero weight row: every tile sums 0 at base 0.
+    check_tile_rows(rows, zeros, s, "all-zero weight row");
   }
 }
 

@@ -634,6 +634,66 @@ TEST(PositSession, HaloStaysZeroWhenTheInputPlaneChangesSize) {
   }
 }
 
+TEST(PositSession, QuireWindowAndLimbTilesShareOneGemm) {
+  // One (16,1) kQuire conv whose input spans 2^-20..2^10: the top half of
+  // each image holds values in [1, 2), whose tiles pass the exact-quire
+  // kernel's window rule, the bottom half magnitudes log-uniform over
+  // 2^-20..2^10 of either sign, whose tiles fail it — so one GEMM runs
+  // both paths. The session must match the reference with the kernel on
+  // and forced off; the gather must write each tile's quire_span, on tiles
+  // inside one output line, across two and (98 rows) the ragged last one.
+  Rng rng(197);
+  const PositSpec spec{16, 1};
+  const std::size_t batch = 2, in_c = 2, side = 7, out_c = 4;
+  const tensor::Conv2dGeom g{in_c, side, side, out_c, 3, 1, 1};
+  Tensor x({batch, in_c, side, side});
+  for (std::size_t i = 0; i < x.numel(); ++i) {
+    const bool top = i / side % side < side / 2;
+    const double sign = rng.uniform() < 0.5 ? -1.0 : 1.0;
+    const double wide = sign * std::exp2(rng.uniform(-20.0, 10.0));
+    x[i] = static_cast<float>(top ? 1.0 + rng.uniform() : wide);
+  }
+  const Tensor w = Tensor::randn({out_c, in_c, 3, 3}, rng, 0.4f);
+  const Tensor bias = Tensor::randn({out_c}, rng, 0.2f);
+  const Tensor ref = posit_conv2d_reference(x, w, bias, g, spec, AccumMode::kQuire);
+  auto layer = test_support::posit_layer(w, bias, spec, AccumMode::kQuire, g);
+  for (const bool scalar : {false, true}) {
+    posit::simd::force_disable(scalar);
+    EXPECT_TRUE(bit_identical(layer.run(x), ref)) << (scalar ? "scalar" : "avx2");
+    posit::simd::force_disable(false);
+  }
+  if (!posit::simd::available()) return;
+
+  // Both paths ran: every gathered tile's span against every weight row's.
+  detail::OperandBuffers plane, block;
+  const detail::ActPlane a =
+      detail::encode_activation(x.data(), batch, g, spec, AccumMode::kQuire, {}, plane);
+  ASSERT_EQ(a.form, detail::OperandForm::kQuireLanes);
+  const std::size_t k = a.k, tiles = (a.rows + posit::simd::kLanes - 1) / posit::simd::kLanes;
+  block.quire.resize(tiles * posit::simd::kLanes * k);
+  block.spans.resize(tiles);
+  detail::gather_panel(a, 0, a.rows, block, nullptr);
+  std::size_t window = 0, limbs = 0;
+  for (std::size_t o = 0; o < out_c; ++o) {
+    std::vector<posit::Unpacked> row(k);
+    for (std::size_t i = 0; i < k; ++i) {
+      row[i] = posit::decode_unpacked(posit::from_double(w[o * k + i], spec, kEncodeRound), spec);
+    }
+    std::vector<std::int64_t> wl(k);
+    posit::simd::fill_quire_row(row.data(), k, spec, wl.data());
+    const posit::simd::QuireSpan ws = posit::simd::quire_span(wl.data(), k);
+    for (std::size_t t = 0; t < tiles; ++t) {
+      const posit::simd::QuireSpan want = posit::simd::quire_span(
+          block.quire.data() + t * posit::simd::kLanes * k, posit::simd::kLanes * k);
+      EXPECT_EQ(block.spans[t].lo, want.lo) << "tile " << t;
+      EXPECT_EQ(block.spans[t].hi, want.hi) << "tile " << t;
+      ++(posit::simd::quire_window_fits(spec, block.spans[t], ws, k) ? window : limbs);
+    }
+  }
+  EXPECT_GT(window, 0u);
+  EXPECT_GT(limbs, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Threading
 // ---------------------------------------------------------------------------
@@ -745,7 +805,11 @@ TEST(PositSession, EngineScratchCountsTheLaneKernelTiles) {
   // row once, so the thread keeps one row in operand form (and, on the
   // kernel, its NaR flag), staged through one row of codes (and of
   // Unpacked for the lane forms); on the kernel, one double output per
-  // block row. No NaR in the input: no row flags.
+  // block row and, for the exact quire, one QuireSpan per gathered tile.
+  // No NaR in the input: no row flags. kQuire on the kernel: tiles 8 * 40 *
+  // 8 = 2560 bytes, weight 40 * 8 + 1 = 321, staging 40 * (4 + 8) = 480,
+  // outputs 8 * 8 = 64, spans 2 * 8 = 16: 3441 bytes (kFma: 3425, no
+  // spans).
   if (!posit::simd::available()) GTEST_SKIP() << "no AVX2 lane kernel on this host";
   Rng rng(157);
   auto net = nn::mlp(40, 6, 6, 0, rng);
@@ -774,7 +838,11 @@ TEST(PositSession, EngineScratchCountsTheLaneKernelTiles) {
     const std::size_t weight = k * sizeof(double) + 1;
     const std::size_t staging = k * (sizeof(std::uint32_t) + sizeof(posit::Unpacked));
     const std::size_t outputs = rows * sizeof(double);
-    EXPECT_EQ(scratch_after_run(false), tiles + weight + staging + outputs)
+    const std::size_t spans = mode == AccumMode::kQuire
+                                  ? rows / posit::simd::kLanes * sizeof(posit::simd::QuireSpan)
+                                  : 0;
+    static_assert(sizeof(posit::simd::QuireSpan) == 8, "a span is two int32 offsets");
+    EXPECT_EQ(scratch_after_run(false), tiles + weight + staging + outputs + spans)
         << "mode " << static_cast<int>(mode);
     const std::size_t scalar = (rows + 1) * k * sizeof(posit::Unpacked) + k * sizeof(std::uint32_t);
     EXPECT_EQ(scratch_after_run(true), scalar) << "mode " << static_cast<int>(mode);
